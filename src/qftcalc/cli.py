@@ -46,7 +46,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, qubits_nargs=None) -> Non
     parser.add_argument("--domain", type=float, nargs=2, metavar=("MIN", "MAX"))
     parser.add_argument("--shots", help="shot count or 'exact'")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--cache-dir", help="directory for cached summation unitaries")
 
 
 def _build_parser() -> _Parser:
@@ -97,7 +96,7 @@ def _load_config_file(path: str) -> dict:
 
 _CONFIG_KEYS = {
     "mode", "function", "qubits", "domain", "shots", "seed",
-    "output", "plot", "scale", "cache_dir",
+    "output", "plot", "scale",
 }
 
 
@@ -117,7 +116,7 @@ def _merge_run_config(args: argparse.Namespace) -> ExperimentConfig:
         if unknown:
             raise ConfigError("config", f"unknown config keys {sorted(unknown)}")
         merged.update(file_values)
-    for key in ("mode", "function", "qubits", "domain", "shots", "seed", "output", "plot", "scale", "cache_dir"):
+    for key in ("mode", "function", "qubits", "domain", "shots", "seed", "output", "plot", "scale"):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             merged[key] = value
@@ -140,7 +139,6 @@ def _merge_run_config(args: argparse.Namespace) -> ExperimentConfig:
         output=merged.get("output", "result.csv"),
         plot=merged.get("plot"),
         scale=merged.get("scale", "linear"),
-        cache_dir=merged.get("cache_dir"),
     ).validated()
 
 
@@ -172,7 +170,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         domain=tuple(args.domain) if args.domain else base.domain,
         shots=_parse_shots(args.shots) if args.shots is not None else base.shots,
         seed=args.seed if args.seed is not None else base.seed,
-        cache_dir=args.cache_dir if args.cache_dir else base.cache_dir,
     )
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

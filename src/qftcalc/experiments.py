@@ -52,7 +52,6 @@ class ExperimentConfig:
     output: str | None = None
     plot: str | None = None
     scale: str = "linear"
-    cache_dir: str | None = None
 
     def validated(self) -> "ExperimentConfig":
         if self.mode not in ("qftd", "qfti"):
@@ -217,7 +216,7 @@ def run_experiment(
     if config.mode == "qftd":
         series = pipelines.qftd_run(f, config.shots, config.seed)
     else:
-        series = pipelines.qfti_run(f, config.shots, config.seed, cache_dir=config.cache_dir)
+        series = pipelines.qfti_run(f, config.shots, config.seed)
 
     reference = _reference_magnitudes(config, f)
     reference_sq = reference**2

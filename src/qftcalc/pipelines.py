@@ -16,7 +16,6 @@ Points that are never observed are censored to zero and flagged unretained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -167,12 +166,7 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     )
 
 
-def qfti_run(
-    f: SampledFunction,
-    shots: int | None,
-    seed: int = 0,
-    cache_dir: str | Path | None = None,
-) -> RecoveredSeries:
+def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
     """Run the quantum trapezoid-integral pipeline on sampled data.
 
     Adds the two block-encoding registers (b, c) and the encoded summation
@@ -181,7 +175,7 @@ def qfti_run(
     """
     n = _require_power_of_two(f)
     n_points = f.n_points
-    enc = psmpo.build_block_encoding(n, cache_dir=cache_dir)
+    enc = psmpo.build_block_encoding(n)
     layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n)))
     padded = np.zeros(8 * n_points)
     padded[:n_points] = f.samples

@@ -2,23 +2,28 @@
 
 The unit lower-triangular matrix ``S`` (ones on and below the diagonal) turns a
 vector of section areas into running totals. It is not unitary, so it is
-embedded: ``H = [[0, S^T], [S, 0]]`` is real symmetric; with ``H = P D P^T``
-and ``eta`` the spectral norm, ``B = sqrt(I - D^2/eta^2) P^T`` completes
-``W = [H/eta; B]`` to a column isometry, and a Householder QR of ``W`` extends
-it to the full unitary ``U_H`` whose top-left block is ``H/eta``.
+embedded in the real symmetric ``H = [[0, S^T], [S, 0]]`` and then in a unitary
+dilation whose top-left block is ``H/eta``.
 
-The eigendecomposition of ``H`` is assembled exactly from a one-sided cyclic
-Jacobi SVD of ``S`` (eigenpairs ``(v_i; +-u_i)/sqrt(2)`` with values
-``+-sigma_i``), which works on a matrix a quarter the size of ``H``. Everything
-here is plain dense numpy; no LAPACK factorizations are used on the production
-path.
+``S`` has a closed-form SVD ``S = U diag(sigma) V^T``: ``(S S^T)^-1`` is the
+tridiagonal matrix with 2 on the diagonal (1 in the last entry) and -1 beside
+it, whose eigenpairs are known (Yueh, "Eigenvalues of several tridiagonal
+matrices", AMEN 2005). With ``theta_k = (2k-1) pi / (2N+1)``, k = 1..N::
+
+    sigma_k = 1 / (2 sin(theta_k / 2)),   u_k(j) ~ sin((j+1) theta_k),
+    v_k = S^T u_k / sigma_k,              eta = sigma_1.
+
+With ``A = H/eta`` and ``C = sqrt(I - A^2) = blockdiag(V g V^T, U g U^T)``,
+``g = sqrt(1 - sigma^2/eta^2)``, ``A`` and ``C`` commute, so the Hermitian
+dilation ``U_H = [[A, C], [C, -A]]`` is orthogonal (Gilyen, Su, Low & Wiebe,
+"Quantum singular value transformation and beyond", STOC 2019). ``S/eta`` is
+the lower-left block of ``A``, which fixes the success prefix.
 """
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,21 +34,16 @@ __all__ = [
     "PartialSumMatrix",
     "BlockEncoding",
     "spectral_norm",
-    "onesided_jacobi_svd",
-    "householder_qr",
+    "summation_svd",
     "block_encode_dimension",
     "build_block_encoding",
     "apply_partial_sum",
-    "save_block_encoding",
-    "load_block_encoding",
 ]
 
-# Unitarity / block-recovery tolerance for constructed encodings.
+# Orthogonality tolerance for constructed encodings.
 BLOCK_TOL = 1e-10
 # Residual amplitude allowed on the b/c registers before the summation gate.
 ANCILLA_ZERO_TOL = 1e-10
-
-_CACHE_MAGIC = b"PSMPO001"
 
 _memo: dict[int, "BlockEncoding"] = {}
 
@@ -86,205 +86,68 @@ class BlockEncoding:
 
 
 def spectral_norm(N: int) -> float:
-    """Largest singular value of the N x N unit lower-triangular matrix.
-
-    Power iteration on ``S^T S`` using cumulative-sum matvecs; never builds the
-    dense matrix.
-    """
+    """Largest singular value of the N x N unit lower-triangular matrix (closed form)."""
     if N < 1:
         raise ValueError("dimension must be >= 1")
     if N == 1:
         return 1.0
-    sigma = PartialSumMatrix(N)
-    v = np.ones(N) / np.sqrt(N)
-    previous = 0.0
-    for _ in range(10_000):
-        w = sigma.rmatvec(sigma.matvec(v))
-        lam = float(v @ w)
-        v = w / np.linalg.norm(w)
-        if abs(lam - previous) <= 1e-14 * lam:
-            return float(np.sqrt(lam))
-        previous = lam
-    return float(np.sqrt(previous))
+    return 1.0 / (2.0 * math.sin(math.pi / (2 * (2 * N + 1))))
 
 
-def _round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Disjoint index pairs covering all (p, q) exactly once per sweep.
+def summation_svd(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form SVD ``S = U diag(sigma) V^T`` of the N x N summation matrix.
 
-    Standard circle scheduling; odd ``n`` gets a phantom bye index whose pairs
-    are dropped.
+    Returns ``(U, sigma, V^T)`` with ``sigma`` in descending order, as in the
+    module docstring.
     """
-    total = n + (n % 2)
-    players = list(range(total))
-    rounds = []
-    for _ in range(total - 1):
-        half = total // 2
-        top = np.array(players[:half])
-        bottom = np.array(players[half:][::-1])
-        real = (top < n) & (bottom < n)
-        if np.any(real):
-            rounds.append((top[real], bottom[real]))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def onesided_jacobi_svd(
-    a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD of a square matrix by cyclic one-sided Jacobi rotations.
-
-    Column pairs are orthogonalized in round-robin order; rotations within a
-    round touch disjoint columns, so each round is applied as one vectorized
-    update. Returns ``(u, s, vt)`` with singular values descending.
-    """
-    b = np.array(a, dtype=float)
-    n = b.shape[0]
-    if b.shape != (n, n):
-        raise ValueError("one-sided Jacobi SVD expects a square matrix")
-    v = np.eye(n)
-    if n == 1:
-        s = abs(float(b[0, 0]))
-        u = np.array([[1.0 if b[0, 0] >= 0 else -1.0]])
-        return u, np.array([s]), v
-    rounds = _round_robin_pairs(n)
-    for _ in range(max_sweeps):
-        rotated = 0
-        for P, Q in rounds:
-            bp = b[:, P]
-            bq = b[:, Q]
-            app = np.einsum("ij,ij->j", bp, bp)
-            aqq = np.einsum("ij,ij->j", bq, bq)
-            apq = np.einsum("ij,ij->j", bp, bq)
-            active = np.abs(apq) > tol * np.sqrt(app * aqq)
-            if not np.any(active):
-                continue
-            rotated += int(np.count_nonzero(active))
-            tau = np.where(active, (aqq - app) / np.where(active, 2.0 * apq, 1.0), 0.0)
-            large = np.abs(tau) > 1e10
-            with np.errstate(over="ignore", divide="ignore"):
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(tau * tau + 1.0))
-                t = np.where(large, 0.5 / np.where(large, tau, 1.0), t)
-            t = np.where(active & (tau == 0.0), 1.0, t)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            b[:, P] = bp * c - bq * s
-            b[:, Q] = bp * s + bq * c
-            vp = v[:, P].copy()
-            vq = v[:, Q].copy()
-            v[:, P] = vp * c - vq * s
-            v[:, Q] = vp * s + vq * c
-        if rotated == 0:
-            sing = np.sqrt(np.einsum("ij,ij->j", b, b))
-            u = b / np.where(sing > 0.0, sing, 1.0)
-            order = np.argsort(sing)[::-1]
-            return u[:, order], sing[order], v[:, order].T
-    residual = _max_offdiag_gram(b)
-    raise RuntimeError(
-        f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps; "
-        f"largest remaining column correlation {residual:.3e}"
-    )
-
-
-def _max_offdiag_gram(b: np.ndarray) -> float:
-    g = b.T @ b
-    np.fill_diagonal(g, 0.0)
-    return float(np.max(np.abs(g)))
-
-
-def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full QR factorization with the R diagonal normalized non-negative.
-
-    The sign normalization removes the reflector sign ambiguity so that for a
-    column-orthonormal input ``a`` the first columns of Q reproduce ``a``
-    itself rather than a sign-flipped copy.
-    """
-    m, n = a.shape
-    if m < n:
-        raise ValueError("householder_qr expects a tall or square matrix")
-    r = np.array(a, dtype=float)
-    q = np.eye(m)
-    for k in range(n):
-        x = r[k:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += norm_x if x[0] >= 0.0 else -norm_x
-        v /= np.linalg.norm(v)
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v)
-    signs = np.sign(np.diag(r)[:n])
-    signs[signs == 0.0] = 1.0
-    r[:n, :] *= signs[:, None]
-    q[:, :n] *= signs[None, :]
-    return q, r
+    if N < 1:
+        raise ValueError("dimension must be >= 1")
+    theta = (2 * np.arange(1, N + 1) - 1) * np.pi / (2 * N + 1)
+    s = 0.5 / np.sin(theta / 2)
+    u = np.sin(np.outer(np.arange(1, N + 1), theta))
+    u /= np.linalg.norm(u, axis=0)
+    vt = (u.T @ PartialSumMatrix(N).dense()) / s[:, None]
+    return u, s, vt
 
 
 def block_encode_dimension(N: int) -> tuple[np.ndarray, float]:
     """Construct ``(U_H, eta)`` for an N x N summation operator.
 
-    Follows the Hermitian embedding / eigenvalue completion / QR recipe in the
-    module docstring. ``D^2/eta^2`` is clamped to [0, 1] before the square root
-    so round-off at the extreme eigenvalue cannot produce NaNs.
+    Follows the closed-form SVD and Hermitian dilation in the module
+    docstring. ``sigma^2/eta^2`` is clamped to [0, 1] before the square root
+    so round-off at the extreme singular value cannot produce NaNs.
     """
-    if N < 1:
-        raise ValueError("dimension must be >= 1")
-    sigma = PartialSumMatrix(N).dense()
-    u, s, vt = onesided_jacobi_svd(sigma)
-    vmat = vt.T
-    # H = [[0, S^T], [S, 0]] has eigenpairs (v_i; +-u_i)/sqrt(2) <-> +-sigma_i.
-    p = np.block([[vmat, vmat], [u, -u]]) / np.sqrt(2.0)
-    d = np.concatenate([s, -s])
-    eta = float(s[0])
-    h = np.block([[np.zeros((N, N)), sigma.T], [sigma, np.zeros((N, N))]])
-    b = np.sqrt(np.clip(1.0 - (d / eta) ** 2, 0.0, 1.0))[:, None] * p.T
-    w = np.vstack([h / eta, b])
-    q, _ = householder_qr(w)
-    defect = np.max(np.abs(q[: 2 * N, : 2 * N] - h / eta))
+    u, s, vt = summation_svd(N)
+    v = vt.T
+    dense = PartialSumMatrix(N).dense()
+    eta = spectral_norm(N)
+    g = np.sqrt(np.clip(1.0 - (s / eta) ** 2, 0.0, 1.0))
+    zeros = np.zeros((N, N))
+    a = np.block([[zeros, dense.T], [dense, zeros]]) / eta
+    c = np.block([[(v * g) @ v.T, zeros], [zeros, (u * g) @ u.T]])
+    unitary = np.block([[a, c], [c, -a]])
+    defect = float(np.max(np.abs(unitary.T @ unitary - np.eye(4 * N))))
     if defect > BLOCK_TOL:
-        raise RuntimeError(f"encoded block deviates from H/eta by {defect:.3e}")
-    return q, eta
+        raise RuntimeError(f"constructed U_H deviates from orthogonality by {defect:.3e}")
+    return unitary, eta
 
 
-def _locate_success_block(unitary: np.ndarray, eta: float, N: int) -> int:
-    """Row block of the first block column holding the summation operator."""
-    target = PartialSumMatrix(N).dense() / eta
-    for block in range(4):
-        if np.allclose(unitary[block * N : (block + 1) * N, :N], target, atol=1e-8):
-            return block
-    raise RuntimeError("summation block not found in the constructed unitary")
-
-
-def build_block_encoding(n_k: int, cache_dir: str | Path | None = None) -> BlockEncoding:
+def build_block_encoding(n_k: int) -> BlockEncoding:
     """Build (or fetch) the block encoding for an ``n_k``-qubit register.
 
-    Encodings are memoized per process; with ``cache_dir`` set they are also
-    persisted to disk and reloaded on later builds.
+    Encodings are memoized per process.
     """
     if not 1 <= n_k <= 8:
         raise ValueError("n_k must lie in 1..8 (dense construction budget)")
     if n_k in _memo:
         return _memo[n_k]
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"psmpo_n{n_k}.bin"
-        if path.exists():
-            enc = load_block_encoding(path)
-            if enc.n_k == n_k:
-                _memo[n_k] = enc
-                return enc
-    N = 1 << n_k
-    unitary, eta = block_encode_dimension(N)
-    block = _locate_success_block(unitary, eta, N)
-    # The rotation cascade leaves the wanted branch on ancilla 1; within the
-    # 4N-dimensional operand, row block index = (b << 1) | c.
-    prefix = (1, (block >> 1) & 1, block & 1)
+    unitary, eta = block_encode_dimension(1 << n_k)
     unitary.setflags(write=False)
-    enc = BlockEncoding(unitary=unitary, eta=eta, n_k=n_k, success_prefix=prefix)
+    # S/eta is the lower-left block of H/eta, i.e. row block (b, c) = (0, 1) of
+    # the first block column; the rotation cascade leaves the wanted branch on
+    # ancilla 1.
+    enc = BlockEncoding(unitary=unitary, eta=eta, n_k=n_k, success_prefix=(1, 0, 1))
     _memo[n_k] = enc
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        save_block_encoding(enc, Path(cache_dir) / f"psmpo_n{n_k}.bin")
     return enc
 
 
@@ -317,32 +180,3 @@ def apply_partial_sum(
         )
     operand = tuple(k_qubits) + (c_qubit, b_qubit)
     return apply_register_unitary(state, enc.unitary, operand, control=control)
-
-
-def save_block_encoding(enc: BlockEncoding, path: str | Path) -> None:
-    """Write an encoding as little-endian doubles behind a versioned header."""
-    dim = 4 * enc.dimension
-    payload = np.ascontiguousarray(enc.unitary, dtype="<f8")
-    header = _CACHE_MAGIC + struct.pack(
-        "<IId3B", enc.n_k, dim, enc.eta, *enc.success_prefix
-    )
-    tmp = Path(path).with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-    tmp.replace(path)
-
-
-def load_block_encoding(path: str | Path) -> BlockEncoding:
-    head_size = len(_CACHE_MAGIC) + struct.calcsize("<IId3B")
-    with open(path, "rb") as fh:
-        header = fh.read(head_size)
-        if len(header) < head_size or not header.startswith(_CACHE_MAGIC):
-            raise ValueError(f"{path}: not a block-encoding cache file")
-        n_k, dim, eta, pa, pb, pc = struct.unpack_from("<IId3B", header, len(_CACHE_MAGIC))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != dim * dim or dim != 4 << n_k:
-        raise ValueError(f"{path}: truncated or inconsistent cache payload")
-    unitary = data.reshape(dim, dim).astype(float)
-    unitary.setflags(write=False)
-    return BlockEncoding(unitary=unitary, eta=eta, n_k=n_k, success_prefix=(pa, pb, pc))

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qftcalc
 from qftcalc import checks, cli, spectral
 from qftcalc.experiments import (
     ConfigError,
@@ -236,6 +241,25 @@ class TestCliExitCodes:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"mode": "qftd", "function": "cos2pix", "qubitz": 4}))
         assert cli.main(["run", "--config", str(config_path)]) == 1
+
+    def test_cache_dir_not_accepted(self, tmp_path):
+        valid = {"mode": "qftd", "function": "cos2pix", "qubits": 4, "output": str(tmp_path / "o.csv")}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(valid, cache_dir=str(tmp_path))))
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        config_path.write_text(json.dumps(valid))
+        assert cli.main(["run", "--config", str(config_path), "--cache-dir", str(tmp_path)]) == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(qftcalc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, qftcalc.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestSweep:
