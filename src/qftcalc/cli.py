@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import checks, experiments
 from .experiments import (
+    MAX_SHOTS,
     ConfigError,
     DataError,
     ExperimentConfig,
@@ -74,11 +76,13 @@ def _parse_shots(value) -> int | None:
     if value is None or value == "exact":
         return None
     try:
-        count = float(value)
+        # Integers and digit strings stay exact: a float rounds 2^63 - 1 up to 2^63.
+        exact = isinstance(value, int) or (isinstance(value, str) and value.isdigit())
+        count = int(value) if exact else float(value)
     except (TypeError, ValueError):
         raise ConfigError("shots", f"expected an integer or 'exact', got {value!r}") from None
-    if count != int(count) or count < 1:
-        raise ConfigError("shots", f"expected a positive integer shot count, got {value!r}")
+    if not (1 <= count <= MAX_SHOTS and count == int(count)):
+        raise ConfigError("shots", f"expected an integer shot count in 1..{MAX_SHOTS}, got {value!r}")
     return int(count)
 
 
@@ -94,9 +98,12 @@ def _load_config_file(path: str) -> dict:
     return payload
 
 
-_CONFIG_KEYS = {
-    "mode", "function", "qubits", "domain", "shots", "seed",
-    "output", "plot", "scale",
+_NULL = type(None)
+# Accepted JSON value types per config-file key (_NULL is JSON null).
+_CONFIG_TYPES = {
+    "mode": str, "function": str, "qubits": (int, _NULL), "domain": (list, _NULL),
+    "shots": (int, float, str, _NULL), "seed": int, "output": str, "plot": (str, _NULL),
+    "scale": str,
 }
 
 
@@ -112,12 +119,16 @@ def _merge_run_config(args: argparse.Namespace) -> ExperimentConfig:
         merged["output"] = f"{args.preset}.csv"
     if args.config:
         file_values = _load_config_file(args.config)
-        unknown = set(file_values) - _CONFIG_KEYS
+        unknown = set(file_values) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigError("config", f"unknown config keys {sorted(unknown)}")
+        for key, value in file_values.items():
+            # bool is an int subclass in Python but a distinct JSON type.
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+                raise ConfigError(key, f"config file value {value!r} has the wrong type")
         merged.update(file_values)
-    for key in ("mode", "function", "qubits", "domain", "shots", "seed", "output", "plot", "scale"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     if "mode" not in merged:
@@ -126,8 +137,8 @@ def _merge_run_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("function", "function is required (catalog id or CSV path)")
     domain = merged.get("domain")
     if domain is not None:
-        if len(domain) != 2:
-            raise ConfigError("domain", "domain takes exactly MIN MAX")
+        if len(domain) != 2 or not all(isinstance(v, (int, float)) for v in domain):
+            raise ConfigError("domain", f"domain takes exactly two numbers MIN MAX, got {domain!r}")
         domain = (float(domain[0]), float(domain[1]))
     return ExperimentConfig(
         mode=merged["mode"],
@@ -154,6 +165,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError("jobs", f"worker count must be >= 1, got {args.jobs}")
     if args.preset:
         if args.preset not in SWEEP_PRESETS:
             raise ConfigError("preset", f"unknown sweep preset {args.preset!r} (have {sorted(SWEEP_PRESETS)})")
@@ -172,12 +185,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed if args.seed is not None else base.seed,
     )
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     configs = experiments.sweep_configs(base, qubit_counts, out_dir)
     for config in configs:
         config.validated()
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    workers = min(args.jobs, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(experiments.run_one_sweep_point, configs))
     else:
         rows = [experiments.run_one_sweep_point(config) for config in configs]

@@ -27,6 +27,8 @@ __all__ = [
 
 QFTD_MAX_QUBITS = 12
 QFTI_MAX_QUBITS = 8
+# numpy's multinomial draws an int64 shot count.
+MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(Exception):
@@ -58,10 +60,12 @@ class ExperimentConfig:
             raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if self.scale not in ("linear", "semilog"):
             raise ConfigError("scale", f"unknown scale {self.scale!r}")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigError("shots", "shot count must be >= 1 (or 'exact')")
-        if self.domain is not None and not self.domain[1] > self.domain[0]:
-            raise ConfigError("domain", f"domain min {self.domain[0]} must be below max {self.domain[1]}")
+        if self.shots is not None and not 1 <= self.shots <= MAX_SHOTS:
+            raise ConfigError("shots", f"shot count must lie in 1..{MAX_SHOTS} (or 'exact')")
+        if self.seed < 0:
+            raise ConfigError("seed", f"seed must be >= 0, got {self.seed}")
+        if self.domain is not None and not (np.all(np.isfinite(self.domain)) and self.domain[1] > self.domain[0]):
+            raise ConfigError("domain", f"domain {self.domain} must be finite with min below max")
         limit = QFTD_MAX_QUBITS if self.mode == "qftd" else QFTI_MAX_QUBITS
         if self.n_qubits is not None and not 2 <= self.n_qubits <= limit:
             raise ConfigError("qubits", f"{self.mode} supports 2..{limit} qubits")
@@ -153,9 +157,10 @@ def ingest_samples(path: str | Path) -> pipelines.SampledFunction:
     for i in range(count - 1):
         step = xs[i + 1] - xs[i]
         lineno = rows[i + 1][0]
-        if step <= 0.0:
+        # Negated comparisons so that a NaN step fails them too.
+        if not step > 0.0:
             raise DataError(f"{path}:{lineno}: grid is not strictly increasing")
-        if abs(step - dx) > 1e-9 * abs(dx):
+        if not abs(step - dx) <= 1e-9 * abs(dx):
             raise DataError(f"{path}:{lineno}: non-uniform grid (step {step!r} vs {dx!r})")
     try:
         return pipelines.SampledFunction(samples=np.array([f for _, _, f in rows]), x0=xs[0], dx=dx)
@@ -203,7 +208,10 @@ def run_experiment(
     """
     config = config.validated()
     if config.function in oracles.CATALOG:
-        f = oracles.sample_catalog(config.function, config.n_qubits, config.domain)
+        try:
+            f = oracles.sample_catalog(config.function, config.n_qubits, config.domain)
+        except ValueError as exc:  # e.g. a grid point on a singularity
+            raise ConfigError("domain", f"{config.function} on this grid: {exc}") from exc
     else:
         f = ingest_samples(config.function)
         n = f.n_points.bit_length() - 1
@@ -264,7 +272,11 @@ def write_series_csv(
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
-    _atomic_write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    _atomic_write_text(text + "\n", path)
 
 
 def _atomic_write_text(text: str, path: str | Path) -> None:

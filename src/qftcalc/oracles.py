@@ -192,4 +192,7 @@ def sample_catalog(
     dx = (hi - lo) / n_points
     start = lo + 0.5 * dx if function.singular else lo
     x = start + dx * np.arange(n_points)
-    return SampledFunction(samples=function.value(x), x0=start, dx=dx)
+    # A grid point on a singularity gives inf, which SampledFunction rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        samples = function.value(x)
+    return SampledFunction(samples=samples, x0=start, dx=dx)

@@ -63,8 +63,10 @@ class SampledFunction:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if self.dx <= 0.0:
-            raise ValueError("grid step must be positive")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("samples must be finite (no NaN or inf)")
+        if not (np.isfinite(self.x0) and np.isfinite(self.dx) and self.dx > 0.0):
+            raise ValueError("grid origin must be finite and grid step finite and positive")
         norm = float(np.linalg.norm(self.samples))
         if norm == 0.0:
             raise ValueError("all-zero sample vector")
@@ -110,23 +112,44 @@ def _require_power_of_two(f: SampledFunction) -> int:
 
 
 def _read_out(
+    f: SampledFunction,
     state: Statevector,
-    success_indices: np.ndarray,
+    success_start: int,
     shots: int | None,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """psi^2 per grid point, retained flags, and total success probability."""
+    mode: str,
+    scale_sq: float,
+    eta: float | None = None,
+) -> RecoveredSeries:
+    """Recover ``scale_sq * psi_j^2`` from the success outcomes ``success_start + j``.
+
+    The k register is the least significant one, so the success block is one
+    contiguous index range.
+    """
+    success_indices = success_start + np.arange(f.n_points)
     if shots is None:
         probs = exact_probabilities(state)
         psi_sq = probs[success_indices]
         success_probability = float(np.sum(psi_sq))
         retained = psi_sq > EXACT_PSI_SQ_FLOOR
         psi_sq = np.where(retained, psi_sq, 0.0)
-        return psi_sq, retained, success_probability
-    histogram = sample(state, shots, seed)
-    counts = np.array([histogram.counts.get(int(i), 0) for i in success_indices], dtype=float)
-    psi_sq = counts / shots
-    return psi_sq, counts > 0, float(np.sum(psi_sq))
+    else:
+        histogram = sample(state, shots, seed)
+        counts = np.array([histogram.counts.get(int(i), 0) for i in success_indices], dtype=float)
+        psi_sq = counts / shots
+        retained = counts > 0
+        success_probability = float(np.sum(psi_sq))
+    return RecoveredSeries(
+        x=f.x,
+        value_sq=scale_sq * psi_sq,
+        retained=retained,
+        resolution_epsilon=0.0 if shots is None else resolution(f, shots, mode, eta=eta),
+        mode=mode,
+        shots_used=shots,
+        seed=None if shots is None else seed,
+        success_probability=success_probability,
+        gate_count=state.gate_count,
+    )
 
 
 def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
@@ -136,11 +159,8 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     statevector); otherwise outcomes are drawn once with the given seed.
     """
     n = _require_power_of_two(f)
-    n_points = f.n_points
     layout = RegisterLayout((("a", 1), ("k", n)))
-    padded = np.zeros(2 * n_points)
-    padded[:n_points] = f.samples
-    state, l2 = amplitude_encode(padded, layout)
+    state, l2 = amplitude_encode(np.pad(f.samples, (0, f.n_points)), layout)
 
     spectral.qft(state, "k")
     schedule = spectral.angle_schedule(n, spectral.MODE_DERIVATIVE)
@@ -148,22 +168,8 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     (a_qubit,) = layout.qubits("a")
     spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
 
-    success_indices = np.array(
-        [layout.index_for({"a": schedule.success_bit, "k": j}) for j in range(n_points)]
-    )
-    psi_sq, retained, success_probability = _read_out(state, success_indices, shots, seed)
-    scale_sq = (l2 / f.dx) ** 2
-    return RecoveredSeries(
-        x=f.x,
-        value_sq=scale_sq * psi_sq,
-        retained=retained,
-        resolution_epsilon=0.0 if shots is None else resolution(f, shots, "derivative"),
-        mode="derivative",
-        shots_used=shots,
-        seed=None if shots is None else seed,
-        success_probability=success_probability,
-        gate_count=state.gate_count,
-    )
+    success_start = layout.index_for({"a": schedule.success_bit, "k": 0})
+    return _read_out(f, state, success_start, shots, seed, "derivative", (l2 / f.dx) ** 2)
 
 
 def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
@@ -174,12 +180,9 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     the encoding's three-bit success prefix.
     """
     n = _require_power_of_two(f)
-    n_points = f.n_points
     enc = psmpo.build_block_encoding(n)
     layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n)))
-    padded = np.zeros(8 * n_points)
-    padded[:n_points] = f.samples
-    state, l2 = amplitude_encode(padded, layout)
+    state, l2 = amplitude_encode(np.pad(f.samples, (0, 7 * f.n_points)), layout)
 
     (a_qubit,) = layout.qubits("a")
     schedule = spectral.angle_schedule(n, spectral.MODE_INTEGRAL)
@@ -190,24 +193,9 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     psmpo.apply_partial_sum(state, enc, control=(a_qubit, schedule.success_bit))
 
     pa, pb, pc = enc.success_prefix
-    success_indices = np.array(
-        [layout.index_for({"a": pa, "b": pb, "c": pc, "k": j}) for j in range(n_points)]
-    )
-    psi_sq, retained, success_probability = _read_out(state, success_indices, shots, seed)
+    success_start = layout.index_for({"a": pa, "b": pb, "c": pc, "k": 0})
     scale_sq = (l2 * enc.eta * f.dx) ** 2
-    return RecoveredSeries(
-        x=f.x,
-        value_sq=scale_sq * psi_sq,
-        retained=retained,
-        resolution_epsilon=0.0
-        if shots is None
-        else resolution(f, shots, "integral", eta=enc.eta),
-        mode="integral",
-        shots_used=shots,
-        seed=None if shots is None else seed,
-        success_probability=success_probability,
-        gate_count=state.gate_count,
-    )
+    return _read_out(f, state, success_start, shots, seed, "integral", scale_sq, eta=enc.eta)
 
 
 def resolution(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import Statevector, apply_register_unitary
+from .state import Statevector, _branch, apply_register_unitary
 
 __all__ = [
     "BLOCK_TOL",
@@ -171,9 +171,9 @@ def apply_partial_sum(
         raise ValueError(
             "control polarity does not match the encoding's success prefix"
         )
-    idx = np.arange(state.amplitudes.size)
-    off_block = (((idx >> b_qubit) & 1) | ((idx >> c_qubit) & 1)) == 1
-    residual = float(np.max(np.abs(state.amplitudes[off_block]), initial=0.0))
+    # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
+    off_block = (((b_qubit, 1),), ((b_qubit, 0), (c_qubit, 1)))
+    residual = max(float(np.max(np.abs(_branch(state, fixed)))) for fixed in off_block)
     if residual > ANCILLA_ZERO_TOL:
         raise ValueError(
             f"registers b/c are not in |0>: residual amplitude {residual:.3e}"

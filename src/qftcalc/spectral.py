@@ -24,6 +24,7 @@ import numpy as np
 from .state import (
     GateOp,
     Statevector,
+    _branch,
     apply_gate,
     hadamard,
     phase_gate,
@@ -164,6 +165,4 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
 
 
 def _branch_probability(state: Statevector, qubit: int, bit: int) -> float:
-    idx = np.arange(state.amplitudes.size)
-    mask = ((idx >> qubit) & 1) == bit
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    return float(np.sum(np.abs(_branch(state, ((qubit, bit),))) ** 2))

@@ -7,8 +7,11 @@ least significant bit). Registers are declared most-significant first, so the
 first register in a layout occupies the top bits of the index and an ancilla
 register named ``a`` always sits in the most significant position.
 
-Gates are applied in place over strided amplitude pairs / sub-blocks; the full
-``2^n x 2^n`` embedding is never built here (tests rebuild it as an oracle).
+Every gate, with any number of targets and polarity controls, goes through
+one kernel: the amplitudes are viewed as a ``(2,) * n`` tensor, each control
+axis is fixed to its polarity (a view, not a copy), and the payload is
+contracted with the target axes in place. The full ``2^n x 2^n`` embedding is
+never built here (tests rebuild it as an oracle).
 """
 
 from __future__ import annotations
@@ -73,13 +76,10 @@ def swap_gate() -> np.ndarray:
 class RegisterLayout:
     """Named qubit registers declared most-significant first.
 
-    ``registers`` is a tuple of (name, width) pairs. ``qubit0_is_lsb`` records
-    the bit-significance convention (qubit index == bit significance); only
-    this convention is implemented.
+    ``registers`` is a tuple of (name, width) pairs.
     """
 
     registers: tuple[tuple[str, int], ...]
-    qubit0_is_lsb: bool = True
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.registers]
@@ -89,8 +89,6 @@ class RegisterLayout:
             raise ValueError("register widths must be >= 1")
         if "a" in names and names[0] != "a":
             raise ValueError("ancilla register 'a' must occupy the most significant position")
-        if not self.qubit0_is_lsb:
-            raise ValueError("only the qubit0-is-LSB indexing convention is supported")
 
     @property
     def n_qubits(self) -> int:
@@ -226,12 +224,6 @@ def _check_unitary(matrix: np.ndarray) -> None:
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
 
 
-def _check_qubits(n_qubits: int, qubits: Iterable[int]) -> None:
-    for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
-
-
 def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[Statevector, float]:
     """Normalize real samples into the amplitudes of a fresh statevector.
 
@@ -256,16 +248,7 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[
 
 def apply_gate(state: Statevector, op: GateOp) -> Statevector:
     """Apply a gate in place and return the (mutated) state."""
-    _check_unitary(op.matrix)
-    _check_qubits(state.n_qubits, list(op.targets) + [q for q, _ in op.controls])
-    if len(op.targets) == 1:
-        _apply_single_qubit(state.amplitudes, state.n_qubits, op.matrix, op.targets[0], op.controls)
-    elif len(op.controls) <= 1:
-        control = op.controls[0] if op.controls else None
-        _apply_dense(state.amplitudes, state.n_qubits, op.matrix, op.targets, control)
-    else:
-        raise ValueError("multi-qubit payloads support at most one control")
-    state.gate_count += 1
+    _apply_controlled(state, op.matrix, op.targets, op.controls)
     return state
 
 
@@ -285,58 +268,55 @@ def apply_register_unitary(
     dim = 1 << len(qubits)
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix of shape {matrix.shape} does not act on {len(qubits)} qubits")
-    _check_unitary(matrix)
     touched = list(qubits) + ([control[0]] if control else [])
     if len(touched) != len(set(touched)):
         raise ValueError("control qubit collides with the target register")
-    _check_qubits(state.n_qubits, touched)
-    _apply_dense(state.amplitudes, state.n_qubits, matrix, qubits, control)
-    state.gate_count += 1
+    _apply_controlled(state, matrix, qubits, (control,) if control else ())
     return state
 
 
-def _apply_single_qubit(
-    amps: np.ndarray,
-    n_qubits: int,
+def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
+    """View of the amplitudes where each (qubit, bit) pair in ``fixed`` holds.
+
+    Tensor axes run most significant first, so qubit q is axis n-1-q. Fixing
+    an axis with an integer index keeps the result a view (the trailing
+    ellipsis keeps it a 0-d view when every axis is fixed); its axes are the
+    unfixed qubits, most significant first.
+    """
+    n = state.n_qubits
+    index = [slice(None)] * n
+    for q, bit in fixed:
+        index[n - 1 - q] = bit
+    return state.amplitudes.reshape((2,) * n)[(*index, ...)]
+
+
+def _apply_controlled(
+    state: Statevector,
     matrix: np.ndarray,
-    target: int,
+    targets: tuple[int, ...],
     controls: tuple[tuple[int, int], ...],
 ) -> None:
-    idx = np.arange(amps.size)
-    keep = ((idx >> target) & 1) == 0
-    for cq, pol in controls:
-        keep &= ((idx >> cq) & 1) == pol
-    i0 = idx[keep]
-    i1 = i0 | (1 << target)
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    amps[i1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-
-
-def _apply_dense(
-    amps: np.ndarray,
-    n_qubits: int,
-    matrix: np.ndarray,
-    qubits: tuple[int, ...],
-    control: tuple[int, int] | None,
-) -> None:
-    # Tensor axes run most significant first, so qubit q is axis n-1-q.
-    psi = amps.reshape((2,) * n_qubits)
-    axes = [n_qubits - 1 - q for q in qubits]
-    if control is not None:
-        cq, pol = control
-        c_axis = n_qubits - 1 - cq
-        psi = np.moveaxis(psi, c_axis, 0)
-        axes = [ax + 1 if ax < c_axis else ax for ax in axes]
-        psi = psi[pol]
-        axes = [ax - 1 for ax in axes]
-    m = len(axes)
-    # The matrix's least significant target is its fastest-varying index, i.e.
-    # the last tensor axis after the move.
-    view = np.moveaxis(psi, axes[::-1], range(m))
-    out = (matrix @ view.reshape(1 << m, -1)).reshape(view.shape)
-    view[...] = out
+    """Check, then apply ``matrix`` in place where every control holds its polarity."""
+    _check_unitary(matrix)
+    control_qubits = [q for q, _ in controls]
+    for q in list(targets) + control_qubits:
+        if not 0 <= q < state.n_qubits:
+            raise ValueError(f"qubit index {q} out of range for {state.n_qubits} qubits")
+    if len(targets) == 1:
+        # Explicit row combination: a 2x2 matmul would round differently.
+        a0 = _branch(state, (*controls, (targets[0], 0)))
+        a1 = _branch(state, (*controls, (targets[0], 1)))
+        out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
+        out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
+        a0[...], a1[...] = out0, out1
+    else:
+        free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in control_qubits]
+        axes = [free.index(q) for q in targets]
+        # The matrix's least significant target is its fastest-varying index,
+        # i.e. the last of the leading axes after the move.
+        view = np.moveaxis(_branch(state, controls), axes[::-1], range(len(axes)))
+        view[...] = (matrix @ view.reshape(1 << len(axes), -1)).reshape(view.shape)
+    state.gate_count += 1
 
 
 def exact_probabilities(state: Statevector) -> np.ndarray:

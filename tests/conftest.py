@@ -1,7 +1,7 @@
 """Shared test oracles: explicit full-matrix gate embedding and random inputs.
 
 The embedding here is deliberately element-wise and index-based so it shares
-no code path with the package's strided gate kernels.
+no code path with the package's view-based gate kernel.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qftcalc
-from qftcalc import checks, cli, spectral
+from qftcalc import checks, cli, experiments, spectral
 from qftcalc.experiments import (
     ConfigError,
     DataError,
@@ -250,6 +250,117 @@ class TestCliExitCodes:
         config_path.write_text(json.dumps(valid))
         assert cli.main(["run", "--config", str(config_path), "--cache-dir", str(tmp_path)]) == 1
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--domain", "0", "inf"],
+            ["--shots", "1e30"],
+            ["--shots", str(2**63)],
+            ["--shots", "inf"],
+            ["--shots", "nan"],
+            ["--seed", "-1"],
+            ["--function", "invx", "--qubits", "2", "--domain", "-1", "7"],  # x = 0 on the grid
+        ],
+        ids=["domain-inf", "shots-1e30", "shots-2^63", "shots-inf", "shots-nan", "seed-negative", "singular-grid"],
+    )
+    def test_bad_run_value_is_one(self, extra, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--qubits", "4",
+                "--output", str(out)] + extra
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_shot_bound_is_exact(self):
+        assert cli._parse_shots(str(2**63 - 1)) == cli._parse_shots(2**63 - 1) == 2**63 - 1
+        assert cli._parse_shots("1e6") == cli._parse_shots(1e6) == 10**6
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"qubits": "6"}, {"qubits": True}, {"seed": "1"}, {"domain": ["a", 1]},
+         {"domain": [0, float("inf")]}, {"shots": [10]}, {"output": None}],
+        ids=["qubits-str", "qubits-bool", "seed-str", "domain-str", "domain-inf", "shots-list", "output-null"],
+    )
+    def test_config_file_bad_value_is_one(self, field, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        valid = {"mode": "qftd", "function": "cos2pix", "qubits": 4, "output": str(out)}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict(valid, **field)))
+        assert cli.main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_is_two(self, cell, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"x,f\n0,1\n0.25,{cell}\n0.5,2\n0.75,3\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--mode", "qftd", "--function", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_nan_grid_point_is_two(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("x,f\n0,1\n0.25,2\nnan,2\n0.75,3\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--mode", "qftd", "--function", str(path), "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_metrics_json_rejects_nan(self, tmp_path):
+        path = tmp_path / "m.json"
+        with pytest.raises(DataError, match="cannot write"):
+            experiments._write_json({"r_squared": float("nan")}, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_is_one(self, jobs, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "3",
+                "--shots", "exact", "--output-dir", str(out_dir), "--jobs", jobs]
+        assert cli.main(argv) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--seed", "-1", "--shots", "100"], ["--domain", "0", "inf"]], ids=["seed-negative", "domain-inf"]
+    )
+    def test_bad_sweep_value_is_one(self, extra, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "3", "4",
+                "--output-dir", str(out_dir)] + extra
+        assert cli.main(argv) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_sweep_pool_capped_by_configs_and_cpus(self, tmp_path, monkeypatch):
+        # A stand-in pool records its size and runs serially; no process starts.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        argv = ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "3", "4",
+                "--shots", "exact", "--output-dir", str(tmp_path / "s")]
+        assert cli.main(argv + ["--jobs", "64"]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.main(argv + ["--jobs", "64"]) == 0
+        assert sizes == [2]
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(qftcalc.__file__).resolve().parents[1])

@@ -155,7 +155,7 @@ class TestRegisterUnitary:
 
 
 class TestEmbeddingEquivalence:
-    """Strided kernels agree with the explicit Kronecker embedding, n <= 4."""
+    """The view-based gate kernel agrees with the explicit embedding, n <= 5."""
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_single_qubit_gates(self, n_qubits, rng):
@@ -171,6 +171,21 @@ class TestEmbeddingEquivalence:
             apply_gate(state, GateOp(payload, (target,), controls))
             expected = embed_full(n_qubits, payload, (target,), controls) @ amps
             assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n_controls", [0, 1, 2])
+    @pytest.mark.parametrize("n_qubits", [4, 5])
+    def test_two_qubit_gates(self, n_qubits, n_controls, rng):
+        for _ in range(8):
+            amps = random_state_vector(n_qubits, rng)
+            order = [int(q) for q in rng.permutation(n_qubits)]
+            targets = tuple(order[:2])
+            controls = tuple((q, int(rng.integers(2))) for q in order[2 : 2 + n_controls])
+            payload = random_unitary(4, rng)
+            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+            apply_gate(state, GateOp(payload, targets, controls))
+            expected = embed_full(n_qubits, payload, targets, controls) @ amps
+            assert_allclose(state.amplitudes, expected, atol=1e-12)
+            assert state.gate_count == 1
 
     @pytest.mark.parametrize("n_qubits", [3, 4])
     def test_register_unitaries(self, n_qubits, rng):
