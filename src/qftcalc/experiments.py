@@ -221,10 +221,11 @@ def run_experiment(
         if config.n_qubits is not None and config.n_qubits != n:
             raise ConfigError("qubits", f"CSV holds 2^{n} rows but {config.n_qubits} qubits were requested")
 
-    if config.mode == "qftd":
-        series = pipelines.qftd_run(f, config.shots, config.seed)
-    else:
-        series = pipelines.qfti_run(f, config.shots, config.seed)
+    run = pipelines.qftd_run if config.mode == "qftd" else pipelines.qfti_run
+    try:
+        series = run(f, config.shots, config.seed)
+    except ValueError as exc:  # e.g. a recovery scale that over- or underflows
+        raise DataError(f"{config.function}: {exc}") from exc
 
     reference = _reference_magnitudes(config, f)
     reference_sq = reference**2

@@ -15,6 +15,7 @@ Points that are never observed are censored to zero and flagged unretained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,8 @@ from .state import (
     apply_gate,
     exact_probabilities,
     pauli_x,
-    sample,
+    sample_counts,
+    sample_l2_norm,
 )
 
 __all__ = [
@@ -67,7 +69,7 @@ class SampledFunction:
             raise ValueError("samples must be finite (no NaN or inf)")
         if not (np.isfinite(self.x0) and np.isfinite(self.dx) and self.dx > 0.0):
             raise ValueError("grid origin must be finite and grid step finite and positive")
-        norm = float(np.linalg.norm(self.samples))
+        norm = sample_l2_norm(self.samples)
         if norm == 0.0:
             raise ValueError("all-zero sample vector")
         if self.l2_norm == 0.0:
@@ -126,16 +128,14 @@ def _read_out(
     The k register is the least significant one, so the success block is one
     contiguous index range.
     """
-    success_indices = success_start + np.arange(f.n_points)
+    success = slice(success_start, success_start + f.n_points)
     if shots is None:
-        probs = exact_probabilities(state)
-        psi_sq = probs[success_indices]
+        psi_sq = exact_probabilities(state)[success]
         success_probability = float(np.sum(psi_sq))
         retained = psi_sq > EXACT_PSI_SQ_FLOOR
         psi_sq = np.where(retained, psi_sq, 0.0)
     else:
-        histogram = sample(state, shots, seed)
-        counts = np.array([histogram.counts.get(int(i), 0) for i in success_indices], dtype=float)
+        counts = sample_counts(state, shots, seed)[success]
         psi_sq = counts / shots
         retained = counts > 0
         success_probability = float(np.sum(psi_sq))
@@ -152,6 +152,20 @@ def _read_out(
     )
 
 
+def _squared_scale(scale: float, formula: str) -> float:
+    """``scale ** 2``, rejected when the square under- or overflows."""
+    try:
+        scale_sq = float(scale) ** 2
+    except OverflowError:
+        scale_sq = math.inf
+    if not 0.0 < scale_sq < math.inf:
+        raise ValueError(
+            f"recovery scale {formula} = {scale_sq!r} is not a positive finite number; "
+            "rescale the samples or the grid"
+        )
+    return scale_sq
+
+
 def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
     """Run the quantum spectral-derivative pipeline on sampled data.
 
@@ -161,6 +175,7 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     n = _require_power_of_two(f)
     layout = RegisterLayout((("a", 1), ("k", n)))
     state, l2 = amplitude_encode(np.pad(f.samples, (0, f.n_points)), layout)
+    scale_sq = _squared_scale(l2 / f.dx, "(|f|/dx)^2")
 
     spectral.qft(state, "k")
     schedule = spectral.angle_schedule(n, spectral.MODE_DERIVATIVE)
@@ -169,7 +184,7 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
 
     success_start = layout.index_for({"a": schedule.success_bit, "k": 0})
-    return _read_out(f, state, success_start, shots, seed, "derivative", (l2 / f.dx) ** 2)
+    return _read_out(f, state, success_start, shots, seed, "derivative", scale_sq)
 
 
 def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
@@ -183,6 +198,7 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     enc = psmpo.build_block_encoding(n)
     layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n)))
     state, l2 = amplitude_encode(np.pad(f.samples, (0, 7 * f.n_points)), layout)
+    scale_sq = _squared_scale(l2 * enc.eta * f.dx, "(|f|*eta*dx)^2")
 
     (a_qubit,) = layout.qubits("a")
     schedule = spectral.angle_schedule(n, spectral.MODE_INTEGRAL)
@@ -194,7 +210,6 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
 
     pa, pb, pc = enc.success_prefix
     success_start = layout.index_for({"a": pa, "b": pb, "c": pc, "k": 0})
-    scale_sq = (l2 * enc.eta * f.dx) ** 2
     return _read_out(f, state, success_start, shots, seed, "integral", scale_sq, eta=enc.eta)
 
 

@@ -6,11 +6,20 @@ inverse applies the conjugate gates in reverse order. A controlled QFT is the
 same gate sequence with one extra control on every gate, which is exactly the
 controlled version of the register unitary.
 
+The simulator fuses each stage's controlled-phase ladder: the phases on
+qubit ``s`` controlled by the ``s`` lower qubits commute and multiply to
+``diag(1, e^{i pi j / 2^s})``, where ``j`` is the value of those lower qubits,
+so a stage is one Hadamard plus one uniformly controlled diagonal
+(:func:`~qftcalc.state.apply_uniformly_controlled`). The gate-by-gate
+sequence, :func:`_qft_gate_sequence`, stays as the oracle the tests replay.
+
 The rotation cascade scales the spectrum element-wise: with the ancilla
 initialized to ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)``
 (derivative mode); initialized to ``|1>`` the ``|1>`` branch keeps
-``cos(2 pi k / N)`` (integral mode). Rotation angles are kept as exact dyadic
-multiples of pi and converted to radians only at gate application time.
+``cos(2 pi k / N)`` (integral mode). The n controlled rotations commute, so
+they are applied as one Rx per value of k, selected by the k register.
+Rotation angles are kept as exact dyadic multiples of pi and converted to
+radians only at gate application time.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +36,10 @@ from .state import (
     Statevector,
     _branch,
     apply_gate,
+    apply_uniformly_controlled,
     hadamard,
     phase_gate,
-    rx_gate,
+    reverse_qubits,
     swap_gate,
 )
 
@@ -98,11 +109,12 @@ def reconstructed_rotation(schedule: WavenumberSchedule, k: int) -> Fraction:
 
 
 def _qft_gate_sequence(qubits: tuple[int, ...], inverse: bool):
-    """Yield (payload, targets, controls) for the QFT on ``qubits``.
+    """Yield (payload, targets, controls) for the QFT on ``qubits``, gate by gate.
 
-    ``qubits`` are ordered least significant first. Controlled-phase gates are
-    emitted as single-qubit phase payloads with a control, so an outer control
-    can always be stacked on top.
+    The oracle that :func:`qft` fuses. ``qubits`` are ordered least
+    significant first. Controlled-phase gates are emitted as single-qubit
+    phase payloads with a control, so an outer control can always be stacked
+    on top.
     """
     m = len(qubits)
     seq: list[tuple[np.ndarray, tuple[int, ...], tuple[tuple[int, int], ...]]] = []
@@ -118,6 +130,14 @@ def _qft_gate_sequence(qubits: tuple[int, ...], inverse: bool):
     return seq
 
 
+def _phase_ladder(s: int, inverse: bool) -> np.ndarray:
+    """Stage ``s``'s controlled phases as the blocks ``diag(1, e^{+-i pi j / 2^s})``."""
+    blocks = np.zeros((2, 2, 1 << s), dtype=complex)
+    blocks[0, 0] = 1.0
+    blocks[1, 1] = np.exp((-1j if inverse else 1j) * math.pi * np.arange(1 << s) / (1 << s))
+    return blocks
+
+
 def qft(
     state: Statevector,
     register: str,
@@ -127,15 +147,25 @@ def qft(
     """Apply the (inverse) QFT to a named register, optionally controlled.
 
     With ``control=(qubit, polarity)`` every gate in the circuit gains that
-    control, which is the simulator-level controlled-QFT.
+    control, which is the simulator-level controlled-QFT. The circuit is that
+    of :func:`_qft_gate_sequence`, with each stage's phase ladder fused into
+    one uniformly controlled call and the swap network done as one register
+    reversal; ``gate_count`` advances as for the gate-by-gate circuit.
     """
     qubits = state.layout.qubits(register)
     if control is not None and control[0] in qubits:
         raise ValueError("control qubit lies inside the transformed register")
-    for payload, targets, controls in _qft_gate_sequence(qubits, inverse):
-        if control is not None:
-            controls = controls + (control,)
-        apply_gate(state, GateOp(payload, targets, controls))
+    controls = () if control is None else (control,)
+    steps = []
+    for s in range(len(qubits) - 1, -1, -1):
+        steps.append(partial(apply_gate, state, GateOp(hadamard(), (qubits[s],), controls)))
+        if s:
+            ladder = _phase_ladder(s, inverse)
+            steps.append(partial(apply_uniformly_controlled, state, ladder, qubits[s], qubits[:s], controls))
+    steps.append(partial(reverse_qubits, state, qubits, controls))
+    # Every step is self-inverse except the ladders, which are built conjugated.
+    for step in reversed(steps) if inverse else steps:
+        step()
     return state
 
 
@@ -159,9 +189,25 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
             f"ancilla is not in the basis state |{schedule.ancilla_init}>: "
             f"complementary branch holds probability {wrong_branch:.3e}"
         )
-    for p, angle in enumerate(schedule.angles_in_radians()):
-        apply_gate(state, GateOp(rx_gate(angle), (a_qubit,), ((k_qubits[p], 1),)))
+    phi = _rotation_turns(schedule) * math.pi
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    apply_uniformly_controlled(state, np.array([[c, -1j * s], [-1j * s, c]]), a_qubit, k_qubits)
     return state
+
+
+def _rotation_turns(schedule: WavenumberSchedule) -> np.ndarray:
+    """Rx angle, in units of pi, for every spectrum index k.
+
+    The sum of the schedule angles over the set bits of k, i.e.
+    ``-2 * reconstructed_rotation(schedule, k)``. Each angle is a dyadic
+    fraction and every partial sum has magnitude below 4, so the float sums
+    are exact.
+    """
+    turns = np.zeros(1)
+    for angle in schedule.angles:
+        # The indices with bit p set are the ones below 2^p, plus angle p.
+        turns = np.concatenate([turns, turns + float(angle)])
+    return turns
 
 
 def _branch_probability(state: Statevector, qubit: int, bit: int) -> float:

@@ -12,6 +12,14 @@ one kernel: the amplitudes are viewed as a ``(2,) * n`` tensor, each control
 axis is fixed to its polarity (a view, not a copy), and the payload is
 contracted with the target axes in place. The full ``2^n x 2^n`` embedding is
 never built here (tests rebuild it as an oracle).
+
+A one-target payload may also be *uniformly controlled*: a stack of 2x2
+blocks indexed by the basis value of a set of selector qubits, broadcast over
+the selector axes of the view (:func:`apply_uniformly_controlled`). One such
+call replaces a run of commuting singly-controlled gates, e.g. a QFT stage's
+controlled-phase ladder, and counts as one primitive gate per selector. When
+a payload's off-diagonal entries are exact zeros, only the branches whose
+diagonal entry is not 1 are multiplied.
 """
 
 from __future__ import annotations
@@ -31,11 +39,15 @@ __all__ = [
     "amplitude_encode",
     "apply_gate",
     "apply_register_unitary",
+    "apply_uniformly_controlled",
     "exact_probabilities",
     "sample",
+    "sample_counts",
+    "sample_l2_norm",
     "hadamard",
     "pauli_x",
     "phase_gate",
+    "reverse_qubits",
     "rx_gate",
     "swap_gate",
 ]
@@ -218,10 +230,40 @@ class SampledHistogram:
 
 
 def _check_unitary(matrix: np.ndarray) -> None:
-    dim = matrix.shape[0]
-    defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
+    """Reject a payload, or a ``(2, 2, B)`` stack of 2x2 blocks, that is not unitary."""
+    if matrix.ndim == 2:
+        defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
+    else:
+        # U†U - I entry by entry, one array per entry: far cheaper than B tiny matmuls.
+        (a, b), (c, d) = matrix
+        defect = max(
+            np.max(np.abs(_abs2(a) + _abs2(c) - 1.0)),
+            np.max(np.abs(_abs2(b) + _abs2(d) - 1.0)),
+            np.max(np.abs(a.conj() * b + c.conj() * d)),
+        )
     if defect > UNITARY_TOL:
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def sample_l2_norm(samples: np.ndarray) -> float:
+    """L2 norm of finite real samples, without under- or overflow.
+
+    The direct norm is kept whenever it is a positive finite number, so every
+    input whose norm is representable gets the same bits as before; only when
+    it underflows to 0 or overflows to inf for non-zero samples is it
+    recomputed as ``m * norm(samples / m)`` with ``m = max|samples|``.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(samples))
+    if norm == 0.0 or not np.isfinite(norm):
+        peak = float(np.max(np.abs(samples), initial=0.0))
+        if 0.0 < peak < np.inf:
+            norm = peak * float(np.linalg.norm(samples / peak))
+    return norm
 
 
 def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[Statevector, float]:
@@ -239,7 +281,7 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[
         raise ValueError(f"sample count {n} is not a power of two")
     if n != (1 << layout.n_qubits):
         raise ValueError(f"{n} samples do not fill a {layout.n_qubits}-qubit layout")
-    l2 = float(np.linalg.norm(samples))
+    l2 = sample_l2_norm(samples)
     if l2 == 0.0:
         raise ValueError("all-zero input: amplitude encoding undefined")
     state = Statevector(layout.n_qubits, samples / l2 + 0j, layout)
@@ -275,6 +317,60 @@ def apply_register_unitary(
     return state
 
 
+def apply_uniformly_controlled(
+    state: Statevector,
+    blocks: np.ndarray,
+    target: int,
+    selectors: Sequence[int],
+    controls: tuple[tuple[int, int], ...] = (),
+) -> Statevector:
+    """Apply one 2x2 block per basis value of the selector qubits, in place.
+
+    ``blocks`` has shape ``(2, 2, 2^len(selectors))``: block ``j`` acts on
+    ``target`` wherever the ``selectors`` (least significant first) read
+    ``j`` and every control holds its polarity. The call stands for a run of
+    commuting gates on ``target``, one singly-controlled gate per selector
+    (a QFT stage's phase ladder, the controlled-Rx cascade), and advances
+    ``gate_count`` by ``len(selectors)``.
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    selectors = tuple(selectors)
+    if not selectors or blocks.shape != (2, 2, 1 << len(selectors)):
+        raise ValueError(
+            f"blocks of shape {blocks.shape} do not match {len(selectors)} selector qubits"
+        )
+    touched = [target, *selectors, *(q for q, _ in controls)]
+    if len(touched) != len(set(touched)):
+        raise ValueError(f"target/selector/control qubit collision in {touched}")
+    _apply_controlled(state, blocks, (target,), controls, selectors)
+    return state
+
+
+def reverse_qubits(
+    state: Statevector,
+    qubits: Sequence[int],
+    controls: tuple[tuple[int, int], ...] = (),
+) -> Statevector:
+    """Reverse the order of ``qubits`` in place where every control holds.
+
+    This is the swap network ``qubits[i] <-> qubits[-1 - i]`` done as one axis
+    permutation of the amplitude tensor (a copy, no arithmetic). It advances
+    ``gate_count`` by the ``len(qubits) // 2`` swaps it stands for.
+    """
+    bits = dict(controls)
+    free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in bits]
+    in_range = bits.keys() <= set(range(state.n_qubits))
+    if not in_range or len(set(qubits)) != len(qubits) or not set(qubits) <= set(free):
+        raise ValueError(f"qubits {tuple(qubits)} under controls {controls} are not distinct free qubits")
+    axes = list(range(len(free)))
+    for q, mirror in zip(qubits, reversed(qubits)):
+        axes[free.index(q)] = free.index(mirror)
+    view = _branch(state, controls)
+    view[...] = view.transpose(axes).copy()
+    state.gate_count += len(qubits) // 2
+    return state
+
+
 def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
     """View of the amplitudes where each (qubit, bit) pair in ``fixed`` holds.
 
@@ -290,33 +386,62 @@ def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
     return state.amplitudes.reshape((2,) * n)[(*index, ...)]
 
 
+def _selector_blocks(blocks: np.ndarray, selectors: tuple[int, ...], free: list[int]) -> np.ndarray:
+    """Reshape ``(2, 2, 2^s)`` blocks to broadcast over a view whose axes are ``free``.
+
+    Bit ``p`` of the block index is selector ``p``, so after the reshape to
+    ``(2, 2) + (2,) * s`` selector ``p`` is axis ``2 + s - 1 - p``. Those axes
+    are put in the view's (descending-qubit) order and every other free axis
+    gets length 1.
+    """
+    s = len(selectors)
+    by_view_order = sorted(range(s), key=lambda p: -selectors[p])
+    blocks = blocks.reshape((2, 2) + (2,) * s).transpose(0, 1, *(2 + s - 1 - p for p in by_view_order))
+    return blocks.reshape((2, 2) + tuple(2 if q in selectors else 1 for q in free))
+
+
 def _apply_controlled(
     state: Statevector,
     matrix: np.ndarray,
     targets: tuple[int, ...],
     controls: tuple[tuple[int, int], ...],
+    selectors: tuple[int, ...] = (),
 ) -> None:
-    """Check, then apply ``matrix`` in place where every control holds its polarity."""
+    """Check, then apply ``matrix`` in place where every control holds its polarity.
+
+    With ``selectors`` the one-target payload is uniformly controlled: see
+    :func:`apply_uniformly_controlled`.
+    """
     _check_unitary(matrix)
     control_qubits = [q for q, _ in controls]
-    for q in list(targets) + control_qubits:
+    for q in (*targets, *control_qubits, *selectors):
         if not 0 <= q < state.n_qubits:
             raise ValueError(f"qubit index {q} out of range for {state.n_qubits} qubits")
+    free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in control_qubits]
     if len(targets) == 1:
-        # Explicit row combination: a 2x2 matmul would round differently.
+        if selectors:
+            matrix = _selector_blocks(matrix, selectors, [q for q in free if q != targets[0]])
         a0 = _branch(state, (*controls, (targets[0], 0)))
         a1 = _branch(state, (*controls, (targets[0], 1)))
-        out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
-        out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
-        a0[...], a1[...] = out0, out1
+        if not (np.any(matrix[0, 1]) or np.any(matrix[1, 0])):
+            # Diagonal: a unit diagonal leaves its branch as it is. The entry
+            # stays the left operand, as in the row combination, because numpy
+            # rounds a complex ``branch * entry`` differently.
+            for branch, diagonal in ((a0, matrix[0, 0]), (a1, matrix[1, 1])):
+                if np.any(diagonal != 1.0):
+                    np.multiply(diagonal, branch, out=branch)
+        else:
+            # Explicit row combination: a 2x2 matmul would round differently.
+            out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
+            out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
+            a0[...], a1[...] = out0, out1
     else:
-        free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in control_qubits]
         axes = [free.index(q) for q in targets]
         # The matrix's least significant target is its fastest-varying index,
         # i.e. the last of the leading axes after the move.
         view = np.moveaxis(_branch(state, controls), axes[::-1], range(len(axes)))
         view[...] = (matrix @ view.reshape(1 << len(axes), -1)).reshape(view.shape)
-    state.gate_count += 1
+    state.gate_count += max(1, len(selectors))
 
 
 def exact_probabilities(state: Statevector) -> np.ndarray:
@@ -324,17 +449,23 @@ def exact_probabilities(state: Statevector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def sample(state: Statevector, shots: int, seed: int) -> SampledHistogram:
+def sample_counts(state: Statevector, shots: int, seed: int) -> np.ndarray:
     """Draw ``shots`` measurement outcomes as one multinomial sample.
 
-    Uses numpy's default generator (PCG64) seeded with ``seed``, so histograms
-    are reproducible across runs and platforms for a fixed numpy version.
+    Returns the count of every basis index as an int64 array. Uses numpy's
+    default generator (PCG64) seeded with ``seed``, so counts are reproducible
+    across runs and platforms for a fixed numpy version.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = exact_probabilities(state)
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs / probs.sum())
+    return rng.multinomial(shots, probs / probs.sum())
+
+
+def sample(state: Statevector, shots: int, seed: int) -> SampledHistogram:
+    """The :func:`sample_counts` draw as a histogram of the observed indices."""
+    counts = sample_counts(state, shots, seed)
     nonzero = np.nonzero(counts)[0]
     return SampledHistogram(
         {int(i): int(counts[i]) for i in nonzero},

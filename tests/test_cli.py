@@ -303,6 +303,20 @@ class TestCliExitCodes:
         assert "finite" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["qftd", "qfti"])
+    @pytest.mark.parametrize("values", [
+        [1e200 * k for k in range(1, 17)],  # the L2 norm overflows unless rescaled
+        [1e-300] * 16,  # the L2 norm underflows unless rescaled
+    ])
+    def test_unrecoverable_scale_is_two(self, values, mode, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        write_csv(path, [0.25 * j for j in range(16)], values)
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--mode", mode, "--function", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "recovery scale" in err and len(err.splitlines()) == 1
+        assert not out.exists() and not metrics_path_for(out).exists()
+
     def test_nan_grid_point_is_two(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("x,f\n0,1\n0.25,2\nnan,2\n0.75,3\n")

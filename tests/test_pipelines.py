@@ -31,6 +31,22 @@ class TestSampledFunction:
         assert_allclose(f.x, [-1.0, -0.5, 0.0, 0.5])
         assert_allclose(f.l2_norm, np.sqrt(30.0))
 
+    def test_norm_of_tiny_and_huge_samples(self):
+        for scale in (1e-300, 1e200):
+            f = SampledFunction(samples=scale * np.array([1.0, 2.0, 3.0, 4.0]), x0=0.0, dx=1.0)
+            assert_allclose(f.l2_norm, scale * np.sqrt(30.0), rtol=1e-15)
+
+    def test_unrecoverable_scale_rejected(self):
+        def f(scale, dx):
+            return SampledFunction(samples=np.full(4, scale), x0=0.0, dx=dx)
+
+        # (|f|/dx)^2 and (|f|*eta*dx)^2 underflow to 0, then overflow to inf.
+        cases = [(qftd_run, f(1e-300, 1.0)), (qftd_run, f(1e200, 1e-200)),
+                 (qfti_run, f(1e-300, 1.0)), (qfti_run, f(1e200, 1e200))]
+        for run, samples in cases:
+            with pytest.raises(ValueError, match="recovery scale"):
+                run(samples, None)
+
     def test_rejects_zero_samples_and_bad_norm(self):
         with pytest.raises(ValueError):
             SampledFunction(samples=np.zeros(4), x0=0.0, dx=1.0)

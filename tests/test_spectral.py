@@ -8,12 +8,14 @@ from numpy.testing import assert_allclose
 from qftcalc.spectral import (
     MODE_DERIVATIVE,
     MODE_INTEGRAL,
+    _qft_gate_sequence,
+    _rotation_turns,
     angle_schedule,
     qft,
     reconstructed_rotation,
     wavenumber_rotation,
 )
-from qftcalc.state import RegisterLayout, Statevector, rx_gate
+from qftcalc.state import GateOp, RegisterLayout, Statevector, apply_gate, rx_gate
 
 from conftest import embed_full, random_state_vector
 
@@ -97,6 +99,25 @@ class TestQft:
             qft(k_state(3), "k", control=(1, 1))
 
 
+class TestFusedQft:
+    """The fused QFT against a gate-by-gate replay of ``_qft_gate_sequence``."""
+
+    @pytest.mark.parametrize("control", [None, (0, 1), (0, 0)])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_gate_replay(self, n, inverse, control, rng):
+        # The k register sits above a spare qubit 0 that carries the control.
+        layout = RegisterLayout((("k", n), ("x", 1)))
+        amps = random_state_vector(n + 1, rng)
+        fused = qft(Statevector(n + 1, amps.copy(), layout), "k", inverse=inverse, control=control)
+        replay = Statevector(n + 1, amps.copy(), layout)
+        outer = (control,) if control else ()
+        for payload, targets, controls in _qft_gate_sequence(layout.qubits("k"), inverse):
+            apply_gate(replay, GateOp(payload, targets, controls + outer))
+        assert np.max(np.abs(fused.amplitudes - replay.amplitudes)) <= 1e-13
+        assert fused.gate_count == replay.gate_count == n * (n + 1) // 2 + n // 2
+
+
 class TestAngleSchedule:
     def test_n1_rotation_is_pi(self):
         schedule = angle_schedule(1, MODE_DERIVATIVE)
@@ -112,6 +133,12 @@ class TestAngleSchedule:
         schedule = angle_schedule(n, MODE_DERIVATIVE)
         for k in range(1 << n):
             assert reconstructed_rotation(schedule, k) == Fraction(2 * k, 1 << n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_fused_turns_are_the_exact_rotations(self, n):
+        schedule = angle_schedule(n, MODE_DERIVATIVE)
+        expected = [float(-2 * reconstructed_rotation(schedule, k)) for k in range(1 << n)]
+        assert _rotation_turns(schedule).tolist() == expected
 
     def test_n8_top_value(self):
         schedule = angle_schedule(8, MODE_INTEGRAL)
@@ -169,6 +196,19 @@ class TestWavenumberRotation:
         k = np.arange(1 << n)
         expected_success = 1j * np.sin(2.0 * np.pi * k / (1 << n)) * spectrum
         assert_allclose(state.amplitudes[1 << n :], expected_success, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_fused_matches_gate_cascade(self, mode, n, rng):
+        schedule = angle_schedule(n, mode)
+        state, layout = ak_state(n, random_state_vector(n, rng), ancilla_bit=schedule.ancilla_init)
+        cascade = state.copy()
+        wavenumber_rotation(state, schedule)
+        (a_qubit,) = layout.qubits("a")
+        for p, angle in enumerate(schedule.angles_in_radians()):
+            apply_gate(cascade, GateOp(rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),)))
+        assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
+        assert state.gate_count == cascade.gate_count == n
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize("n", [2, 4, 6])

@@ -11,10 +11,15 @@ from qftcalc.state import (
     amplitude_encode,
     apply_gate,
     apply_register_unitary,
+    apply_uniformly_controlled,
     exact_probabilities,
     pauli_x,
+    phase_gate,
+    reverse_qubits,
     rx_gate,
     sample,
+    sample_counts,
+    sample_l2_norm,
     swap_gate,
 )
 
@@ -213,6 +218,137 @@ class TestEmbeddingEquivalence:
         assert abs(state.norm() - 1.0) <= 1e-12
 
 
+def embed_uniformly_controlled(n_qubits, blocks, target, selectors, controls=()):
+    """Full matrix of a uniformly controlled gate: one embedded gate per selector value.
+
+    Block ``j`` is embedded with the selectors as extra polarity controls that
+    read ``j``; the embedded gates act on disjoint subspaces, so their product
+    is the whole gate.
+    """
+    full = np.eye(1 << n_qubits, dtype=complex)
+    for j in range(blocks.shape[2]):
+        pattern = tuple((q, (j >> p) & 1) for p, q in enumerate(selectors))
+        full = embed_full(n_qubits, blocks[:, :, j], (target,), (*controls, *pattern)) @ full
+    return full
+
+
+class TestUniformlyControlled:
+    """The uniformly controlled 2x2 payload against an element-wise full matrix."""
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5])
+    def test_against_full_matrix(self, n_qubits, rng):
+        for _ in range(8):
+            amps = random_state_vector(n_qubits, rng)
+            order = [int(q) for q in rng.permutation(n_qubits)]
+            n_selectors = int(rng.integers(1, n_qubits))
+            target, selectors = order[0], tuple(order[1 : 1 + n_selectors])
+            rest = order[1 + n_selectors :]
+            controls = ((rest[0], int(rng.integers(2))),) if rest and rng.random() < 0.5 else ()
+            blocks = np.stack([random_unitary(2, rng) for _ in range(1 << n_selectors)], axis=2)
+            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+            apply_uniformly_controlled(state, blocks, target, selectors, controls)
+            expected = embed_uniformly_controlled(n_qubits, blocks, target, selectors, controls) @ amps
+            assert_allclose(state.amplitudes, expected, atol=1e-12)
+            assert state.gate_count == n_selectors
+
+    @pytest.mark.parametrize("n_qubits", [3, 4])
+    def test_diagonal_blocks_against_full_matrix(self, n_qubits, rng):
+        for _ in range(6):
+            amps = random_state_vector(n_qubits, rng)
+            target, *selectors = [int(q) for q in rng.permutation(n_qubits)]
+            blocks = np.zeros((2, 2, 1 << len(selectors)), dtype=complex)
+            blocks[0, 0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=blocks.shape[2]))
+            blocks[1, 1] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=blocks.shape[2]))
+            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+            apply_uniformly_controlled(state, blocks, target, selectors)
+            expected = embed_uniformly_controlled(n_qubits, blocks, target, selectors) @ amps
+            assert_allclose(state.amplitudes, expected, atol=1e-12)
+
+    def test_diagonal_fast_path_matches_row_combination(self, rng):
+        # A diagonal payload multiplies only the branch whose entry is not 1;
+        # the result must equal the explicit m00*a0 + m01*a1 row combination.
+        n_qubits = 5
+        amps = random_state_vector(n_qubits, rng)
+        for payload in (phase_gate(0.7), np.diag(np.exp([0.3j, -1.1j]))):
+            for target in range(n_qubits):
+                state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+                apply_gate(state, GateOp(payload, (target,)))
+                expected = amps.copy()
+                view = expected.reshape(-1, 2, 1 << target)
+                a0, a1 = view[:, 0], view[:, 1]
+                out0 = payload[0, 0] * a0 + payload[0, 1] * a1
+                out1 = payload[1, 0] * a0 + payload[1, 1] * a1
+                a0[...], a1[...] = out0, out1
+                assert np.array_equal(state.amplitudes, expected)
+
+    def test_rejects_a_non_unitary_block(self, rng):
+        state = Statevector(3, random_state_vector(3, rng), RegisterLayout((("k", 3),)))
+        blocks = np.stack([random_unitary(2, rng) for _ in range(4)], axis=2)
+        blocks[:, :, 2] *= 1.1
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_uniformly_controlled(state, blocks, 0, (1, 2))
+        assert state.gate_count == 0
+
+    def test_rejects_bad_shape_and_collisions(self, rng):
+        state = Statevector(3, random_state_vector(3, rng), RegisterLayout((("k", 3),)))
+        blocks = np.stack([np.eye(2)] * 4, axis=2)
+        with pytest.raises(ValueError, match="selector"):
+            apply_uniformly_controlled(state, blocks, 0, (1,))
+        with pytest.raises(ValueError, match="selector"):
+            apply_uniformly_controlled(state, np.eye(2)[:, :, None], 0, ())
+        with pytest.raises(ValueError, match="collision"):
+            apply_uniformly_controlled(state, blocks, 0, (0, 1))
+        with pytest.raises(ValueError, match="collision"):
+            apply_uniformly_controlled(state, blocks, 0, (1, 2), ((2, 1),))
+        with pytest.raises(ValueError, match="out of range"):
+            apply_uniformly_controlled(state, blocks, 0, (1, 3))
+
+
+class TestReverseQubits:
+    @pytest.mark.parametrize("control", [None, (0, 1), (0, 0)])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_equals_swap_network(self, width, control, rng):
+        n_qubits = width + 1
+        amps = random_state_vector(n_qubits, rng)
+        qubits = tuple(range(1, n_qubits))
+        controls = (control,) if control else ()
+        fused = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+        reverse_qubits(fused, qubits, controls)
+        swaps = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+        for i in range(width // 2):
+            apply_gate(swaps, GateOp(swap_gate(), (qubits[i], qubits[-1 - i]), controls))
+        assert np.array_equal(fused.amplitudes, swaps.amplitudes)
+        assert fused.gate_count == swaps.gate_count == width // 2
+
+    def test_rejects_collisions(self):
+        state = Statevector(3, [1, 0, 0, 0, 0, 0, 0, 0], RegisterLayout((("k", 3),)))
+        with pytest.raises(ValueError, match="distinct"):
+            reverse_qubits(state, (0, 1), ((1, 1),))
+        with pytest.raises(ValueError, match="distinct"):
+            reverse_qubits(state, (0, 3))
+
+
+class TestSampleL2Norm:
+    def test_representable_norm_keeps_its_bits(self, rng):
+        samples = rng.normal(size=64)
+        assert sample_l2_norm(samples) == float(np.linalg.norm(samples))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-320, 1e200, 1e300])
+    def test_no_under_or_overflow(self, scale):
+        samples = scale * np.arange(1.0, 17.0)
+        expected = scale * math.sqrt(sum(k * k for k in range(1, 17)))
+        assert math.isfinite(sample_l2_norm(samples))
+        assert_allclose(sample_l2_norm(samples), expected, rtol=1e-6 if scale < 1e-310 else 1e-15)
+
+    def test_zero_stays_zero(self):
+        assert sample_l2_norm(np.zeros(4)) == 0.0
+
+    def test_tiny_samples_encode(self):
+        state, l2 = amplitude_encode([1e-300, 2e-300, 3e-300, 4e-300], two_qubit_layout())
+        assert_allclose(l2, math.sqrt(30.0) * 1e-300, rtol=1e-15)
+        assert abs(state.norm() - 1.0) <= 1e-12
+
+
 class TestProbabilitiesAndSampling:
     def test_probabilities_basis_state(self):
         state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
@@ -242,6 +378,13 @@ class TestProbabilitiesAndSampling:
     def test_sample_deterministic_for_seed(self):
         state, _ = amplitude_encode([3, 1, 4, 1], two_qubit_layout())
         assert sample(state, 4096, seed=42).counts == sample(state, 4096, seed=42).counts
+
+    def test_sample_counts_are_the_histogram(self):
+        state, _ = amplitude_encode([3, 1, 4, 1, 5, 9, 2, 6], RegisterLayout((("k", 3),)))
+        counts = sample_counts(state, 10**5, seed=11)
+        hist = sample(state, 10**5, seed=11)
+        assert counts.shape == (8,) and counts.sum() == 10**5
+        assert hist.counts == {int(i): int(c) for i, c in enumerate(counts) if c}
 
     def test_sample_rejects_zero_shots(self):
         state = Statevector(1, [1, 0], RegisterLayout((("k", 1),)))
