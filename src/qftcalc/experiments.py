@@ -25,7 +25,7 @@ __all__ = [
     "metrics_path_for",
 ]
 
-QFTD_MAX_QUBITS = 12
+QFTD_MAX_QUBITS = 16
 QFTI_MAX_QUBITS = 8
 # numpy's multinomial draws an int64 shot count.
 MAX_SHOTS = 2**63 - 1

@@ -6,12 +6,15 @@ inverse applies the conjugate gates in reverse order. A controlled QFT is the
 same gate sequence with one extra control on every gate, which is exactly the
 controlled version of the register unitary.
 
-The simulator fuses each stage's controlled-phase ladder: the phases on
-qubit ``s`` controlled by the ``s`` lower qubits commute and multiply to
-``diag(1, e^{i pi j / 2^s})``, where ``j`` is the value of those lower qubits,
-so a stage is one Hadamard plus one uniformly controlled diagonal
-(:func:`~qftcalc.state.apply_uniformly_controlled`). The gate-by-gate
-sequence, :func:`_qft_gate_sequence`, stays as the oracle the tests replay.
+On an ``m``-qubit register the whole circuit is the unitary DFT, so the
+simulator runs it as one FFT over the register's axis (Cooley & Tukey 1965):
+the register's qubits are contiguous, so the amplitudes reshape to
+``(above, 2^m, below)`` and the transform acts on the middle axis. The
+forward QFT is numpy's ``ifft`` and the inverse its ``fft``, both with
+``norm="ortho"``; it is numpy's FFT, not scipy's, so that importing the CLI
+loads no scipy. ``gate_count`` still advances by the circuit's gate count,
+``m(m+1)/2 + m//2``. The gate-by-gate sequence, :func:`_qft_gate_sequence`,
+stays as the oracle the tests replay.
 
 The rotation cascade scales the spectrum element-wise: with the ancilla
 initialized to ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)``
@@ -27,19 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .state import (
-    GateOp,
     Statevector,
     _branch,
-    apply_gate,
     apply_uniformly_controlled,
     hadamard,
     phase_gate,
-    reverse_qubits,
     swap_gate,
 )
 
@@ -111,10 +110,10 @@ def reconstructed_rotation(schedule: WavenumberSchedule, k: int) -> Fraction:
 def _qft_gate_sequence(qubits: tuple[int, ...], inverse: bool):
     """Yield (payload, targets, controls) for the QFT on ``qubits``, gate by gate.
 
-    The oracle that :func:`qft` fuses. ``qubits`` are ordered least
-    significant first. Controlled-phase gates are emitted as single-qubit
-    phase payloads with a control, so an outer control can always be stacked
-    on top.
+    The oracle that the tests replay against :func:`qft`. ``qubits`` are
+    ordered least significant first. Controlled-phase gates are emitted as
+    single-qubit phase payloads with a control, so an outer control can
+    always be stacked on top.
     """
     m = len(qubits)
     seq: list[tuple[np.ndarray, tuple[int, ...], tuple[tuple[int, int], ...]]] = []
@@ -130,14 +129,6 @@ def _qft_gate_sequence(qubits: tuple[int, ...], inverse: bool):
     return seq
 
 
-def _phase_ladder(s: int, inverse: bool) -> np.ndarray:
-    """Stage ``s``'s controlled phases as the blocks ``diag(1, e^{+-i pi j / 2^s})``."""
-    blocks = np.zeros((2, 2, 1 << s), dtype=complex)
-    blocks[0, 0] = 1.0
-    blocks[1, 1] = np.exp((-1j if inverse else 1j) * math.pi * np.arange(1 << s) / (1 << s))
-    return blocks
-
-
 def qft(
     state: Statevector,
     register: str,
@@ -146,26 +137,29 @@ def qft(
 ) -> Statevector:
     """Apply the (inverse) QFT to a named register, optionally controlled.
 
-    With ``control=(qubit, polarity)`` every gate in the circuit gains that
-    control, which is the simulator-level controlled-QFT. The circuit is that
-    of :func:`_qft_gate_sequence`, with each stage's phase ladder fused into
-    one uniformly controlled call and the swap network done as one register
-    reversal; ``gate_count`` advances as for the gate-by-gate circuit.
+    With ``control=(qubit, polarity)`` the transform acts only on the branch
+    where that qubit holds the polarity, which is the circuit of
+    :func:`_qft_gate_sequence` with the control added to every gate. The
+    transform is one FFT over the register; ``gate_count`` advances as for
+    the gate-by-gate circuit.
     """
     qubits = state.layout.qubits(register)
-    if control is not None and control[0] in qubits:
-        raise ValueError("control qubit lies inside the transformed register")
     controls = () if control is None else (control,)
-    steps = []
-    for s in range(len(qubits) - 1, -1, -1):
-        steps.append(partial(apply_gate, state, GateOp(hadamard(), (qubits[s],), controls)))
-        if s:
-            ladder = _phase_ladder(s, inverse)
-            steps.append(partial(apply_uniformly_controlled, state, ladder, qubits[s], qubits[:s], controls))
-    steps.append(partial(reverse_qubits, state, qubits, controls))
-    # Every step is self-inverse except the ladders, which are built conjugated.
-    for step in reversed(steps) if inverse else steps:
-        step()
+    for q, bit in controls:
+        if q in qubits:
+            raise ValueError("control qubit lies inside the transformed register")
+        if bit not in (0, 1):
+            raise ValueError("control polarity must be 0 or 1")
+        if not 0 <= q < state.n_qubits:
+            raise ValueError(f"qubit index {q} out of range for {state.n_qubits} qubits")
+    m = len(qubits)
+    # The free qubits below the register: its offset, less a control under it.
+    below = qubits[0] - sum(q < qubits[0] for q, _ in controls)
+    view = _branch(state, controls)
+    # The e^{+2 pi i jk/N} convention makes the forward QFT numpy's ifft.
+    transform = np.fft.fft if inverse else np.fft.ifft
+    view[...] = transform(view.reshape(-1, 1 << m, 1 << below), axis=1, norm="ortho").reshape(view.shape)
+    state.gate_count += m * (m + 1) // 2 + m // 2
     return state
 
 

@@ -16,10 +16,10 @@ never built here (tests rebuild it as an oracle).
 A one-target payload may also be *uniformly controlled*: a stack of 2x2
 blocks indexed by the basis value of a set of selector qubits, broadcast over
 the selector axes of the view (:func:`apply_uniformly_controlled`). One such
-call replaces a run of commuting singly-controlled gates, e.g. a QFT stage's
-controlled-phase ladder, and counts as one primitive gate per selector. When
-a payload's off-diagonal entries are exact zeros, only the branches whose
-diagonal entry is not 1 are multiplied.
+call replaces a run of commuting singly-controlled gates, e.g. the
+wavenumber rotation's controlled-Rx cascade, and counts as one primitive gate
+per selector. Register transforms do not go through the kernel: the QFT is
+one FFT over the register axis (:func:`qftcalc.spectral.qft`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "hadamard",
     "pauli_x",
     "phase_gate",
-    "reverse_qubits",
     "rx_gate",
     "swap_gate",
 ]
@@ -346,31 +345,6 @@ def apply_uniformly_controlled(
     return state
 
 
-def reverse_qubits(
-    state: Statevector,
-    qubits: Sequence[int],
-    controls: tuple[tuple[int, int], ...] = (),
-) -> Statevector:
-    """Reverse the order of ``qubits`` in place where every control holds.
-
-    This is the swap network ``qubits[i] <-> qubits[-1 - i]`` done as one axis
-    permutation of the amplitude tensor (a copy, no arithmetic). It advances
-    ``gate_count`` by the ``len(qubits) // 2`` swaps it stands for.
-    """
-    bits = dict(controls)
-    free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in bits]
-    in_range = bits.keys() <= set(range(state.n_qubits))
-    if not in_range or len(set(qubits)) != len(qubits) or not set(qubits) <= set(free):
-        raise ValueError(f"qubits {tuple(qubits)} under controls {controls} are not distinct free qubits")
-    axes = list(range(len(free)))
-    for q, mirror in zip(qubits, reversed(qubits)):
-        axes[free.index(q)] = free.index(mirror)
-    view = _branch(state, controls)
-    view[...] = view.transpose(axes).copy()
-    state.gate_count += len(qubits) // 2
-    return state
-
-
 def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
     """View of the amplitudes where each (qubit, bit) pair in ``fixed`` holds.
 
@@ -423,18 +397,10 @@ def _apply_controlled(
             matrix = _selector_blocks(matrix, selectors, [q for q in free if q != targets[0]])
         a0 = _branch(state, (*controls, (targets[0], 0)))
         a1 = _branch(state, (*controls, (targets[0], 1)))
-        if not (np.any(matrix[0, 1]) or np.any(matrix[1, 0])):
-            # Diagonal: a unit diagonal leaves its branch as it is. The entry
-            # stays the left operand, as in the row combination, because numpy
-            # rounds a complex ``branch * entry`` differently.
-            for branch, diagonal in ((a0, matrix[0, 0]), (a1, matrix[1, 1])):
-                if np.any(diagonal != 1.0):
-                    np.multiply(diagonal, branch, out=branch)
-        else:
-            # Explicit row combination: a 2x2 matmul would round differently.
-            out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
-            out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
-            a0[...], a1[...] = out0, out1
+        # Explicit row combination: a 2x2 matmul would round differently.
+        out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
+        out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
+        a0[...], a1[...] = out0, out1
     else:
         axes = [free.index(q) for q in targets]
         # The matrix's least significant target is its fastest-varying index,

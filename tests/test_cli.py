@@ -96,8 +96,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="qubits"):
             ExperimentConfig("qfti", "cos2pix", 9).validated()
         with pytest.raises(ConfigError, match="qubits"):
-            ExperimentConfig("qftd", "cos2pix", 13).validated()
-        ExperimentConfig("qftd", "cos2pix", 12).validated()
+            ExperimentConfig("qftd", "cos2pix", 17).validated()
+        ExperimentConfig("qftd", "cos2pix", 16).validated()
 
     def test_domain_order(self):
         with pytest.raises(ConfigError, match="domain"):
@@ -225,6 +225,13 @@ class TestCliExitCodes:
         assert code == 0
         assert (tmp_path / "ok.csv").exists()
         assert metrics_path_for(tmp_path / "ok.csv").exists()
+
+    def test_qftd_cap_run(self, tmp_path, capsys):
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--shots", "exact"]
+        assert cli.main(argv + ["--qubits", "16", "--output", str(tmp_path / "q16.csv")]) == 0
+        assert cli.main(argv + ["--qubits", "17", "--output", str(tmp_path / "q17.csv")]) == 1
+        assert "2..16 qubits" in capsys.readouterr().err
+        assert not (tmp_path / "q17.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_path = tmp_path / "cfg.json"

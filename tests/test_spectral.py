@@ -99,23 +99,58 @@ class TestQft:
             qft(k_state(3), "k", control=(1, 1))
 
 
+# Widths of the free registers y (above k) and x (below k), and the control
+# as (register, polarity) on that register's lowest qubit.
+FREE_QUBIT_LAYOUTS = {
+    "control-above": (1, 1, ("y", 1)),
+    "control-below": (2, 2, ("x", 0)),
+    "no-control": (1, 1, None),
+}
+
+
+def check_against_replay(layout, inverse, control, rng):
+    """``qft`` on register k within 1e-13 of a gate-by-gate replay, with equal gate counts."""
+    width, n = layout.n_qubits, layout.width("k")
+    amps = random_state_vector(width, rng)
+    transformed = qft(Statevector(width, amps.copy(), layout), "k", inverse=inverse, control=control)
+    replay = Statevector(width, amps.copy(), layout)
+    outer = (control,) if control else ()
+    for payload, targets, controls in _qft_gate_sequence(layout.qubits("k"), inverse):
+        apply_gate(replay, GateOp(payload, targets, controls + outer))
+    assert np.max(np.abs(transformed.amplitudes - replay.amplitudes)) <= 1e-13
+    assert transformed.gate_count == replay.gate_count == n * (n + 1) // 2 + n // 2
+
+
 class TestFusedQft:
-    """The fused QFT against a gate-by-gate replay of ``_qft_gate_sequence``."""
+    """The FFT-based QFT against a gate-by-gate replay of ``_qft_gate_sequence``."""
 
     @pytest.mark.parametrize("control", [None, (0, 1), (0, 0)])
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_gate_replay(self, n, inverse, control, rng):
         # The k register sits above a spare qubit 0 that carries the control.
-        layout = RegisterLayout((("k", n), ("x", 1)))
-        amps = random_state_vector(n + 1, rng)
-        fused = qft(Statevector(n + 1, amps.copy(), layout), "k", inverse=inverse, control=control)
-        replay = Statevector(n + 1, amps.copy(), layout)
-        outer = (control,) if control else ()
-        for payload, targets, controls in _qft_gate_sequence(layout.qubits("k"), inverse):
-            apply_gate(replay, GateOp(payload, targets, controls + outer))
-        assert np.max(np.abs(fused.amplitudes - replay.amplitudes)) <= 1e-13
-        assert fused.gate_count == replay.gate_count == n * (n + 1) // 2 + n // 2
+        check_against_replay(RegisterLayout((("k", n), ("x", 1))), inverse, control, rng)
+
+    @pytest.mark.parametrize(
+        "n, layout",
+        [(n, layout) for n in range(1, 7) for layout in FREE_QUBIT_LAYOUTS] + [(10, "control-above")],
+    )
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_register_between_free_qubits(self, n, layout, inverse, rng):
+        above, below, control = FREE_QUBIT_LAYOUTS[layout]
+        layout = RegisterLayout((("y", above), ("k", n), ("x", below)))
+        if control is not None:
+            control = (layout.qubits(control[0])[0], control[1])
+        check_against_replay(layout, inverse, control, rng)
+
+    @pytest.mark.parametrize("control", [(0, 2), (7, 1), (-1, 1)])
+    def test_bad_control_rejected(self, control, rng):
+        layout = RegisterLayout((("k", 3), ("x", 1)))
+        state = Statevector(4, random_state_vector(4, rng), layout)
+        before = state.amplitudes.copy()
+        with pytest.raises(ValueError):
+            qft(state, "k", control=control)
+        assert np.array_equal(state.amplitudes, before)
 
 
 class TestAngleSchedule:

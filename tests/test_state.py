@@ -15,7 +15,6 @@ from qftcalc.state import (
     exact_probabilities,
     pauli_x,
     phase_gate,
-    reverse_qubits,
     rx_gate,
     sample,
     sample_counts,
@@ -265,8 +264,8 @@ class TestUniformlyControlled:
             assert_allclose(state.amplitudes, expected, atol=1e-12)
 
     def test_diagonal_fast_path_matches_row_combination(self, rng):
-        # A diagonal payload multiplies only the branch whose entry is not 1;
-        # the result must equal the explicit m00*a0 + m01*a1 row combination.
+        # A diagonal payload goes through the same explicit
+        # m00*a0 + m01*a1 row combination as any other 2x2 payload.
         n_qubits = 5
         amps = random_state_vector(n_qubits, rng)
         for payload in (phase_gate(0.7), np.diag(np.exp([0.3j, -1.1j]))):
@@ -305,6 +304,12 @@ class TestUniformlyControlled:
 
 
 class TestReverseQubits:
+    """The QFT circuit's closing swap network reverses the register's qubits.
+
+    ``spectral.qft`` returns the FFT's natural-order output, which is the
+    circuit's output only because that swap network is the bit reversal.
+    """
+
     @pytest.mark.parametrize("control", [None, (0, 1), (0, 0)])
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_equals_swap_network(self, width, control, rng):
@@ -312,20 +317,18 @@ class TestReverseQubits:
         amps = random_state_vector(n_qubits, rng)
         qubits = tuple(range(1, n_qubits))
         controls = (control,) if control else ()
-        fused = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
-        reverse_qubits(fused, qubits, controls)
         swaps = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
         for i in range(width // 2):
             apply_gate(swaps, GateOp(swap_gate(), (qubits[i], qubits[-1 - i]), controls))
-        assert np.array_equal(fused.amplitudes, swaps.amplitudes)
-        assert fused.gate_count == swaps.gate_count == width // 2
-
-    def test_rejects_collisions(self):
-        state = Statevector(3, [1, 0, 0, 0, 0, 0, 0, 0], RegisterLayout((("k", 3),)))
-        with pytest.raises(ValueError, match="distinct"):
-            reverse_qubits(state, (0, 1), ((1, 1),))
-        with pytest.raises(ValueError, match="distinct"):
-            reverse_qubits(state, (0, 3))
+        # The register is qubits 1..width: reverse the bits of index >> 1
+        # wherever the control holds.
+        expected = amps.copy()
+        for index in range(1 << n_qubits):
+            if control is None or (index >> control[0]) & 1 == control[1]:
+                mirrored = int(format(index >> 1, f"0{width}b")[::-1], 2)
+                expected[(mirrored << 1) | (index & 1)] = amps[index]
+        assert np.array_equal(swaps.amplitudes, expected)
+        assert swaps.gate_count == width // 2
 
 
 class TestSampleL2Norm:
