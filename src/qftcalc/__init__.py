@@ -11,13 +11,11 @@ experiment runner with presets, plots and a validation suite (`experiments`,
 from .state import (
     GateOp,
     RegisterLayout,
-    SampledHistogram,
     Statevector,
     amplitude_encode,
     apply_gate,
     apply_register_unitary,
     exact_probabilities,
-    sample,
 )
 from .spectral import WavenumberSchedule, angle_schedule, qft, wavenumber_rotation
 from .psmpo import (
@@ -53,13 +51,11 @@ __version__ = "0.1.0"
 __all__ = [
     "GateOp",
     "RegisterLayout",
-    "SampledHistogram",
     "Statevector",
     "amplitude_encode",
     "apply_gate",
     "apply_register_unitary",
     "exact_probabilities",
-    "sample",
     "WavenumberSchedule",
     "angle_schedule",
     "qft",

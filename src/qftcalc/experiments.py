@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 QFTD_MAX_QUBITS = 16
-QFTI_MAX_QUBITS = 8
+QFTI_MAX_QUBITS = 12
 # numpy's multinomial draws an int64 shot count.
 MAX_SHOTS = 2**63 - 1
 

@@ -177,10 +177,11 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     state, l2 = amplitude_encode(np.pad(f.samples, (0, f.n_points)), layout)
     scale_sq = _squared_scale(l2 / f.dx, "(|f|/dx)^2")
 
-    spectral.qft(state, "k")
     schedule = spectral.angle_schedule(n, spectral.MODE_DERIVATIVE)
-    spectral.wavenumber_rotation(state, schedule)
     (a_qubit,) = layout.qubits("a")
+    # Only the ancilla's initial branch holds amplitude; the other is all zeros.
+    spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
+    spectral.wavenumber_rotation(state, schedule)
     spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
 
     success_start = layout.index_for({"a": schedule.success_bit, "k": 0})
@@ -203,7 +204,7 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     (a_qubit,) = layout.qubits("a")
     schedule = spectral.angle_schedule(n, spectral.MODE_INTEGRAL)
     apply_gate(state, GateOp(pauli_x(), (a_qubit,)))  # ancilla |1> initialization
-    spectral.qft(state, "k")
+    spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
     spectral.wavenumber_rotation(state, schedule)
     spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
     psmpo.apply_partial_sum(state, enc, control=(a_qubit, schedule.success_bit))

@@ -35,13 +35,11 @@ __all__ = [
     "RegisterLayout",
     "Statevector",
     "GateOp",
-    "SampledHistogram",
     "amplitude_encode",
     "apply_gate",
     "apply_register_unitary",
     "apply_uniformly_controlled",
     "exact_probabilities",
-    "sample",
     "sample_counts",
     "sample_l2_norm",
     "hadamard",
@@ -198,34 +196,6 @@ class GateOp:
             raise ValueError(f"target/control qubit collision in {touched}")
         if any(pol not in (0, 1) for _, pol in self.controls):
             raise ValueError("control polarity must be 0 or 1")
-
-
-@dataclass
-class SampledHistogram:
-    """Measurement counts keyed by basis index.
-
-    Histograms form a monoid under :meth:`merge` (pointwise count addition), so
-    shot batches drawn with independent seeds can be combined.
-    """
-
-    counts: dict[int, int]
-    total_shots: int
-    rng_seed: int | None
-
-    def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.total_shots:
-            raise ValueError("histogram counts do not sum to total_shots")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("negative count")
-
-    def merge(self, other: "SampledHistogram") -> "SampledHistogram":
-        merged = dict(self.counts)
-        for index, count in other.counts.items():
-            merged[index] = merged.get(index, 0) + count
-        return SampledHistogram(merged, self.total_shots + other.total_shots, None)
-
-    def frequency(self, index: int) -> float:
-        return self.counts.get(index, 0) / self.total_shots
 
 
 def _check_unitary(matrix: np.ndarray) -> None:
@@ -429,12 +399,6 @@ def sample_counts(state: Statevector, shots: int, seed: int) -> np.ndarray:
     return rng.multinomial(shots, probs / probs.sum())
 
 
-def sample(state: Statevector, shots: int, seed: int) -> SampledHistogram:
-    """The :func:`sample_counts` draw as a histogram of the observed indices."""
-    counts = sample_counts(state, shots, seed)
-    nonzero = np.nonzero(counts)[0]
-    return SampledHistogram(
-        {int(i): int(counts[i]) for i in nonzero},
-        total_shots=shots,
-        rng_seed=seed,
-    )
+# perfbench/tracer.py wraps ``state.sample`` by name; the name stays bound
+# until that list drops it. The counts array is the only sampling path.
+sample = sample_counts

@@ -176,12 +176,12 @@ def test_criterion_8_validate_fast_suite():
 
 def test_gate_count_report():
     """Not a pass/fail criterion: operation counts are reported, not asserted,
-    because the summation operator is applied as one dense gate."""
+    because the summation operator counts as one gate."""
     lines = []
     for n in (4, 6, 8):
         d = qftd_run(sample_catalog("cos2pix", n), shots=None)
         lines.append(f"n={n}: derivative {d.gate_count} ops")
     for n in (4, 6):
         i = qfti_run(sample_catalog("cos2pix", n), shots=None)
-        lines.append(f"n={n}: integral {i.gate_count} ops (dense summation = 1 op)")
+        lines.append(f"n={n}: integral {i.gate_count} ops (summation = 1 op)")
     print("\n[REPORT] gate counts: " + "; ".join(lines))

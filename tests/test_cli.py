@@ -94,10 +94,11 @@ class TestConfigValidation:
 
     def test_qubit_budgets(self):
         with pytest.raises(ConfigError, match="qubits"):
-            ExperimentConfig("qfti", "cos2pix", 9).validated()
+            ExperimentConfig("qfti", "cos2pix", 13).validated()
         with pytest.raises(ConfigError, match="qubits"):
             ExperimentConfig("qftd", "cos2pix", 17).validated()
         ExperimentConfig("qftd", "cos2pix", 16).validated()
+        ExperimentConfig("qfti", "cos2pix", 12).validated()
 
     def test_domain_order(self):
         with pytest.raises(ConfigError, match="domain"):
@@ -232,6 +233,13 @@ class TestCliExitCodes:
         assert cli.main(argv + ["--qubits", "17", "--output", str(tmp_path / "q17.csv")]) == 1
         assert "2..16 qubits" in capsys.readouterr().err
         assert not (tmp_path / "q17.csv").exists()
+
+    def test_qfti_cap_run(self, tmp_path, capsys):
+        argv = ["run", "--mode", "qfti", "--function", "cos2pix", "--shots", "exact"]
+        assert cli.main(argv + ["--qubits", "12", "--output", str(tmp_path / "q12.csv")]) == 0
+        assert cli.main(argv + ["--qubits", "13", "--output", str(tmp_path / "q13.csv")]) == 1
+        assert "2..12 qubits" in capsys.readouterr().err
+        assert not (tmp_path / "q13.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         config_path = tmp_path / "cfg.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qftcalc import psmpo
+from qftcalc import checks, psmpo, spectral
 from qftcalc.oracles import (
     CATALOG,
     central_difference_periodic,
@@ -17,6 +17,15 @@ from qftcalc.pipelines import (
     qftd_run,
     qfti_run,
     resolution,
+)
+from qftcalc.state import (
+    GateOp,
+    RegisterLayout,
+    amplitude_encode,
+    apply_gate,
+    apply_register_unitary,
+    exact_probabilities,
+    pauli_x,
 )
 
 
@@ -121,8 +130,64 @@ class TestQftiExact:
         n = 4
         f = sample_catalog("cos2pix", n)
         series = qfti_run(f, shots=None)
-        # X init + two transforms + n rotations + one dense summation gate.
+        # X init + two transforms + n rotations + one summation gate.
         assert series.gate_count == 2 * qft_gate_total(n) + n + 2
+
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_large_registers_equal_trapezoid_sums(self, n):
+        f = sample_catalog("cos2pix", n, (-1.0, 1.0))
+        series = qfti_run(f, shots=None)
+        oracle_sq = trapezoid_partial_sums(f.samples, f.dx) ** 2
+        tol = 1e-9 * (f.l2_norm * psmpo.build_block_encoding(n).eta * f.dx) ** 2
+        assert np.max(np.abs(series.value_sq - oracle_sq)) <= tol
+
+    def test_error_trend_up_to_the_cap(self):
+        slope, _ = checks.error_trend("qfti", range(3, 13))
+        assert abs(slope + 1.0) <= 0.3
+
+
+def unfused_exact_run(f, mode):
+    """Exact ``(value_sq, gate_count)`` by the route the pipelines took before.
+
+    The forward QFT acts on every ancilla branch, and the summation is the
+    dense ``U_H`` of ``block_encode_dimension`` applied as one register
+    unitary (one gate), not the one-branch transform and the matrix-free apply.
+    """
+    n = f.n_points.bit_length() - 1
+    names = ("a", "k") if mode == spectral.MODE_DERIVATIVE else ("a", "b", "c", "k")
+    layout = RegisterLayout(tuple((name, n if name == "k" else 1) for name in names))
+    state, l2 = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), layout)
+    schedule = spectral.angle_schedule(n, mode)
+    (a_qubit,) = layout.qubits("a")
+    if schedule.ancilla_init:
+        apply_gate(state, GateOp(pauli_x(), (a_qubit,)))
+    spectral.qft(state, "k")
+    spectral.wavenumber_rotation(state, schedule)
+    spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
+    if mode == spectral.MODE_DERIVATIVE:
+        prefix, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
+    else:
+        dense, eta = psmpo.block_encode_dimension(f.n_points)
+        operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
+        apply_register_unitary(state, dense, operand, control=(a_qubit, 1))
+        prefix, scale_sq = {"a": 1, "b": 0, "c": 1}, (l2 * eta * f.dx) ** 2
+    start = layout.index_for({**prefix, "k": 0})
+    psi_sq = exact_probabilities(state)[start : start + f.n_points]
+    return scale_sq * np.where(psi_sq > 1e-24, psi_sq, 0.0), state.gate_count
+
+
+class TestOneBranchForwardQft:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("mode", [spectral.MODE_DERIVATIVE, spectral.MODE_INTEGRAL])
+    def test_equals_unfused_route(self, name, n, mode):
+        f = sample_catalog(name, n)
+        run = qftd_run if mode == spectral.MODE_DERIVATIVE else qfti_run
+        series = run(f, shots=None)
+        value_sq, gate_count = unfused_exact_run(f, mode)
+        assert np.max(np.abs(series.value_sq - value_sq)) <= 1e-12 * np.max(value_sq)
+        assert series.gate_count == gate_count
 
 
 class TestSampledMode:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qftcalc import psmpo
 from qftcalc.psmpo import (
     PartialSumMatrix,
     apply_partial_sum,
@@ -12,7 +14,7 @@ from qftcalc.psmpo import (
     spectral_norm,
     summation_svd,
 )
-from qftcalc.state import RegisterLayout, Statevector
+from qftcalc.state import RegisterLayout, Statevector, apply_register_unitary
 
 from conftest import random_state_vector
 
@@ -89,8 +91,9 @@ class TestBlockEncoding:
         enc = build_block_encoding(n_k)
         N = enc.dimension
         dim = 4 * N
-        assert np.max(np.abs(enc.unitary.T @ enc.unitary - np.eye(dim))) <= 1e-10
-        assert np.max(np.abs(enc.unitary[: 2 * N, : 2 * N] - hermitian_embedding(N) / enc.eta)) <= 1e-10
+        unitary = enc.unitary
+        assert np.max(np.abs(unitary.T @ unitary - np.eye(dim))) <= 1e-10
+        assert np.max(np.abs(unitary[: 2 * N, : 2 * N] - hermitian_embedding(N) / enc.eta)) <= 1e-10
         expected_eta = np.linalg.svd(PartialSumMatrix(N).dense(), compute_uv=False)[0]
         assert abs(enc.eta - expected_eta) <= 1e-10
 
@@ -110,12 +113,81 @@ class TestBlockEncoding:
         with pytest.raises(ValueError):
             build_block_encoding(0)
         with pytest.raises(ValueError):
-            build_block_encoding(9)
+            build_block_encoding(13)
 
     def test_unitary_is_frozen(self):
         enc = build_block_encoding(2)
         with pytest.raises(ValueError):
             enc.unitary[0, 0] = 5.0
+
+
+class TestMatrixFree:
+    """The matrix-free apply against the dense oracle ``block_encode_dimension``."""
+
+    @pytest.mark.parametrize("n_k", [1, 2, 3, 4, 5, 6])
+    def test_apply_equals_dense(self, n_k, rng):
+        enc = build_block_encoding(n_k)
+        N = enc.dimension
+        dense, _ = block_encode_dimension(N)
+        # A batch of three operands with all four (b, c) blocks set.
+        x = rng.normal(size=(3, 4 * N)) + 1j * rng.normal(size=(3, 4 * N))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        got = enc.apply(x.reshape(3, 2, 2, N)).reshape(3, 4 * N)
+        assert np.max(np.abs(got - x @ dense.T)) <= 1e-12
+
+    @pytest.mark.parametrize("n_k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "registers",
+        [("f", "g", "b", "c", "k"), ("c", "g", "k", "f", "b")],
+        ids=["free-above-control", "scrambled"],
+    )
+    def test_partial_sum_equals_dense_gate(self, n_k, registers, rng):
+        # "g" is the control qubit, "f" a free qubit; b = c = 0 everywhere.
+        layout = RegisterLayout(tuple((name, n_k if name == "k" else 1) for name in registers))
+        n = n_k + 4
+        amps = random_state_vector(n, rng)
+        index = np.arange(1 << n)
+        for name in ("b", "c"):
+            amps[layout.value_of(index, name) == 1] = 0.0
+        state = Statevector(n, amps, layout)
+        expected = state.copy()
+        (g_qubit,) = layout.qubits("g")
+        control = (g_qubit, 1)
+        apply_partial_sum(state, build_block_encoding(n_k), control=control)
+        operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
+        apply_register_unitary(expected, block_encode_dimension(1 << n_k)[0], operand, control=control)
+        assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
+        assert state.gate_count == expected.gate_count == 1
+        off = layout.value_of(index, "g") == 0
+        assert np.array_equal(state.amplitudes[off], amps[off])
+
+    @pytest.mark.parametrize("n_k, k", [(1, 0), (3, 0), (3, 5), (6, 63), (12, 2048)])
+    def test_build_rejects_corrupted_weight(self, n_k, k, monkeypatch):
+        weights = psmpo._completion_weights
+
+        def corrupted(N, eta):
+            g = weights(N, eta)
+            g[k] += 1e-3
+            return g
+
+        monkeypatch.setattr(psmpo, "_memo", {})
+        monkeypatch.setattr(psmpo, "_completion_weights", corrupted)
+        with pytest.raises(RuntimeError, match="involution"):
+            build_block_encoding(n_k)
+
+    def test_materialised_imaginary_part_rejected(self):
+        enc = build_block_encoding(2)
+        with pytest.raises(RuntimeError, match="imaginary"):
+            dataclasses.replace(enc, weights=enc.weights * (1 + 1e-6j)).unitary
+
+    def test_control_inside_operand_rejected(self, rng):
+        enc = build_block_encoding(2)
+        state, layout = qfti_state(2, random_state_vector(2, rng))
+        before = state.amplitudes.copy()
+        for qubit in (layout.qubits("b")[0], layout.qubits("k")[0], state.n_qubits):
+            with pytest.raises(ValueError, match="control qubit"):
+                apply_partial_sum(state, enc, control=(qubit, 1))
+        assert np.array_equal(state.amplitudes, before)
 
 
 class TestApplyPartialSum:
