@@ -66,6 +66,16 @@ class ExperimentConfig:
             raise ConfigError("seed", f"seed must be >= 0, got {self.seed}")
         if self.domain is not None and not (np.all(np.isfinite(self.domain)) and self.domain[1] > self.domain[0]):
             raise ConfigError("domain", f"domain {self.domain} must be finite with min below max")
+        for field, path in (("function", self.function), ("output", self.output), ("plot", self.plot)):
+            if path is not None and "\x00" in path:
+                raise ConfigError(field, f"path {path!r} holds a NUL character")
+        for field, path in (("output", self.output), ("plot", self.plot)):
+            if path is not None and not Path(path).name:
+                raise ConfigError(field, f"path {path!r} names no file")
+        if self.output is not None and self.plot is not None:
+            results = (os.path.abspath(self.output), os.path.abspath(metrics_path_for(self.output)))
+            if os.path.abspath(self.plot) in results:
+                raise ConfigError("plot", f"plot {self.plot!r} would overwrite a result file")
         limit = QFTD_MAX_QUBITS if self.mode == "qftd" else QFTI_MAX_QUBITS
         if self.n_qubits is not None and not 2 <= self.n_qubits <= limit:
             raise ConfigError("qubits", f"{self.mode} supports 2..{limit} qubits")

@@ -148,10 +148,14 @@ class BlockEncoding:
     def unitary(self) -> np.ndarray:
         """``U_H`` as a read-only real 4N x 4N matrix, built column by column by :meth:`apply`.
 
-        For tests and the validation suite; the pipeline never builds it.
+        For tests and the validation suite; the pipeline never builds it. The
+        columns go through :meth:`apply` N at a time, one (b, c) block each,
+        which bounds the FFT work arrays at a quarter of a single batch.
         """
-        dim = 4 * self.dimension
-        matrix = self.apply(np.eye(dim).reshape(dim, 2, 2, self.dimension)).reshape(dim, dim).T
+        N = self.dimension
+        dim = 4 * N
+        blocks = [self.apply(np.eye(N, dim, b * N).reshape(N, 2, 2, N)).reshape(N, dim) for b in range(4)]
+        matrix = np.concatenate(blocks).T
         imaginary = float(np.max(np.abs(matrix.imag)))
         if imaginary > BLOCK_TOL:
             raise RuntimeError(f"materialised U_H has an imaginary part of {imaginary:.3e}")

@@ -20,9 +20,12 @@ The rotation cascade scales the spectrum element-wise: with the ancilla
 initialized to ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)``
 (derivative mode); initialized to ``|1>`` the ``|1>`` branch keeps
 ``cos(2 pi k / N)`` (integral mode). The n controlled rotations commute, so
-they are applied as one Rx per value of k, selected by the k register.
-Rotation angles are kept as exact dyadic multiples of pi and converted to
-radians only at gate application time.
+they amount to one Rx per value of k, ``[[c, -is], [-is, c]]`` with real
+``c`` and ``s``. The simulator updates the ancilla's two branches in place
+with that real arithmetic, broadcast over the k axis; the gate-by-gate
+cascade stays as the oracle the tests replay. Rotation angles are kept as
+exact dyadic multiples of pi and converted to radians only at gate
+application time.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .state import (
-    Statevector,
-    _branch,
-    apply_uniformly_controlled,
-    hadamard,
-    phase_gate,
-    swap_gate,
-)
+from .state import UNITARY_TOL, Statevector, _branch, hadamard, phase_gate, swap_gate
 
 __all__ = [
     "ANCILLA_BASIS_TOL",
@@ -185,7 +181,22 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
         )
     phi = _rotation_turns(schedule) * math.pi
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    apply_uniformly_controlled(state, np.array([[c, -1j * s], [-1j * s, c]]), a_qubit, k_qubits)
+    # Block k is [[c, -is], [-is, c]] with real c and s: U†U - I is diagonal.
+    defect = float(np.max(np.abs(c * c + s * s - 1.0)))
+    if defect > UNITARY_TOL:
+        raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
+    # a is the most significant qubit and k is contiguous, so this is a view.
+    c, s = c[:, None], s[:, None]
+    a0, a1 = state.amplitudes.reshape(2, -1, 1 << schedule.n, 1 << k_qubits[0])
+    s0, s1 = s * a0, s * a1
+    a0 *= c
+    a1 *= c
+    # o0 = c a0 - i s a1 and o1 = c a1 - i s a0, in real arithmetic.
+    a0.real += s1.imag
+    a0.imag -= s1.real
+    a1.real += s0.imag
+    a1.imag -= s0.real
+    state.gate_count += schedule.n
     return state
 
 

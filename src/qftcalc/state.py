@@ -13,13 +13,10 @@ axis is fixed to its polarity (a view, not a copy), and the payload is
 contracted with the target axes in place. The full ``2^n x 2^n`` embedding is
 never built here (tests rebuild it as an oracle).
 
-A one-target payload may also be *uniformly controlled*: a stack of 2x2
-blocks indexed by the basis value of a set of selector qubits, broadcast over
-the selector axes of the view (:func:`apply_uniformly_controlled`). One such
-call replaces a run of commuting singly-controlled gates, e.g. the
-wavenumber rotation's controlled-Rx cascade, and counts as one primitive gate
-per selector. Register transforms do not go through the kernel: the QFT is
-one FFT over the register axis (:func:`qftcalc.spectral.qft`).
+The pipeline's register-wide steps do not go through the kernel: the QFT is
+one FFT over the register axis (:func:`qftcalc.spectral.qft`), and the
+controlled-Rx cascade is one in-place update of the ancilla's two branches
+(:func:`qftcalc.spectral.wavenumber_rotation`).
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ __all__ = [
     "amplitude_encode",
     "apply_gate",
     "apply_register_unitary",
-    "apply_uniformly_controlled",
     "exact_probabilities",
     "sample_counts",
     "sample_l2_norm",
@@ -199,23 +195,10 @@ class GateOp:
 
 
 def _check_unitary(matrix: np.ndarray) -> None:
-    """Reject a payload, or a ``(2, 2, B)`` stack of 2x2 blocks, that is not unitary."""
-    if matrix.ndim == 2:
-        defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-    else:
-        # U†U - I entry by entry, one array per entry: far cheaper than B tiny matmuls.
-        (a, b), (c, d) = matrix
-        defect = max(
-            np.max(np.abs(_abs2(a) + _abs2(c) - 1.0)),
-            np.max(np.abs(_abs2(b) + _abs2(d) - 1.0)),
-            np.max(np.abs(a.conj() * b + c.conj() * d)),
-        )
+    """Reject a payload that is not unitary."""
+    defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
     if defect > UNITARY_TOL:
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
 
 
 def sample_l2_norm(samples: np.ndarray) -> float:
@@ -253,8 +236,10 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[
     l2 = sample_l2_norm(samples)
     if l2 == 0.0:
         raise ValueError("all-zero input: amplitude encoding undefined")
-    state = Statevector(layout.n_qubits, samples / l2 + 0j, layout)
-    return state, l2
+    amplitudes = np.empty(n, dtype=complex)
+    np.divide(samples, l2, out=amplitudes.real)
+    amplitudes.imag = 0.0
+    return Statevector(layout.n_qubits, amplitudes, layout), l2
 
 
 def apply_gate(state: Statevector, op: GateOp) -> Statevector:
@@ -286,35 +271,6 @@ def apply_register_unitary(
     return state
 
 
-def apply_uniformly_controlled(
-    state: Statevector,
-    blocks: np.ndarray,
-    target: int,
-    selectors: Sequence[int],
-    controls: tuple[tuple[int, int], ...] = (),
-) -> Statevector:
-    """Apply one 2x2 block per basis value of the selector qubits, in place.
-
-    ``blocks`` has shape ``(2, 2, 2^len(selectors))``: block ``j`` acts on
-    ``target`` wherever the ``selectors`` (least significant first) read
-    ``j`` and every control holds its polarity. The call stands for a run of
-    commuting gates on ``target``, one singly-controlled gate per selector
-    (a QFT stage's phase ladder, the controlled-Rx cascade), and advances
-    ``gate_count`` by ``len(selectors)``.
-    """
-    blocks = np.asarray(blocks, dtype=complex)
-    selectors = tuple(selectors)
-    if not selectors or blocks.shape != (2, 2, 1 << len(selectors)):
-        raise ValueError(
-            f"blocks of shape {blocks.shape} do not match {len(selectors)} selector qubits"
-        )
-    touched = [target, *selectors, *(q for q, _ in controls)]
-    if len(touched) != len(set(touched)):
-        raise ValueError(f"target/selector/control qubit collision in {touched}")
-    _apply_controlled(state, blocks, (target,), controls, selectors)
-    return state
-
-
 def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
     """View of the amplitudes where each (qubit, bit) pair in ``fixed`` holds.
 
@@ -330,41 +286,20 @@ def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
     return state.amplitudes.reshape((2,) * n)[(*index, ...)]
 
 
-def _selector_blocks(blocks: np.ndarray, selectors: tuple[int, ...], free: list[int]) -> np.ndarray:
-    """Reshape ``(2, 2, 2^s)`` blocks to broadcast over a view whose axes are ``free``.
-
-    Bit ``p`` of the block index is selector ``p``, so after the reshape to
-    ``(2, 2) + (2,) * s`` selector ``p`` is axis ``2 + s - 1 - p``. Those axes
-    are put in the view's (descending-qubit) order and every other free axis
-    gets length 1.
-    """
-    s = len(selectors)
-    by_view_order = sorted(range(s), key=lambda p: -selectors[p])
-    blocks = blocks.reshape((2, 2) + (2,) * s).transpose(0, 1, *(2 + s - 1 - p for p in by_view_order))
-    return blocks.reshape((2, 2) + tuple(2 if q in selectors else 1 for q in free))
-
-
 def _apply_controlled(
     state: Statevector,
     matrix: np.ndarray,
     targets: tuple[int, ...],
     controls: tuple[tuple[int, int], ...],
-    selectors: tuple[int, ...] = (),
 ) -> None:
-    """Check, then apply ``matrix`` in place where every control holds its polarity.
-
-    With ``selectors`` the one-target payload is uniformly controlled: see
-    :func:`apply_uniformly_controlled`.
-    """
+    """Check, then apply ``matrix`` in place where every control holds its polarity."""
     _check_unitary(matrix)
     control_qubits = [q for q, _ in controls]
-    for q in (*targets, *control_qubits, *selectors):
+    for q in (*targets, *control_qubits):
         if not 0 <= q < state.n_qubits:
             raise ValueError(f"qubit index {q} out of range for {state.n_qubits} qubits")
     free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in control_qubits]
     if len(targets) == 1:
-        if selectors:
-            matrix = _selector_blocks(matrix, selectors, [q for q in free if q != targets[0]])
         a0 = _branch(state, (*controls, (targets[0], 0)))
         a1 = _branch(state, (*controls, (targets[0], 1)))
         # Explicit row combination: a 2x2 matmul would round differently.
@@ -377,7 +312,7 @@ def _apply_controlled(
         # i.e. the last of the leading axes after the move.
         view = np.moveaxis(_branch(state, controls), axes[::-1], range(len(axes)))
         view[...] = (matrix @ view.reshape(1 << len(axes), -1)).reshape(view.shape)
-    state.gate_count += max(1, len(selectors))
+    state.gate_count += 1
 
 
 def exact_probabilities(state: Statevector) -> np.ndarray:

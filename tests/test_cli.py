@@ -295,8 +295,10 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "field",
         [{"qubits": "6"}, {"qubits": True}, {"seed": "1"}, {"domain": ["a", 1]},
-         {"domain": [0, float("inf")]}, {"shots": [10]}, {"output": None}],
-        ids=["qubits-str", "qubits-bool", "seed-str", "domain-str", "domain-inf", "shots-list", "output-null"],
+         {"domain": [0, float("inf")]}, {"shots": [10]}, {"output": None}, {"output": ""},
+         {"output": "o\x00.csv"}, {"function": "grid\x00.csv"}],
+        ids=["qubits-str", "qubits-bool", "seed-str", "domain-str", "domain-inf", "shots-list", "output-null",
+             "output-empty", "output-nul", "function-nul"],
     )
     def test_config_file_bad_value_is_one(self, field, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -306,6 +308,15 @@ class TestCliExitCodes:
         assert cli.main(["run", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plot", ["o.csv", "o.metrics.json"])
+    def test_plot_over_a_result_file_is_one(self, plot, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--qubits", "4",
+                "--output", str(out), "--plot", str(tmp_path / plot)]
+        assert cli.main(argv) == 1
+        assert "overwrite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

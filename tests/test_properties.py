@@ -5,13 +5,21 @@ stays reproducible; inputs whose recovery scale under- or overflows are left
 to the CLI tests.
 """
 
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qftcalc import psmpo, spectral
-from qftcalc.oracles import central_difference_periodic, trapezoid_partial_sums
+from qftcalc import cli, psmpo, spectral
+from qftcalc.oracles import CATALOG, central_difference_periodic, trapezoid_partial_sums
 from qftcalc.pipelines import SampledFunction, qftd_run, qfti_run
 from qftcalc.state import NORM_TOL, GateOp, RegisterLayout, amplitude_encode, apply_gate, pauli_x
 
@@ -68,3 +76,86 @@ def test_norm_preserved_after_each_stage(f, mode):
     for stage in stages:
         stage()
         assert abs(state.norm() - 1.0) <= NORM_TOL
+
+
+# Config-file fuzzing over every ExperimentConfig field. Any JSON value may
+# stand in for a field (NaN and Infinity included: Python's json reads them).
+# Free text uses an alphabet without "/" so that every path stays inside the
+# temporary directory the run works in; valid qubit counts stay below the caps
+# so that an accepted config runs in milliseconds (the cap runs are CLI tests).
+FUZZ_TEXT = st.text(alphabet="xyz.-_ \x00", max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | FUZZ_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FUZZ_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+FILE_NAMES = st.sampled_from(["o.csv", "o", "", ".", "..", "missing/o.csv", "o\x00.csv"])
+# Per field: values that pass validation, and values that probe it.
+CONFIG_FIELDS = {
+    "mode": (st.sampled_from(["qftd", "qfti"]), FUZZ_TEXT),
+    "function": (
+        st.sampled_from(sorted(CATALOG) + ["grid.csv"]),
+        st.sampled_from(["nan.csv", "missing.csv", "."]) | FUZZ_TEXT,
+    ),
+    "qubits": (st.integers(2, 8), st.integers(-1, 1) | st.sampled_from([13, 17, 2**63])),
+    "domain": (
+        st.tuples(st.floats(-4, 4), st.floats(0.1, 4)).map(lambda d: [d[0], d[0] + d[1]]),
+        st.lists(st.floats() | st.integers(-3, 3), max_size=3),
+    ),
+    "shots": (
+        st.sampled_from(["exact", "1e4", 1e4]) | st.integers(1, 10**5),
+        st.sampled_from(["many", "-1", 0, 2**63, 1e30]),
+    ),
+    "seed": (st.integers(0, 2**70), st.integers(-(2**70), -1)),
+    "output": (st.just("o.csv"), FILE_NAMES),
+    "plot": (st.just("o.svg"), FILE_NAMES),
+    "scale": (st.sampled_from(["linear", "semilog"]), FUZZ_TEXT),
+}
+
+
+@st.composite
+def config_files(draw):
+    # A valid config with up to three fields dropped, swapped for a probe
+    # or swapped for any JSON value, and sometimes an unknown key.
+    config = {key: draw(valid) for key, (valid, _) in CONFIG_FIELDS.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=3, unique=True)):
+        change = draw(st.sampled_from(["probe", "json", "drop"]))
+        if change == "drop":
+            del config[key]
+        else:
+            config[key] = draw(CONFIG_FIELDS[key][1] if change == "probe" else JSON_VALUES)
+    if draw(st.integers(0, 4)) == 4:
+        config[draw(FUZZ_TEXT.filter(lambda key: key not in CONFIG_FIELDS))] = draw(JSON_VALUES)
+    return config
+
+
+def finite_json_constant(token):
+    raise AssertionError(f"non-standard JSON constant {token}")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(config_files())
+def test_fuzzed_config_file_exits_cleanly(config):
+    # ``main`` must turn every config into exit 0, 1 or 2 with a one-line
+    # message, and never leave a non-finite value in a result file.
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            x = [j / 8 for j in range(8)]
+            Path("grid.csv").write_text("".join(f"{v!r},{math.sin(v)!r}\n" for v in x))
+            Path("nan.csv").write_text("".join(f"{v!r},{'nan' if j == 3 else 1.0}\n" for j, v in enumerate(x)))
+            Path("cfg.json").write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config", "cfg.json"])
+            assert code in (0, 1, 2)
+            assert code == 0 or len(err.getvalue().splitlines()) == 1
+            for path in Path(".").iterdir():
+                if path.name.endswith(".metrics.json"):
+                    json.loads(path.read_text(), parse_constant=finite_json_constant)
+                elif path.name not in ("grid.csv", "nan.csv", "cfg.json") and path.suffix == ".csv":
+                    cells = [row.split(",") for row in path.read_text().splitlines()[1:]]
+                    assert np.all(np.isfinite(np.array(cells, dtype=float)))
+        finally:
+            os.chdir(home)

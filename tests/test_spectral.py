@@ -192,6 +192,18 @@ class TestAngleSchedule:
             angle_schedule(3, "antiderivative")
 
 
+def check_against_cascade(state, schedule):
+    """``wavenumber_rotation`` within 1e-13 of a gate-by-gate controlled-Rx replay, with equal gate counts."""
+    layout = state.layout
+    cascade = state.copy()
+    wavenumber_rotation(state, schedule)
+    (a_qubit,) = layout.qubits("a")
+    for p, angle in enumerate(schedule.angles_in_radians()):
+        apply_gate(cascade, GateOp(rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),)))
+    assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
+    assert state.gate_count == cascade.gate_count == schedule.n
+
+
 class TestWavenumberRotation:
     def test_k0_derivative_success_amplitude_vanishes(self):
         n = 3
@@ -236,14 +248,29 @@ class TestWavenumberRotation:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_fused_matches_gate_cascade(self, mode, n, rng):
         schedule = angle_schedule(n, mode)
-        state, layout = ak_state(n, random_state_vector(n, rng), ancilla_bit=schedule.ancilla_init)
-        cascade = state.copy()
-        wavenumber_rotation(state, schedule)
-        (a_qubit,) = layout.qubits("a")
-        for p, angle in enumerate(schedule.angles_in_radians()):
-            apply_gate(cascade, GateOp(rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),)))
-        assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
-        assert state.gate_count == cascade.gate_count == n
+        state, _ = ak_state(n, random_state_vector(n, rng), ancilla_bit=schedule.ancilla_init)
+        check_against_cascade(state, schedule)
+
+    @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
+    @pytest.mark.parametrize(
+        "registers",
+        [
+            (("a", 1), ("k", 4), ("b", 1)),
+            (("a", 1), ("y", 2), ("k", 3), ("x", 2)),
+            (("a", 1), ("b", 1), ("c", 1), ("k", 5)),
+        ],
+        ids=["k-above-b", "k-between-y-x", "qfti-abck"],
+    )
+    def test_matches_gate_cascade_on_other_layouts(self, registers, mode, rng):
+        # Every register other than a carries amplitude, so the update has to
+        # broadcast over the qubits above and below k.
+        layout = RegisterLayout(registers)
+        width, n = layout.n_qubits, layout.width("k")
+        schedule = angle_schedule(n, mode)
+        amps = np.zeros(1 << width, dtype=complex)
+        half = 1 << (width - 1)
+        amps[schedule.ancilla_init * half :][:half] = random_state_vector(width - 1, rng)
+        check_against_cascade(Statevector(width, amps, layout), schedule)
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize("n", [2, 4, 6])

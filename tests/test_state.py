@@ -11,7 +11,6 @@ from qftcalc.state import (
     amplitude_encode,
     apply_gate,
     apply_register_unitary,
-    apply_uniformly_controlled,
     exact_probabilities,
     pauli_x,
     phase_gate,
@@ -124,6 +123,23 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(state, GateOp(pauli_x(), (5,)))
 
+    def test_diagonal_payload_matches_row_combination(self, rng):
+        # A diagonal payload goes through the same explicit
+        # m00*a0 + m01*a1 row combination as any other 2x2 payload.
+        n_qubits = 5
+        amps = random_state_vector(n_qubits, rng)
+        for payload in (phase_gate(0.7), np.diag(np.exp([0.3j, -1.1j]))):
+            for target in range(n_qubits):
+                state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+                apply_gate(state, GateOp(payload, (target,)))
+                expected = amps.copy()
+                view = expected.reshape(-1, 2, 1 << target)
+                a0, a1 = view[:, 0], view[:, 1]
+                out0 = payload[0, 0] * a0 + payload[0, 1] * a1
+                out1 = payload[1, 0] * a0 + payload[1, 1] * a1
+                a0[...], a1[...] = out0, out1
+                assert np.array_equal(state.amplitudes, expected)
+
 
 class TestRegisterUnitary:
     def test_identity_leaves_state(self, rng):
@@ -214,92 +230,6 @@ class TestEmbeddingEquivalence:
             controls = ((others[0], int(rng.integers(2))),) if rng.random() < 0.5 else ()
             apply_gate(state, GateOp(payload, (target,), controls))
         assert abs(state.norm() - 1.0) <= 1e-12
-
-
-def embed_uniformly_controlled(n_qubits, blocks, target, selectors, controls=()):
-    """Full matrix of a uniformly controlled gate: one embedded gate per selector value.
-
-    Block ``j`` is embedded with the selectors as extra polarity controls that
-    read ``j``; the embedded gates act on disjoint subspaces, so their product
-    is the whole gate.
-    """
-    full = np.eye(1 << n_qubits, dtype=complex)
-    for j in range(blocks.shape[2]):
-        pattern = tuple((q, (j >> p) & 1) for p, q in enumerate(selectors))
-        full = embed_full(n_qubits, blocks[:, :, j], (target,), (*controls, *pattern)) @ full
-    return full
-
-
-class TestUniformlyControlled:
-    """The uniformly controlled 2x2 payload against an element-wise full matrix."""
-
-    @pytest.mark.parametrize("n_qubits", [3, 4, 5])
-    def test_against_full_matrix(self, n_qubits, rng):
-        for _ in range(8):
-            amps = random_state_vector(n_qubits, rng)
-            order = [int(q) for q in rng.permutation(n_qubits)]
-            n_selectors = int(rng.integers(1, n_qubits))
-            target, selectors = order[0], tuple(order[1 : 1 + n_selectors])
-            rest = order[1 + n_selectors :]
-            controls = ((rest[0], int(rng.integers(2))),) if rest and rng.random() < 0.5 else ()
-            blocks = np.stack([random_unitary(2, rng) for _ in range(1 << n_selectors)], axis=2)
-            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
-            apply_uniformly_controlled(state, blocks, target, selectors, controls)
-            expected = embed_uniformly_controlled(n_qubits, blocks, target, selectors, controls) @ amps
-            assert_allclose(state.amplitudes, expected, atol=1e-12)
-            assert state.gate_count == n_selectors
-
-    @pytest.mark.parametrize("n_qubits", [3, 4])
-    def test_diagonal_blocks_against_full_matrix(self, n_qubits, rng):
-        for _ in range(6):
-            amps = random_state_vector(n_qubits, rng)
-            target, *selectors = [int(q) for q in rng.permutation(n_qubits)]
-            blocks = np.zeros((2, 2, 1 << len(selectors)), dtype=complex)
-            blocks[0, 0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=blocks.shape[2]))
-            blocks[1, 1] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=blocks.shape[2]))
-            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
-            apply_uniformly_controlled(state, blocks, target, selectors)
-            expected = embed_uniformly_controlled(n_qubits, blocks, target, selectors) @ amps
-            assert_allclose(state.amplitudes, expected, atol=1e-12)
-
-    def test_diagonal_fast_path_matches_row_combination(self, rng):
-        # A diagonal payload goes through the same explicit
-        # m00*a0 + m01*a1 row combination as any other 2x2 payload.
-        n_qubits = 5
-        amps = random_state_vector(n_qubits, rng)
-        for payload in (phase_gate(0.7), np.diag(np.exp([0.3j, -1.1j]))):
-            for target in range(n_qubits):
-                state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
-                apply_gate(state, GateOp(payload, (target,)))
-                expected = amps.copy()
-                view = expected.reshape(-1, 2, 1 << target)
-                a0, a1 = view[:, 0], view[:, 1]
-                out0 = payload[0, 0] * a0 + payload[0, 1] * a1
-                out1 = payload[1, 0] * a0 + payload[1, 1] * a1
-                a0[...], a1[...] = out0, out1
-                assert np.array_equal(state.amplitudes, expected)
-
-    def test_rejects_a_non_unitary_block(self, rng):
-        state = Statevector(3, random_state_vector(3, rng), RegisterLayout((("k", 3),)))
-        blocks = np.stack([random_unitary(2, rng) for _ in range(4)], axis=2)
-        blocks[:, :, 2] *= 1.1
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_uniformly_controlled(state, blocks, 0, (1, 2))
-        assert state.gate_count == 0
-
-    def test_rejects_bad_shape_and_collisions(self, rng):
-        state = Statevector(3, random_state_vector(3, rng), RegisterLayout((("k", 3),)))
-        blocks = np.stack([np.eye(2)] * 4, axis=2)
-        with pytest.raises(ValueError, match="selector"):
-            apply_uniformly_controlled(state, blocks, 0, (1,))
-        with pytest.raises(ValueError, match="selector"):
-            apply_uniformly_controlled(state, np.eye(2)[:, :, None], 0, ())
-        with pytest.raises(ValueError, match="collision"):
-            apply_uniformly_controlled(state, blocks, 0, (0, 1))
-        with pytest.raises(ValueError, match="collision"):
-            apply_uniformly_controlled(state, blocks, 0, (1, 2), ((2, 1),))
-        with pytest.raises(ValueError, match="out of range"):
-            apply_uniformly_controlled(state, blocks, 0, (1, 3))
 
 
 class TestReverseQubits:
