@@ -253,7 +253,7 @@ def check_resolution_fig5() -> CheckResult:
 def check_sampled_r2(
     preset: str, minimum: float, coverage_target: float | None = None
 ) -> CheckResult:
-    config = experiments.preset_config(preset)
+    config = experiments.RUN_PRESETS[preset]
     series, metrics = experiments.run_experiment(config)
     ok = metrics["r_squared"] is not None and metrics["r_squared"] >= minimum
     detail = f"R2 {metrics['r_squared']:.4f} (floor {minimum})"

@@ -1,19 +1,19 @@
 """Command-line experiment runner.
 
-Subcommands: ``run`` (one experiment), ``sweep`` (a family of experiments over
-qubit counts), ``presets`` (list built-in configurations), ``validate`` (self
-checks). Exit codes: 0 success, 1 configuration error, 2 I/O error,
-3 validation failure.
+Subcommands: ``run`` (one experiment), ``sweep`` (one run per qubit count),
+``presets`` (list built-in configurations), ``validate`` (self checks). ``run``
+and ``sweep`` merge defaults < preset < ``--config`` JSON file < explicit
+flags. A sweep config file may list its ``qubits``; a repeated count, an
+``output``/``plot``/``scale`` key and a run preset are configuration errors
+there, and every run's input is checked before a sweep writes anything.
+Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import checks, experiments
@@ -41,10 +41,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, qubits_nargs=None) -> Non
     parser.add_argument("--config", help="JSON file with configuration fields")
     parser.add_argument("--mode", choices=("qftd", "qfti"))
     parser.add_argument("--function", help="catalog id or path to an x,f CSV")
-    if qubits_nargs is None:
-        parser.add_argument("--qubits", type=int)
-    else:
-        parser.add_argument("--qubits", type=int, nargs="+")
+    parser.add_argument("--qubits", type=int, nargs=qubits_nargs)
     parser.add_argument("--domain", type=float, nargs=2, metavar=("MIN", "MAX"))
     parser.add_argument("--shots", help="shot count or 'exact'")
     parser.add_argument("--seed", type=int)
@@ -63,7 +60,6 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="run a family of experiments over qubit counts")
     _add_config_flags(sweep, qubits_nargs="+")
     sweep.add_argument("--output-dir", required=True, help="directory for per-run results")
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     sub.add_parser("presets", help="list built-in preset configurations")
 
@@ -99,32 +95,60 @@ def _load_config_file(path: str) -> dict:
 
 
 _NULL = type(None)
-# Accepted JSON value types per config-file key (_NULL is JSON null).
+# Accepted JSON value types per config-file key (_NULL is JSON null). A sweep
+# also takes a list of qubit counts, and none of the run-only keys.
 _CONFIG_TYPES = {
     "mode": str, "function": str, "qubits": (int, _NULL), "domain": (list, _NULL),
     "shots": (int, float, str, _NULL), "seed": int, "output": str, "plot": (str, _NULL),
     "scale": str,
 }
+_RUN_ONLY = ("output", "plot", "scale")
 
 
-def _merge_run_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults < preset < config file < explicit flags."""
+def _presets(command: str) -> dict[str, tuple[ExperimentConfig, int | list[int]]]:
+    """A subcommand's presets: name -> (config, qubit count or sweep counts)."""
+    if command == "run":
+        return {name: (config, config.n_qubits) for name, config in RUN_PRESETS.items()}
+    return {name: (config, list(qubits)) for name, (config, qubits) in SWEEP_PRESETS.items()}
+
+
+def _preset_values(name: str, command: str) -> dict:
+    """The fields of a subcommand's preset, keyed as in a config file."""
+    other = "sweep" if command == "run" else "run"
+    if name in _presets(other):
+        raise ConfigError("preset", f"{name} is a {other} preset; use the {other} subcommand")
+    presets = _presets(command)
+    if name not in presets:
+        raise ConfigError("preset", f"unknown {command} preset {name!r} (have {sorted(presets)})")
+    config, qubits = presets[name]
+    values = dict(mode=config.mode, function=config.function, qubits=qubits, domain=config.domain,
+                  shots=config.shots, seed=config.seed)
+    if command == "run":
+        values.update(scale=config.scale, output=f"{name}.csv")
+    return values
+
+
+def _merge_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
+    """Defaults < preset < config file < explicit flags, for run and sweep.
+
+    ``run`` gets one config. ``sweep`` gets the merged base expanded over its
+    qubit counts by ``experiments.sweep_configs``. Every config is validated.
+    """
+    sweep = args.command == "sweep"
     merged: dict = {}
     if args.preset:
-        base = experiments.preset_config(args.preset)
-        merged.update(
-            mode=base.mode, function=base.function, qubits=base.n_qubits,
-            domain=base.domain, shots=base.shots, seed=base.seed, scale=base.scale,
-        )
-        merged["output"] = f"{args.preset}.csv"
+        merged.update(_preset_values(args.preset, args.command))
     if args.config:
         file_values = _load_config_file(args.config)
         unknown = set(file_values) - set(_CONFIG_TYPES)
         if unknown:
             raise ConfigError("config", f"unknown config keys {sorted(unknown)}")
         for key, value in file_values.items():
+            if sweep and key in _RUN_ONLY:
+                raise ConfigError(key, f"sweep takes no {key}; it writes each run's results under --output-dir")
+            types = (int, list) if sweep and key == "qubits" else _CONFIG_TYPES[key]
             # bool is an int subclass in Python but a distinct JSON type.
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+            if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(key, f"config file value {value!r} has the wrong type")
         merged.update(file_values)
     for key in _CONFIG_TYPES:
@@ -140,21 +164,32 @@ def _merge_run_config(args: argparse.Namespace) -> ExperimentConfig:
         if len(domain) != 2 or not all(isinstance(v, (int, float)) for v in domain):
             raise ConfigError("domain", f"domain takes exactly two numbers MIN MAX, got {domain!r}")
         domain = (float(domain[0]), float(domain[1]))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         mode=merged["mode"],
         function=str(merged["function"]),
-        n_qubits=merged.get("qubits"),
+        n_qubits=None if sweep else merged.get("qubits"),
         domain=domain,
         shots=_parse_shots(merged.get("shots", "exact")),
         seed=int(merged.get("seed", 0)),
         output=merged.get("output", "result.csv"),
         plot=merged.get("plot"),
         scale=merged.get("scale", "linear"),
-    ).validated()
+    )
+    if not sweep:
+        return [config.validated()]
+    counts = merged.get("qubits")
+    counts = [counts] if isinstance(counts, int) else counts
+    if not counts:
+        raise ConfigError("qubits", "sweep needs qubit counts (--qubits N [N ...] or a config 'qubits' list)")
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in counts):
+        raise ConfigError("qubits", f"sweep qubit counts must be integers, got {counts!r}")
+    if len(set(counts)) != len(counts):
+        raise ConfigError("qubits", f"qubit counts {counts} repeat; each run's files are named by its count")
+    return [c.validated() for c in experiments.sweep_configs(config, tuple(counts), args.output_dir)]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _merge_run_config(args)
+    (config,) = _merge_configs(args)
     _, metrics = experiments.run_experiment(config)
     print(f"wrote {config.output} and {experiments.metrics_path_for(config.output)}")
     if config.plot:
@@ -165,70 +200,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ConfigError("jobs", f"worker count must be >= 1, got {args.jobs}")
-    if args.preset:
-        if args.preset not in SWEEP_PRESETS:
-            raise ConfigError("preset", f"unknown sweep preset {args.preset!r} (have {sorted(SWEEP_PRESETS)})")
-        entry = SWEEP_PRESETS[args.preset]
-        base: ExperimentConfig = entry["base"]
-        qubit_counts = tuple(args.qubits) if args.qubits else entry["qubits"]
-    else:
-        if not (args.mode and args.function and args.qubits):
-            raise ConfigError("usage", "sweep needs --preset or --mode/--function/--qubits")
-        base = ExperimentConfig(mode=args.mode, function=args.function)
-        qubit_counts = tuple(args.qubits)
-    base = replace(
-        base,
-        domain=tuple(args.domain) if args.domain else base.domain,
-        shots=_parse_shots(args.shots) if args.shots is not None else base.shots,
-        seed=args.seed if args.seed is not None else base.seed,
-    )
-    out_dir = Path(args.output_dir)
-    configs = experiments.sweep_configs(base, qubit_counts, out_dir)
+    configs = _merge_configs(args)
+    # A bad CSV row count or grid point fails the sweep before it writes anything.
     for config in configs:
-        config.validated()
+        experiments.sample_input(config)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(args.jobs, len(configs), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(experiments.run_one_sweep_point, configs))
-    else:
-        rows = [experiments.run_one_sweep_point(config) for config in configs]
+    rows = [experiments.run_one_sweep_point(config) for config in configs]
     summary = out_dir / "sweep_summary.csv"
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    experiments._atomic_write_text("\n".join(lines) + "\n", summary)
+    experiments.write_summary_csv(rows, summary)
     print(f"wrote {len(rows)} runs and {summary}")
     return 0
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _cmd_presets() -> int:
-    print("run presets:")
-    for name, cfg in RUN_PRESETS.items():
-        shots = "exact" if cfg.shots is None else f"{cfg.shots:.0e}"
-        print(
-            f"  {name:7s} {cfg.mode}  {cfg.function:10s} n={cfg.n_qubits}  "
-            f"domain=[{cfg.domain[0]:g},{cfg.domain[1]:g}]  shots={shots}  scale={cfg.scale}"
-        )
-    print("sweep presets:")
-    for name, entry in SWEEP_PRESETS.items():
-        cfg = entry["base"]
-        shots = "exact" if cfg.shots is None else f"{cfg.shots:.0e}"
-        print(
-            f"  {name:7s} {cfg.mode}  {cfg.function:10s} n={list(entry['qubits'])}  "
-            f"domain=[{cfg.domain[0]:g},{cfg.domain[1]:g}]  shots={shots}"
-        )
+    for command in ("run", "sweep"):
+        print(f"{command} presets:")
+        for name, (config, qubits) in _presets(command).items():
+            shots = "exact" if config.shots is None else f"{config.shots:.0e}"
+            scale = f"  scale={config.scale}" if command == "run" else ""
+            print(
+                f"  {name:7s} {config.mode}  {config.function:10s} n={qubits}  "
+                f"domain=[{config.domain[0]:g},{config.domain[1]:g}]  shots={shots}{scale}"
+            )
     return 0
 
 
@@ -248,10 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
 

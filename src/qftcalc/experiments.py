@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, replace
@@ -17,11 +18,13 @@ __all__ = [
     "ExperimentConfig",
     "RUN_PRESETS",
     "SWEEP_PRESETS",
-    "preset_config",
     "ingest_samples",
+    "sample_input",
     "run_experiment",
     "metric_mask",
     "write_series_csv",
+    "write_summary_csv",
+    "write_atomic",
     "metrics_path_for",
 ]
 
@@ -107,24 +110,10 @@ RUN_PRESETS: dict[str, ExperimentConfig] = {
 
 # Error-trend sweeps. The derivative sweep starts at n=4: on [-2,2] the n=3
 # grid aliases cos(2*pi*x) to (-1)^j and the stencil is identically zero.
-SWEEP_PRESETS: dict[str, dict] = {
-    "fig9a": {
-        "base": ExperimentConfig("qftd", "cos2pix", None, (-2.0, 2.0), 10**8),
-        "qubits": (4, 5, 6, 7, 8),
-    },
-    "fig9b": {
-        "base": ExperimentConfig("qfti", "cos2pix", None, (-1.0, 1.0), 10**7),
-        "qubits": (3, 4, 5, 6, 7, 8),
-    },
+SWEEP_PRESETS: dict[str, tuple[ExperimentConfig, tuple[int, ...]]] = {
+    "fig9a": (ExperimentConfig("qftd", "cos2pix", None, (-2.0, 2.0), 10**8), (4, 5, 6, 7, 8)),
+    "fig9b": (ExperimentConfig("qfti", "cos2pix", None, (-1.0, 1.0), 10**7), (3, 4, 5, 6, 7, 8)),
 }
-
-
-def preset_config(name: str) -> ExperimentConfig:
-    if name in RUN_PRESETS:
-        return RUN_PRESETS[name]
-    if name in SWEEP_PRESETS:
-        raise ConfigError("preset", f"{name} is a sweep preset; use the sweep subcommand")
-    raise ConfigError("preset", f"unknown preset {name!r}")
 
 
 def ingest_samples(path: str | Path) -> pipelines.SampledFunction:
@@ -178,6 +167,20 @@ def ingest_samples(path: str | Path) -> pipelines.SampledFunction:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def sample_input(config: ExperimentConfig) -> tuple[ExperimentConfig, pipelines.SampledFunction]:
+    """Sample a validated config's input; a CSV's row count fixes and re-validates n_qubits."""
+    if config.function in oracles.CATALOG:
+        try:
+            return config, oracles.sample_catalog(config.function, config.n_qubits, config.domain)
+        except ValueError as exc:  # e.g. a grid point on a singularity
+            raise ConfigError("domain", f"{config.function} on this grid: {exc}") from exc
+    f = ingest_samples(config.function)
+    n = f.n_points.bit_length() - 1
+    if config.n_qubits is not None and config.n_qubits != n:
+        raise ConfigError("qubits", f"CSV holds 2^{n} rows but {config.n_qubits} qubits were requested")
+    return replace(config, n_qubits=n).validated(), f
+
+
 def _reference_magnitudes(
     config: ExperimentConfig, f: pipelines.SampledFunction
 ) -> np.ndarray:
@@ -216,21 +219,7 @@ def run_experiment(
     Returns the recovered series and the metrics dict (the exact content of
     the metrics JSON; unavailable metrics are null).
     """
-    config = config.validated()
-    if config.function in oracles.CATALOG:
-        try:
-            f = oracles.sample_catalog(config.function, config.n_qubits, config.domain)
-        except ValueError as exc:  # e.g. a grid point on a singularity
-            raise ConfigError("domain", f"{config.function} on this grid: {exc}") from exc
-    else:
-        f = ingest_samples(config.function)
-        n = f.n_points.bit_length() - 1
-        limit = QFTD_MAX_QUBITS if config.mode == "qftd" else QFTI_MAX_QUBITS
-        if n > limit:
-            raise ConfigError("function", f"CSV holds 2^{n} rows; {config.mode} supports at most 2^{limit}")
-        if config.n_qubits is not None and config.n_qubits != n:
-            raise ConfigError("qubits", f"CSV holds 2^{n} rows but {config.n_qubits} qubits were requested")
-
+    config, f = sample_input(config.validated())
     run = pipelines.qftd_run if config.mode == "qftd" else pipelines.qfti_run
     try:
         series = run(f, config.shots, config.seed)
@@ -261,10 +250,7 @@ def run_experiment(
         write_series_csv(series, reference_sq, config.output)
         _write_json(metrics, metrics_path_for(config.output))
     if config.plot is not None:
-        try:
-            plots.emit_plot(series, reference_sq, config.plot, scale=config.scale)
-        except OSError as exc:
-            raise DataError(f"cannot write plot {config.plot}: {exc}") from exc
+        plots.emit_plot(series, reference_sq, config.plot, scale=config.scale)
     return series, metrics
 
 
@@ -279,7 +265,20 @@ def write_series_csv(
     lines = ["x,quantum_sq,analytical_sq,retained"]
     for x, q, a, kept in zip(series.x, series.value_sq, reference_sq, series.retained):
         lines.append(f"{x:.17g},{q:.17g},{a:.17g},{1 if kept else 0}")
-    _atomic_write_text("\n".join(lines) + "\n", path)
+    write_atomic("\n".join(lines) + "\n", path)
+
+
+def write_summary_csv(rows: list[dict], path: str | Path) -> None:
+    """One line per sweep run; an empty cell is a null metric."""
+    columns = list(rows[0])
+    lines = [",".join(columns)] + [",".join(_format_cell(row[c]) for c in columns) for row in rows]
+    write_atomic("\n".join(lines) + "\n", path)
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return "" if value is None else str(value)
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -287,16 +286,19 @@ def _write_json(payload: dict, path: str | Path) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    _atomic_write_text(text + "\n", path)
+    write_atomic(text + "\n", path)
 
 
-def _atomic_write_text(text: str, path: str | Path) -> None:
+def write_atomic(text: str, path: str | Path) -> None:
+    """Write a result file through a temporary file beside it, removed if the write fails."""
     destination = Path(path)
     tmp = destination.with_name(destination.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, destination)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise DataError(f"cannot write {destination}: {exc}") from exc
 
 
@@ -321,7 +323,7 @@ def sweep_configs(
 
 
 def run_one_sweep_point(config: ExperimentConfig) -> dict:
-    """Worker entry for sweep execution; returns the summary row."""
+    """Run one point of a sweep; returns its summary row."""
     series, metrics = run_experiment(config)
     row = {
         "mode": config.mode,

@@ -10,7 +10,6 @@ renderer.
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -121,10 +120,9 @@ def emit_plot(
     parts.extend(_legend(series))
     parts.append("</svg>")
 
-    destination = Path(path)
-    tmp = destination.with_name(destination.name + ".tmp")
-    tmp.write_text("\n".join(parts) + "\n", encoding="utf-8")
-    os.replace(tmp, destination)
+    from .experiments import write_atomic  # experiments imports this module
+
+    write_atomic("\n".join(parts) + "\n", path)
 
 
 def _curve_path(xs, ys, px, py, scale) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -166,6 +167,12 @@ class TestRunExperiment:
         write_csv(path, f.x, f.samples)
         with pytest.raises(ConfigError, match="qubits"):
             run_experiment(ExperimentConfig("qftd", str(path), n_qubits=5, shots=None))
+
+    def test_csv_over_the_qubit_cap(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_csv(path, np.arange(2**13) * 0.25, np.cos(np.arange(2**13)))
+        with pytest.raises(ConfigError, match=r"2\.\.12 qubits"):
+            run_experiment(ExperimentConfig("qfti", str(path), shots=None))
 
     def test_domain_with_csv_rejected(self, tmp_path):
         path = tmp_path / "grid.csv"
@@ -350,20 +357,21 @@ class TestCliExitCodes:
         assert cli.main(["run", "--mode", "qftd", "--function", str(path), "--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--output", "--plot"])
+    def test_directory_result_path_is_two_and_leaves_no_temp_file(self, flag, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--qubits", "4",
+                "--output", str(tmp_path / "o.csv"), flag, str(tmp_path / "d")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: cannot write") and len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_metrics_json_rejects_nan(self, tmp_path):
         path = tmp_path / "m.json"
         with pytest.raises(DataError, match="cannot write"):
             experiments._write_json({"r_squared": float("nan")}, path)
         assert not path.exists()
-
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_sweep_jobs_below_one_is_one(self, jobs, tmp_path, capsys):
-        out_dir = tmp_path / "sweep"
-        argv = ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "3",
-                "--shots", "exact", "--output-dir", str(out_dir), "--jobs", jobs]
-        assert cli.main(argv) == 1
-        assert "jobs" in capsys.readouterr().err
-        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "extra", [["--seed", "-1", "--shots", "100"], ["--domain", "0", "inf"]], ids=["seed-negative", "domain-inf"]
@@ -375,32 +383,6 @@ class TestCliExitCodes:
         assert cli.main(argv) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out_dir.exists()
-
-    def test_sweep_pool_capped_by_configs_and_cpus(self, tmp_path, monkeypatch):
-        # A stand-in pool records its size and runs serially; no process starts.
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        argv = ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "3", "4",
-                "--shots", "exact", "--output-dir", str(tmp_path / "s")]
-        assert cli.main(argv + ["--jobs", "64"]) == 0
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli.main(argv + ["--jobs", "64"]) == 0
-        assert sizes == [2]
 
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(qftcalc.__file__).resolve().parents[1])
@@ -427,14 +409,16 @@ class TestSweep:
         assert (out_dir / "qftd_cos2pix_n3.csv").exists()
         assert (out_dir / "qftd_cos2pix_n4.csv").exists()
 
-    def test_parallel_jobs(self, tmp_path):
+    def test_jobs_option_is_one(self, tmp_path, capsys):
         out_dir = tmp_path / "psweep"
         code = cli.main(
             ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "3", "4",
              "--shots", "exact", "--output-dir", str(out_dir), "--jobs", "2"]
         )
-        assert code == 0
-        assert (out_dir / "sweep_summary.csv").exists()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--jobs" in err and len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_sweep_preset(self, tmp_path):
         out_dir = tmp_path / "trend"
@@ -445,6 +429,77 @@ class TestSweep:
         assert code == 0
         rows = (out_dir / "sweep_summary.csv").read_text().splitlines()
         assert len(rows) == 3
+
+    def test_config_file_applied_and_flags_override_it(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(
+            {"mode": "qfti", "function": "poly", "qubits": [3, 4], "shots": "exact", "seed": 5}
+        ))
+        out_dir = tmp_path / "from_file"
+        assert cli.main(["sweep", "--config", str(config_path), "--output-dir", str(out_dir)]) == 0
+        rows = [row.split(",") for row in (out_dir / "sweep_summary.csv").read_text().splitlines()[1:]]
+        assert [row[:5] for row in rows] == [["qfti", "poly", "3", "exact", "5"], ["qfti", "poly", "4", "exact", "6"]]
+        out_dir = tmp_path / "overridden"
+        argv = ["sweep", "--config", str(config_path), "--mode", "qftd", "--qubits", "5", "--output-dir", str(out_dir)]
+        assert cli.main(argv) == 0
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "qftd_poly_n5.csv", "qftd_poly_n5.metrics.json", "sweep_summary.csv"
+        ]
+
+    def test_flags_override_sweep_preset(self, tmp_path):
+        out_dir = tmp_path / "trend"
+        argv = ["sweep", "--preset", "fig9b", "--mode", "qftd", "--function", "poly", "--qubits", "4",
+                "--shots", "exact", "--output-dir", str(out_dir)]
+        assert cli.main(argv) == 0
+        row = (out_dir / "sweep_summary.csv").read_text().splitlines()[1]
+        assert row.startswith("qftd,poly,4,exact,0,")
+
+    @pytest.mark.parametrize(
+        "command, preset, other", [("sweep", "fig4", "run"), ("run", "fig9a", "sweep")]
+    )
+    def test_preset_of_the_other_subcommand_is_one(self, command, preset, other, tmp_path, capsys):
+        argv = [command, "--preset", preset]
+        argv += ["--output-dir", str(tmp_path / "s")] if command == "sweep" else ["--output", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{preset} is a {other} preset; use the {other} subcommand" in err
+        assert len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"output": "o.csv"}, {"plot": "o.svg"}, {"scale": "semilog"}, {"qubits": [4, 4]}, {"qubits": []},
+         {"qubits": ["4"]}, {"qubits": [4, True]}, {"qubits": None}, {"qubits": [4, 13]}],
+        ids=["output", "plot", "scale", "qubits-repeated", "qubits-empty", "qubits-str", "qubits-bool",
+             "qubits-null", "qubits-over-cap"],
+    )
+    def test_sweep_config_bad_value_is_one(self, field, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(dict({"mode": "qfti", "function": "poly", "qubits": [3, 4]}, **field)))
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(config_path), "--output-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_repeated_qubit_counts_is_one(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--mode", "qftd", "--function", "poly", "--qubits", "4", "4", "--output-dir", str(out_dir)]
+        assert cli.main(argv) == 1
+        assert "repeat" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_csv_sweep_checked_before_writing(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        f = sample_catalog("poly", 4)
+        write_csv(path, f.x, f.samples)
+        out_dir = tmp_path / "sweep"
+        argv = ["sweep", "--mode", "qftd", "--function", str(path), "--output-dir", str(out_dir), "--qubits"]
+        assert cli.main(argv + ["4", "3"]) == 1
+        assert "3 qubits were requested" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert cli.main(argv + ["4"]) == 0
+        assert (out_dir / "qftd_d_n4.csv").exists()
 
 
 class TestValidateWiring:
@@ -533,3 +588,20 @@ class TestEmitPlot:
         series = self.make_series()
         with pytest.raises(ValueError):
             emit_plot(series, np.ones(series.n_points), tmp_path / "x.svg", scale="loglog")
+
+
+def readme_cli_commands():
+    # The ``qftcalc ...`` lines of the README's CLI block, continuations joined.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "qftcalc" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    f = sample_catalog("poly", 4)
+    write_csv(tmp_path / "samples.csv", f.x, f.samples)
+    assert cli.main(argv) == 0, capsys.readouterr().err

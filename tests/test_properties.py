@@ -113,31 +113,47 @@ CONFIG_FIELDS = {
 }
 
 
-@st.composite
-def config_files(draw):
+# A sweep takes a list of qubit counts, and the run-only keys only as probes.
+RUN_ONLY = ("output", "plot", "scale")
+SWEEP_FIELDS = {key: fields for key, fields in CONFIG_FIELDS.items() if key not in RUN_ONLY}
+SWEEP_FIELDS["qubits"] = (
+    st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 13), max_size=3) | st.sampled_from([4, "4", None, [4, 4]]),
+)
+
+
+def config_files(fields, probes=()):
     # A valid config with up to three fields dropped, swapped for a probe
-    # or swapped for any JSON value, and sometimes an unknown key.
-    config = {key: draw(valid) for key, (valid, _) in CONFIG_FIELDS.items()}
-    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=3, unique=True)):
-        change = draw(st.sampled_from(["probe", "json", "drop"]))
-        if change == "drop":
-            del config[key]
-        else:
-            config[key] = draw(CONFIG_FIELDS[key][1] if change == "probe" else JSON_VALUES)
-    if draw(st.integers(0, 4)) == 4:
-        config[draw(FUZZ_TEXT.filter(lambda key: key not in CONFIG_FIELDS))] = draw(JSON_VALUES)
-    return config
+    # or swapped for any JSON value, and sometimes an unknown key or a probe
+    # key that the subcommand rejects.
+    @st.composite
+    def draw_config(draw):
+        config = {key: draw(valid) for key, (valid, _) in fields.items()}
+        for key in draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)):
+            change = draw(st.sampled_from(["probe", "json", "drop"]))
+            if change == "drop":
+                del config[key]
+            else:
+                config[key] = draw(fields[key][1] if change == "probe" else JSON_VALUES)
+        extra = draw(st.integers(0, 4))
+        if extra == 4:
+            config[draw(FUZZ_TEXT.filter(lambda key: key not in CONFIG_FIELDS))] = draw(JSON_VALUES)
+        elif extra == 3 and probes:
+            key = draw(st.sampled_from(probes))
+            config[key] = draw(CONFIG_FIELDS[key][0])
+        return config
+
+    return draw_config()
 
 
 def finite_json_constant(token):
     raise AssertionError(f"non-standard JSON constant {token}")
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(config_files())
-def test_fuzzed_config_file_exits_cleanly(config):
+def exits_cleanly(config, argv):
     # ``main`` must turn every config into exit 0, 1 or 2 with a one-line
-    # message, and never leave a non-finite value in a result file.
+    # message, and never leave a temporary file or a non-finite value in a
+    # result file.
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
@@ -148,14 +164,29 @@ def test_fuzzed_config_file_exits_cleanly(config):
             Path("cfg.json").write_text(json.dumps(config))
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main(["run", "--config", "cfg.json"])
+                code = cli.main(argv)
             assert code in (0, 1, 2)
             assert code == 0 or len(err.getvalue().splitlines()) == 1
-            for path in Path(".").iterdir():
+            assert not list(Path(".").rglob("*.tmp"))
+            for path in Path(".").rglob("*"):
                 if path.name.endswith(".metrics.json"):
                     json.loads(path.read_text(), parse_constant=finite_json_constant)
-                elif path.name not in ("grid.csv", "nan.csv", "cfg.json") and path.suffix == ".csv":
+                elif path.name not in ("grid.csv", "nan.csv", "cfg.json", "sweep_summary.csv") and path.suffix == ".csv":
                     cells = [row.split(",") for row in path.read_text().splitlines()[1:]]
                     assert np.all(np.isfinite(np.array(cells, dtype=float)))
+            return code
         finally:
             os.chdir(home)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(config_files(CONFIG_FIELDS))
+def test_fuzzed_config_file_exits_cleanly(config):
+    exits_cleanly(config, ["run", "--config", "cfg.json"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(config_files(SWEEP_FIELDS, probes=RUN_ONLY))
+def test_fuzzed_sweep_config_file_exits_cleanly(config):
+    code = exits_cleanly(config, ["sweep", "--config", "cfg.json", "--output-dir", "out"])
+    assert code != 0 or not set(RUN_ONLY) & set(config)
