@@ -37,7 +37,6 @@ from .oracles import (
     CATALOG,
     CatalogFunction,
     central_difference_periodic,
-    dft_derivative,
     mean_absolute_error,
     r_squared,
     sample_catalog,
@@ -74,7 +73,6 @@ __all__ = [
     "CATALOG",
     "CatalogFunction",
     "central_difference_periodic",
-    "dft_derivative",
     "mean_absolute_error",
     "r_squared",
     "sample_catalog",

@@ -25,6 +25,7 @@ __all__ = [
     "write_series_csv",
     "write_summary_csv",
     "write_atomic",
+    "staged_writes",
     "metrics_path_for",
 ]
 
@@ -246,11 +247,12 @@ def run_experiment(
         "success_probability": series.success_probability,
     }
 
-    if config.output is not None:
-        write_series_csv(series, reference_sq, config.output)
-        _write_json(metrics, metrics_path_for(config.output))
-    if config.plot is not None:
-        plots.emit_plot(series, reference_sq, config.plot, scale=config.scale)
+    with staged_writes() as staged:
+        if config.output is not None:
+            write_series_csv(series, reference_sq, config.output, staged)
+            _write_json(metrics, metrics_path_for(config.output), staged)
+        if config.plot is not None:
+            plots.emit_plot(series, reference_sq, config.plot, scale=config.scale, staged=staged)
     return series, metrics
 
 
@@ -260,12 +262,12 @@ def metrics_path_for(output: str | Path) -> Path:
 
 
 def write_series_csv(
-    series: pipelines.RecoveredSeries, reference_sq: np.ndarray, path: str | Path
+    series: pipelines.RecoveredSeries, reference_sq: np.ndarray, path: str | Path, staged: dict | None = None
 ) -> None:
     lines = ["x,quantum_sq,analytical_sq,retained"]
     for x, q, a, kept in zip(series.x, series.value_sq, reference_sq, series.retained):
         lines.append(f"{x:.17g},{q:.17g},{a:.17g},{1 if kept else 0}")
-    write_atomic("\n".join(lines) + "\n", path)
+    write_atomic("\n".join(lines) + "\n", path, staged)
 
 
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:
@@ -281,24 +283,53 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
+def _write_json(payload: dict, path: str | Path, staged: dict | None = None) -> None:
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    write_atomic(text + "\n", path)
+    write_atomic(text + "\n", path, staged)
 
 
-def write_atomic(text: str, path: str | Path) -> None:
-    """Write a result file through a temporary file beside it, removed if the write fails."""
+@contextlib.contextmanager
+def staged_writes():
+    """Rename every file that :func:`write_atomic` stages in the block into place together.
+
+    Nothing is renamed unless the block ends without an error and no
+    destination is a directory; no temporary file is left behind.
+    """
+    staged: dict[Path, Path] = {}
+    try:
+        yield staged
+        for destination in staged.values():
+            if destination.is_dir():
+                raise DataError(f"cannot write {destination}: it is a directory")
+        for tmp, destination in staged.items():
+            try:
+                os.replace(tmp, destination)
+            except OSError as exc:
+                raise DataError(f"cannot write {destination}: {exc}") from exc
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(OSError):  # a renamed file is gone already
+                tmp.unlink()
+
+
+def write_atomic(text: str, path: str | Path, staged: dict | None = None) -> None:
+    """Write a result file through a temporary file beside it.
+
+    It is renamed into place at once or, given ``staged``, when that
+    :func:`staged_writes` block ends.
+    """
+    if staged is None:
+        with staged_writes() as staged:
+            return write_atomic(text, path, staged)
     destination = Path(path)
     tmp = destination.with_name(destination.name + ".tmp")
+    staged[tmp] = destination
     try:
         tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, destination)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
         raise DataError(f"cannot write {destination}: {exc}") from exc
 
 

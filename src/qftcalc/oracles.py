@@ -1,7 +1,8 @@
-"""Classical ground truth: spectral/stencil oracles, test functions, metrics.
+"""Classical ground truth: stencil oracles, test functions, metrics.
 
-The spectral derivative here is a direct O(N^2) DFT so it stays independent of
-both numpy's FFT and the gate-level quantum path it is used to check.
+The stencils are the exact classical twins of the two pipelines in exact
+mode: the periodic central difference for QFTD and the cumulative
+overlapping trapezoid for QFTI.
 """
 
 from __future__ import annotations
@@ -17,36 +18,12 @@ __all__ = [
     "CatalogFunction",
     "CATALOG",
     "sample_catalog",
-    "dft_derivative",
     "central_difference_periodic",
     "trapezoid_partial_sums",
     "r_squared",
     "mean_absolute_error",
     "loglog_slope",
 ]
-
-
-def dft_derivative(samples: np.ndarray, dx: float) -> np.ndarray:
-    """Spectral derivative via the sine-modified wavenumber.
-
-    Computes ``IDFT[ i sin(2 pi k / N) / dx * DFT[f]_k ]`` with explicitly
-    constructed transform matrices (O(N^2)); the imaginary residue of the
-    result is discarded after checking it is numerically negligible.
-    """
-    f = np.asarray(samples, dtype=float)
-    n = f.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"sample count {n} is not a power of two")
-    j = np.arange(n)
-    dft = np.exp(-2j * np.pi * np.outer(j, j) / n)
-    spectrum = dft @ f
-    factor = 1j * np.sin(2.0 * np.pi * j / n) / dx
-    back = np.exp(2j * np.pi * np.outer(j, j) / n) / n
-    result = back @ (factor * spectrum)
-    residue = float(np.max(np.abs(result.imag)))
-    if residue > 1e-9 * max(np.linalg.norm(f), 1.0):
-        raise RuntimeError(f"imaginary residue {residue:.3e} in spectral derivative")
-    return result.real
 
 
 def central_difference_periodic(samples: np.ndarray, dx: float) -> np.ndarray:
@@ -118,7 +95,6 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 class CatalogFunction:
     """A test function with exact derivative and partially bound integral."""
 
-    identifier: str
     value: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     integral_from: Callable[[float, np.ndarray], np.ndarray]
@@ -138,7 +114,6 @@ def _antiderivative_harmonics(x):
 
 CATALOG: dict[str, CatalogFunction] = {
     "cos2pix": CatalogFunction(
-        identifier="cos2pix",
         value=lambda x: np.cos(2.0 * np.pi * x),
         derivative=lambda x: -2.0 * np.pi * np.sin(2.0 * np.pi * x),
         integral_from=lambda x0, x: (np.sin(2.0 * np.pi * x) - np.sin(2.0 * np.pi * x0))
@@ -146,7 +121,6 @@ CATALOG: dict[str, CatalogFunction] = {
         default_domain=(-2.0, 2.0),
     ),
     "invx": CatalogFunction(
-        identifier="invx",
         value=lambda x: 1.0 / x,
         derivative=lambda x: -1.0 / x**2,
         integral_from=lambda x0, x: np.log(np.abs(x)) - np.log(abs(x0)),
@@ -154,14 +128,12 @@ CATALOG: dict[str, CatalogFunction] = {
         singular=True,
     ),
     "poly": CatalogFunction(
-        identifier="poly",
         value=lambda x: x**3 + x**2 - x,
         derivative=lambda x: 3.0 * x**2 + 2.0 * x - 1.0,
         integral_from=lambda x0, x: _antiderivative_poly(x) - _antiderivative_poly(x0),
         default_domain=(-2.0, 2.0),
     ),
     "harmonics": CatalogFunction(
-        identifier="harmonics",
         value=lambda x: np.cos(np.pi * x / 2.0) + np.sin(3.0 * np.pi * x / 2.0),
         derivative=lambda x: -np.pi / 2.0 * np.sin(np.pi * x / 2.0)
         + 3.0 * np.pi / 2.0 * np.cos(3.0 * np.pi * x / 2.0),

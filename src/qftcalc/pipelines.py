@@ -52,14 +52,14 @@ EXACT_PSI_SQ_FLOOR = 1e-24
 class SampledFunction:
     """Uniform grid samples of a real function.
 
-    Grid points are ``x_j = x0 + j * dx``; ``l2_norm`` is filled in from the
-    samples and must stay consistent with them.
+    Grid points are ``x_j = x0 + j * dx``; ``l2_norm`` is computed from the
+    samples.
     """
 
     samples: np.ndarray
     x0: float
     dx: float
-    l2_norm: float = field(default=0.0)
+    l2_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
@@ -69,13 +69,9 @@ class SampledFunction:
             raise ValueError("samples must be finite (no NaN or inf)")
         if not (np.isfinite(self.x0) and np.isfinite(self.dx) and self.dx > 0.0):
             raise ValueError("grid origin must be finite and grid step finite and positive")
-        norm = sample_l2_norm(self.samples)
-        if norm == 0.0:
-            raise ValueError("all-zero sample vector")
+        self.l2_norm = sample_l2_norm(self.samples)
         if self.l2_norm == 0.0:
-            self.l2_norm = norm
-        elif not np.isclose(self.l2_norm, norm, rtol=1e-12):
-            raise ValueError("declared l2_norm disagrees with the samples")
+            raise ValueError("all-zero sample vector")
 
     @property
     def n_points(self) -> int:

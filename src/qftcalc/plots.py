@@ -27,8 +27,13 @@ def emit_plot(
     reference: np.ndarray,
     path: str | Path,
     scale: str = "linear",
+    staged: dict | None = None,
 ) -> None:
-    """Write the series/reference comparison as a standalone SVG file."""
+    """Write the series/reference comparison as a standalone SVG file.
+
+    Given ``staged``, it is renamed into place with the other result files of
+    that :func:`qftcalc.experiments.staged_writes` block.
+    """
     if scale not in ("linear", "semilog"):
         raise ValueError(f"unknown scale {scale!r}")
     reference = np.asarray(reference, dtype=float)
@@ -122,7 +127,7 @@ def emit_plot(
 
     from .experiments import write_atomic  # experiments imports this module
 
-    write_atomic("\n".join(parts) + "\n", path)
+    write_atomic("\n".join(parts) + "\n", path, staged)
 
 
 def _curve_path(xs, ys, px, py, scale) -> str:

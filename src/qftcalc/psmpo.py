@@ -24,8 +24,11 @@ symmetric orthogonal involution (Gilyen, Su, Low & Wiebe, "Quantum singular
 value transformation and beyond", STOC 2019). ``S/eta`` is the lower-left
 block of ``A``, which fixes the success prefix.
 
-``U_H`` is never built on the pipeline path. On an operand whose index is
-``k + N c + 2N b`` it maps the four (b, c) blocks to::
+``U_H`` is never built on the pipeline path. :func:`apply_partial_sum`
+takes its operand from :func:`qftcalc.state._operand`: the controlled branch
+with the b, c and k qubits as its last axes, read as ``(..., 2, 2, N)``. On
+an operand whose index is ``k + N c + 2N b`` it maps the four (b, c) blocks
+to::
 
     y00 = S^T x01 / eta + C_V x10        y10 = C_V x00 - S^T x11 / eta
     y01 = S x00 / eta   + C_U x11        y11 = C_U x01 - S x10 / eta
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import Statevector, _branch
+from .state import Statevector, _branch, _operand
 
 __all__ = [
     "BLOCK_TOL",
@@ -274,9 +277,8 @@ def apply_partial_sum(
         raise ValueError(
             "control polarity does not match the encoding's success prefix"
         )
-    operand = (b_qubit, c_qubit, *k_qubits[::-1])  # most significant first
-    if control[0] in operand or not 0 <= control[0] < state.n_qubits:
-        raise ValueError(f"control qubit {control[0]} is out of range or inside the operand")
+    operand = (b_qubit, c_qubit, *k_qubits[::-1])  # last axes read [b, c, k]
+    view = _operand(state, operand, (control,))
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
     off_block = (((b_qubit, 1),), ((b_qubit, 0), (c_qubit, 1)))
     residual = max(float(np.max(np.abs(_branch(state, fixed)))) for fixed in off_block)
@@ -284,12 +286,6 @@ def apply_partial_sum(
         raise ValueError(
             f"registers b/c are not in |0>: residual amplitude {residual:.3e}"
         )
-    # The branch's axes are its free qubits, most significant first; move the
-    # operand's to the end so the last axes read [b, c, k].
-    free = [q for q in range(state.n_qubits - 1, -1, -1) if q != control[0]]
-    view = np.moveaxis(
-        _branch(state, (control,)), [free.index(q) for q in operand], range(-len(operand), 0)
-    )
-    view[...] = enc.apply(view.reshape(view.shape[: -len(operand)] + (2, 2, enc.dimension))).reshape(view.shape)
+    view[...] = enc.apply(view.reshape(*view.shape[: -len(operand)], 2, 2, enc.dimension)).reshape(view.shape)
     state.gate_count += 1
     return state

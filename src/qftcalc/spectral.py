@@ -7,25 +7,27 @@ same gate sequence with one extra control on every gate, which is exactly the
 controlled version of the register unitary.
 
 On an ``m``-qubit register the whole circuit is the unitary DFT, so the
-simulator runs it as one FFT over the register's axis (Cooley & Tukey 1965):
-the register's qubits are contiguous, so the amplitudes reshape to
-``(above, 2^m, below)`` and the transform acts on the middle axis. The
-forward QFT is numpy's ``ifft`` and the inverse its ``fft``, both with
-``norm="ortho"``; it is numpy's FFT, not scipy's, so that importing the CLI
-loads no scipy. ``gate_count`` still advances by the circuit's gate count,
-``m(m+1)/2 + m//2``. The gate-by-gate sequence, :func:`_qft_gate_sequence`,
-stays as the oracle the tests replay.
+simulator runs it as one FFT over the register (Cooley & Tukey 1965): the
+register's qubits, taken as the last axes of the controlled branch by
+:func:`qftcalc.state._operand`, merge into one axis of length ``2^m`` and
+the transform acts on it. The forward QFT is numpy's ``ifft`` and the
+inverse its ``fft``, both with ``norm="ortho"``; it is numpy's FFT, not
+scipy's, so that importing the CLI loads no scipy. ``gate_count`` still
+advances by the circuit's gate count, ``m(m+1)/2 + m//2``. The gate-by-gate
+sequence, :func:`_qft_gate_sequence`, stays as the oracle that the tests and
+``validate`` replay.
 
 The rotation cascade scales the spectrum element-wise: with the ancilla
 initialized to ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)``
 (derivative mode); initialized to ``|1>`` the ``|1>`` branch keeps
 ``cos(2 pi k / N)`` (integral mode). The n controlled rotations commute, so
 they amount to one Rx per value of k, ``[[c, -is], [-is, c]]`` with real
-``c`` and ``s``. The simulator updates the ancilla's two branches in place
-with that real arithmetic, broadcast over the k axis; the gate-by-gate
-cascade stays as the oracle the tests replay. Rotation angles are kept as
-exact dyadic multiples of pi and converted to radians only at gate
-application time.
+``c`` and ``s``. The simulator takes the ancilla's two branches from
+:func:`qftcalc.state._operand`, with the k axes last, and updates them in
+place with that real arithmetic, ``c`` and ``s`` broadcast over the k axes;
+the gate-by-gate cascade stays as the oracle the tests replay. Rotation
+angles are kept as exact dyadic multiples of pi and converted to radians
+only at gate application time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .state import UNITARY_TOL, Statevector, _branch, hadamard, phase_gate, swap_gate
+from .state import UNITARY_TOL, Statevector, _branch, _operand, hadamard, phase_gate, swap_gate
 
 __all__ = [
     "ANCILLA_BASIS_TOL",
@@ -69,9 +71,6 @@ class WavenumberSchedule:
     angles: tuple[Fraction, ...]
     ancilla_init: int
     success_bit: int
-
-    def angles_in_radians(self) -> tuple[float, ...]:
-        return tuple(float(a) * math.pi for a in self.angles)
 
 
 def angle_schedule(n: int, mode: str) -> WavenumberSchedule:
@@ -140,21 +139,11 @@ def qft(
     the gate-by-gate circuit.
     """
     qubits = state.layout.qubits(register)
-    controls = () if control is None else (control,)
-    for q, bit in controls:
-        if q in qubits:
-            raise ValueError("control qubit lies inside the transformed register")
-        if bit not in (0, 1):
-            raise ValueError("control polarity must be 0 or 1")
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {state.n_qubits} qubits")
     m = len(qubits)
-    # The free qubits below the register: its offset, less a control under it.
-    below = qubits[0] - sum(q < qubits[0] for q, _ in controls)
-    view = _branch(state, controls)
+    view = _operand(state, qubits[::-1], () if control is None else (control,))
     # The e^{+2 pi i jk/N} convention makes the forward QFT numpy's ifft.
     transform = np.fft.fft if inverse else np.fft.ifft
-    view[...] = transform(view.reshape(-1, 1 << m, 1 << below), axis=1, norm="ortho").reshape(view.shape)
+    view[...] = transform(view.reshape(*view.shape[:-m], -1), axis=-1, norm="ortho").reshape(view.shape)
     state.gate_count += m * (m + 1) // 2 + m // 2
     return state
 
@@ -185,9 +174,9 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
     defect = float(np.max(np.abs(c * c + s * s - 1.0)))
     if defect > UNITARY_TOL:
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
-    # a is the most significant qubit and k is contiguous, so this is a view.
-    c, s = c[:, None], s[:, None]
-    a0, a1 = state.amplitudes.reshape(2, -1, 1 << schedule.n, 1 << k_qubits[0])
+    # The k axes, most significant first, index c and s as the value of k does.
+    c, s = c.reshape((2,) * schedule.n), s.reshape((2,) * schedule.n)
+    a0, a1 =(_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (0, 1))
     s0, s1 = s * a0, s * a1
     a0 *= c
     a1 *= c

@@ -7,21 +7,19 @@ least significant bit). Registers are declared most-significant first, so the
 first register in a layout occupies the top bits of the index and an ancilla
 register named ``a`` always sits in the most significant position.
 
-Every gate, with any number of targets and polarity controls, goes through
-one kernel: the amplitudes are viewed as a ``(2,) * n`` tensor, each control
-axis is fixed to its polarity (a view, not a copy), and the payload is
-contracted with the target axes in place. The full ``2^n x 2^n`` embedding is
-never built here (tests rebuild it as an oracle).
-
-The pipeline's register-wide steps do not go through the kernel: the QFT is
-one FFT over the register axis (:func:`qftcalc.spectral.qft`), and the
-controlled-Rx cascade is one in-place update of the ancilla's two branches
-(:func:`qftcalc.spectral.wavenumber_rotation`).
+One private helper, :func:`_operand`, maps qubits to axes of a view of the
+amplitudes and is the only place that checks qubit range, control polarity
+and control/operand collisions. Every layer that acts on a register takes its
+view from it and is one numpy operation on that view: the gate kernel below,
+the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
+(:func:`qftcalc.spectral.wavenumber_rotation`) and the block-encoded partial
+sum (:func:`qftcalc.psmpo.apply_partial_sum`). The full ``2^n x 2^n``
+embedding is never built here (tests rebuild it as an oracle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -123,9 +121,6 @@ class RegisterLayout:
         off = self.offset(name)
         return tuple(range(off, off + self.width(name)))
 
-    def value_of(self, index: int, name: str) -> int:
-        return (index >> self.offset(name)) & ((1 << self.width(name)) - 1)
-
     def index_for(self, values: Mapping[str, int]) -> int:
         """Basis index for an assignment of every register."""
         if set(values) != set(self.names):
@@ -164,9 +159,6 @@ class Statevector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "Statevector":
-        return replace(self, amplitudes=self.amplitudes.copy())
 
 
 @dataclass(frozen=True)
@@ -264,9 +256,6 @@ def apply_register_unitary(
     dim = 1 << len(qubits)
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix of shape {matrix.shape} does not act on {len(qubits)} qubits")
-    touched = list(qubits) + ([control[0]] if control else [])
-    if len(touched) != len(set(touched)):
-        raise ValueError("control qubit collides with the target register")
     _apply_controlled(state, matrix, qubits, (control,) if control else ())
     return state
 
@@ -286,6 +275,31 @@ def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
     return state.amplitudes.reshape((2,) * n)[(*index, ...)]
 
 
+def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
+    """View of the branch where every control holds, with ``qubits`` as its last axes.
+
+    The amplitudes are viewed as a ``(2,) * n`` tensor whose axes run most
+    significant first (qubit q is axis n-1-q). ``qubits`` are listed most
+    significant first, so a register's qubits in that order read as one index
+    once the last axes are merged; the leading axes are the other free qubits.
+    """
+    n = state.n_qubits
+    control_qubits = [q for q, _ in controls]
+    for q, bit in controls:
+        if bit not in (0, 1):
+            raise ValueError(f"control polarity must be 0 or 1, got {bit}")
+        if not 0 <= q < n:
+            raise ValueError(f"control qubit {q} out of range for {n} qubits")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    touched = [*qubits, *control_qubits]
+    if len(set(touched)) < len(touched):
+        raise ValueError(f"control qubit collides with the operand (lies inside it) or a qubit repeats: {touched}")
+    free = [q for q in range(n - 1, -1, -1) if q not in control_qubits]
+    return np.moveaxis(_branch(state, controls), [free.index(q) for q in qubits], range(-len(qubits), 0))
+
+
 def _apply_controlled(
     state: Statevector,
     matrix: np.ndarray,
@@ -294,24 +308,16 @@ def _apply_controlled(
 ) -> None:
     """Check, then apply ``matrix`` in place where every control holds its polarity."""
     _check_unitary(matrix)
-    control_qubits = [q for q, _ in controls]
-    for q in (*targets, *control_qubits):
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {state.n_qubits} qubits")
-    free = [q for q in range(state.n_qubits - 1, -1, -1) if q not in control_qubits]
+    # The matrix's least significant target is its fastest-varying index: the last axis.
+    view = _operand(state, targets[::-1], controls)
     if len(targets) == 1:
-        a0 = _branch(state, (*controls, (targets[0], 0)))
-        a1 = _branch(state, (*controls, (targets[0], 1)))
+        a0, a1 = view[..., 0], view[..., 1]
         # Explicit row combination: a 2x2 matmul would round differently.
         out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
         out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
         a0[...], a1[...] = out0, out1
     else:
-        axes = [free.index(q) for q in targets]
-        # The matrix's least significant target is its fastest-varying index,
-        # i.e. the last of the leading axes after the move.
-        view = np.moveaxis(_branch(state, controls), axes[::-1], range(len(axes)))
-        view[...] = (matrix @ view.reshape(1 << len(axes), -1)).reshape(view.shape)
+        view[...] = (view.reshape(-1, len(matrix)) @ matrix.T).reshape(view.shape)
     state.gate_count += 1
 
 

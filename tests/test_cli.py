@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -367,6 +369,16 @@ class TestCliExitCodes:
         assert err.startswith("I/O error: cannot write") and len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("plot", ["d", "nodir/p.svg"])
+    def test_failed_plot_write_leaves_no_result_files(self, plot, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--qubits", "4", "--output", "o.csv", "--plot", plot]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "o.csv").exists()
+        assert not (tmp_path / "o.metrics.json").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_metrics_json_rejects_nan(self, tmp_path):
         path = tmp_path / "m.json"
         with pytest.raises(DataError, match="cannot write"):
@@ -605,3 +617,19 @@ def test_readme_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
     f = sample_catalog("poly", 4)
     write_csv(tmp_path / "samples.csv", f.x, f.samples)
     assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def traced_functions():
+    # The benchmark tracer's (module, attribute) table, read from its source
+    # without importing or running it.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text(encoding="utf-8")
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED table")
+
+
+@pytest.mark.parametrize("module, attr", traced_functions())
+def test_traced_function_resolves(module, attr):
+    # The tracer looks each one up with getattr and no default.
+    assert callable(getattr(importlib.import_module(module), attr))

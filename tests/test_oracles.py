@@ -7,13 +7,14 @@ from qftcalc import pipelines
 from qftcalc.oracles import (
     CATALOG,
     central_difference_periodic,
-    dft_derivative,
     loglog_slope,
     mean_absolute_error,
     r_squared,
     sample_catalog,
     trapezoid_partial_sums,
 )
+
+from conftest import dft_derivative
 
 
 class TestDftDerivative:

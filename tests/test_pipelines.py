@@ -6,7 +6,6 @@ from qftcalc import checks, psmpo, spectral
 from qftcalc.oracles import (
     CATALOG,
     central_difference_periodic,
-    dft_derivative,
     mean_absolute_error,
     sample_catalog,
     trapezoid_partial_sums,
@@ -27,6 +26,8 @@ from qftcalc.state import (
     exact_probabilities,
     pauli_x,
 )
+
+from conftest import dft_derivative
 
 
 def qft_gate_total(n):
@@ -56,11 +57,9 @@ class TestSampledFunction:
             with pytest.raises(ValueError, match="recovery scale"):
                 run(samples, None)
 
-    def test_rejects_zero_samples_and_bad_norm(self):
+    def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             SampledFunction(samples=np.zeros(4), x0=0.0, dx=1.0)
-        with pytest.raises(ValueError):
-            SampledFunction(samples=np.ones(4), x0=0.0, dx=1.0, l2_norm=3.0)
 
 
 class TestQftdExact:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from qftcalc.spectral import (
     reconstructed_rotation,
     wavenumber_rotation,
 )
-from qftcalc.state import GateOp, RegisterLayout, Statevector, apply_gate, rx_gate
+from qftcalc.state import GateOp, RegisterLayout, Statevector, apply_gate, apply_register_unitary, rx_gate
 
 from conftest import embed_full, random_state_vector
 
@@ -143,13 +144,16 @@ class TestFusedQft:
             control = (layout.qubits(control[0])[0], control[1])
         check_against_replay(layout, inverse, control, rng)
 
-    @pytest.mark.parametrize("control", [(0, 2), (7, 1), (-1, 1)])
+    @pytest.mark.parametrize("control", [(0, 2), (7, 1), (-1, 1), (0, 5)])
     def test_bad_control_rejected(self, control, rng):
+        # The QFT and a register unitary on the same qubits share one control check.
         layout = RegisterLayout((("k", 3), ("x", 1)))
         state = Statevector(4, random_state_vector(4, rng), layout)
         before = state.amplitudes.copy()
         with pytest.raises(ValueError):
             qft(state, "k", control=control)
+        with pytest.raises(ValueError):
+            apply_register_unitary(state, np.eye(8), layout.qubits("k"), control=control)
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -161,7 +165,7 @@ class TestAngleSchedule:
     def test_n3_angles_quarter_half_full(self):
         schedule = angle_schedule(3, MODE_DERIVATIVE)
         assert schedule.angles == (Fraction(-1, 2), Fraction(-1), Fraction(-2))
-        assert schedule.angles_in_radians() == (-math.pi / 2.0, -math.pi, -2.0 * math.pi)
+        assert tuple(float(a) * math.pi for a in schedule.angles) == (-math.pi / 2.0, -math.pi, -2.0 * math.pi)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_reconstruction_exhaustive(self, n):
@@ -195,10 +199,10 @@ class TestAngleSchedule:
 def check_against_cascade(state, schedule):
     """``wavenumber_rotation`` within 1e-13 of a gate-by-gate controlled-Rx replay, with equal gate counts."""
     layout = state.layout
-    cascade = state.copy()
+    cascade = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
     wavenumber_rotation(state, schedule)
     (a_qubit,) = layout.qubits("a")
-    for p, angle in enumerate(schedule.angles_in_radians()):
+    for p, angle in enumerate(float(a) * math.pi for a in schedule.angles):
         apply_gate(cascade, GateOp(rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),)))
     assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
     assert state.gate_count == cascade.gate_count == schedule.n
@@ -235,7 +239,7 @@ class TestWavenumberRotation:
 
         cascade = np.eye(2 << n, dtype=complex)
         a_qubit = layout.qubits("a")[0]
-        for p, angle in enumerate(schedule.angles_in_radians()):
+        for p, angle in enumerate(float(a) * math.pi for a in schedule.angles):
             gate = embed_full(n + 1, rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),))
             cascade = gate @ cascade
         assert_allclose(state.amplitudes, cascade @ initial, atol=1e-12)

@@ -41,8 +41,8 @@ class TestRegisterLayout:
         for a in (0, 1):
             for k in range(8):
                 index = layout.index_for({"a": a, "k": k})
-                assert layout.value_of(index, "a") == a
-                assert layout.value_of(index, "k") == k
+                assert (index >> layout.offset("a")) & 1 == a
+                assert (index >> layout.offset("k")) & 7 == k
 
     def test_ancilla_must_be_most_significant(self):
         with pytest.raises(ValueError):
