@@ -198,32 +198,50 @@ def check_control_polarity(seed: int = 3) -> CheckResult:
     return _result("control polarity leaves off-branch amplitudes", untouched, "bitwise equal")
 
 
+def _chisquare_p_value(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Chi-square p-value and bin count; outcomes expected below 10 counts share one bin."""
+    from scipy import stats  # imported here so that run/sweep never load scipy
+
+    main = expected >= 10.0
+    observed_bins = list(observed[main])
+    expected_bins = list(expected[main])
+    if np.any(~main):
+        observed_bins.append(float(np.sum(observed[~main])))
+        expected_bins.append(float(np.sum(expected[~main])))
+    statistic = float(np.sum((np.array(observed_bins) - np.array(expected_bins)) ** 2 / np.array(expected_bins)))
+    return float(stats.chi2.sf(statistic, df=len(observed_bins) - 1)), len(observed_bins)
+
+
 def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> CheckResult:
     """Multinomial sampling is consistent with the Born-rule distribution.
 
-    Outcomes with expected count below 10 are lumped into one bin; the test
-    passes while the chi-square p-value stays above 1e-6.
+    Draws every outcome, then the upper half of the register alone through
+    the ``outcomes`` path of :func:`sample_counts`. Each draw passes while its
+    chi-square p-value stays above 1e-6, outcomes with expected count below
+    10 lumped into one bin; the half draw's shots that miss the half form one
+    more outcome. The number of shots landing in the half must lie within 6
+    sigma of its binomial mean.
     """
-    from scipy import stats  # imported here so that run/sweep never load scipy
-
     f = oracles.sample_catalog(function, n)
     layout = RegisterLayout((("k", n),))
     state, _ = amplitude_encode(f.samples, layout)
     probs = exact_probabilities(state)
-    observed_all = sample_counts(state, shots, seed=2024)
-    expected_all = probs * shots
-    main = expected_all >= 10.0
-    observed = list(observed_all[main])
-    expected = list(expected_all[main])
-    if np.any(~main):
-        observed.append(float(np.sum(observed_all[~main])))
-        expected.append(float(np.sum(expected_all[~main])))
-    statistic = float(np.sum((np.array(observed) - np.array(expected)) ** 2 / np.array(expected)))
-    p_value = float(stats.chi2.sf(statistic, df=len(observed) - 1))
+    p_value, bins = _chisquare_p_value(sample_counts(state, shots, seed=2024), probs * shots)
+
+    upper = slice(1 << (n - 1), None)
+    counts = sample_counts(state, shots, seed=2024, outcomes=upper)
+    hits = int(counts.sum())
+    share = float(np.sum(probs[upper]))
+    block_p_value, block_bins = _chisquare_p_value(
+        np.append(counts, shots - hits), np.append(probs[upper], 1.0 - share) * shots
+    )
+    sigma = float(np.sqrt(shots * share * (1.0 - share)))
+    hits_ok = abs(hits - shots * share) <= 6.0 * sigma
     return _result(
         f"sampling chi-square ({function}, {shots:.0e} shots)",
-        p_value >= 1e-6,
-        f"p-value {p_value:.3g} over {len(observed)} bins",
+        p_value >= 1e-6 and block_p_value >= 1e-6 and hits_ok,
+        f"p-value {p_value:.3g} over {bins} bins; upper half: p-value {block_p_value:.3g} over "
+        f"{block_bins} bins, {hits} hits against {shots * share:.1f} +- {sigma:.1f}",
     )
 
 

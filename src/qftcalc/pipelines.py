@@ -11,6 +11,13 @@ mode), and reads the post-selected branch out as squared physical values:
 where ``psi_j^2`` is the probability (exact mode) or ``count_j / shots`` over
 *all* shots (sampled mode) of the success outcome carrying grid point ``j``.
 Points that are never observed are censored to zero and flagged unretained.
+
+Readout touches only the success block, one contiguous index range: exact
+mode squares just those amplitudes, and sampled mode draws how many shots
+succeed and then spreads them over the block (see
+:func:`qftcalc.state.sample_counts`), which is exactly the block's marginal of
+a draw over every outcome. No norm in a run is a BLAS dot (see
+:mod:`qftcalc.state` for why).
 """
 
 from __future__ import annotations
@@ -122,16 +129,16 @@ def _read_out(
     """Recover ``scale_sq * psi_j^2`` from the success outcomes ``success_start + j``.
 
     The k register is the least significant one, so the success block is one
-    contiguous index range.
+    contiguous index range, and only that range is read out.
     """
     success = slice(success_start, success_start + f.n_points)
     if shots is None:
-        psi_sq = exact_probabilities(state)[success]
+        psi_sq = exact_probabilities(state, success)
         success_probability = float(np.sum(psi_sq))
         retained = psi_sq > EXACT_PSI_SQ_FLOOR
         psi_sq = np.where(retained, psi_sq, 0.0)
     else:
-        counts = sample_counts(state, shots, seed)[success]
+        counts = sample_counts(state, shots, seed, success)
         psi_sq = counts / shots
         retained = counts > 0
         success_probability = float(np.sum(psi_sq))

@@ -248,9 +248,11 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     enc = BlockEncoding(weights=weights, eta=eta, n_k=n_k, success_prefix=(1, 0, 1))
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(2, 2, N)) + 1j * rng.normal(size=(2, 2, N))
-    probe /= np.linalg.norm(probe)
+    # Plain numpy norms: np.linalg.norm is a BLAS dot, which wakes the thread pool.
+    probe /= np.sqrt(np.sum(np.abs(probe) ** 2))
     image = enc.apply(probe)
-    defect = max(abs(np.linalg.norm(image) - 1.0), float(np.max(np.abs(enc.apply(image) - probe))))
+    norm_defect = abs(np.sqrt(np.sum(np.abs(image) ** 2)) - 1.0)
+    defect = max(norm_defect, float(np.max(np.abs(enc.apply(image) - probe))))
     if defect > BLOCK_TOL:
         raise RuntimeError(f"U_H is not an orthogonal involution: defect {defect:.3e} on the probe")
     _memo[n_k] = enc

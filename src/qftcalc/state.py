@@ -1,4 +1,4 @@
-"""Dense statevector engine: named registers, gate application, shot sampling.
+"""Dense statevector engine: named registers, gate application, readout.
 
 Conventions
 -----------
@@ -15,6 +15,13 @@ the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
 (:func:`qftcalc.spectral.wavenumber_rotation`) and the block-encoded partial
 sum (:func:`qftcalc.psmpo.apply_partial_sum`). The full ``2^n x 2^n``
 embedding is never built here (tests rebuild it as an oracle).
+
+Readout takes one ``outcomes`` slice of basis indices: exact probabilities
+square only those amplitudes, and shot sampling draws only the counts of
+that slice (see :func:`sample_counts`). Norms on a pipeline run are numpy
+sums, not BLAS dots: a BLAS dot over 2^17 samples wakes the BLAS thread
+pool, whose idle workers then compete for the cores with the
+single-threaded FFT and random-number work.
 """
 
 from __future__ import annotations
@@ -196,17 +203,18 @@ def _check_unitary(matrix: np.ndarray) -> None:
 def sample_l2_norm(samples: np.ndarray) -> float:
     """L2 norm of finite real samples, without under- or overflow.
 
-    The direct norm is kept whenever it is a positive finite number, so every
-    input whose norm is representable gets the same bits as before; only when
-    it underflows to 0 or overflows to inf for non-zero samples is it
-    recomputed as ``m * norm(samples / m)`` with ``m = max|samples|``.
+    The norm is ``sqrt(sum(samples**2))`` by numpy's pairwise sum, which
+    agrees with ``np.linalg.norm`` to about an ulp without its BLAS dot (see
+    the module docstring). Only when the sum underflows to 0 or overflows to
+    inf for non-zero samples is the norm recomputed as
+    ``m * norm(samples / m)`` with ``m = max|samples|``.
     """
     with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(samples))
+        norm = float(np.sqrt(np.sum(np.square(samples))))
     if norm == 0.0 or not np.isfinite(norm):
         peak = float(np.max(np.abs(samples), initial=0.0))
         if 0.0 < peak < np.inf:
-            norm = peak * float(np.linalg.norm(samples / peak))
+            norm = peak * float(np.sqrt(np.sum(np.square(samples / peak))))
     return norm
 
 
@@ -321,23 +329,36 @@ def _apply_controlled(
     state.gate_count += 1
 
 
-def exact_probabilities(state: Statevector) -> np.ndarray:
-    """Born-rule probabilities |amplitude_j|² for every basis index."""
-    return np.abs(state.amplitudes) ** 2
+def exact_probabilities(state: Statevector, outcomes: slice = slice(None)) -> np.ndarray:
+    """Born-rule probabilities |amplitude_j|² for the basis indices in ``outcomes`` (all by default)."""
+    return np.abs(state.amplitudes[outcomes]) ** 2
 
 
-def sample_counts(state: Statevector, shots: int, seed: int) -> np.ndarray:
-    """Draw ``shots`` measurement outcomes as one multinomial sample.
+def sample_counts(state: Statevector, shots: int, seed: int, outcomes: slice = slice(None)) -> np.ndarray:
+    """Draw ``shots`` measurement outcomes and count those in ``outcomes``.
 
-    Returns the count of every basis index as an int64 array. Uses numpy's
+    Returns one int64 count per basis index in ``outcomes`` (all by default),
+    distributed exactly as that slice of a multinomial draw over every index.
+    A proper slice first draws how many shots land in it,
+    ``hits ~ Binomial(shots, p_block / p_total)``, then spreads them as
+    ``Multinomial(hits, p_block_j / p_block)``, so no draw is spent on
+    outcomes nobody reads. When the slice holds all the probability (the full
+    range) ``hits = shots`` without a binomial draw, so a full-range call is
+    one multinomial draw with the first numbers of the generator. Uses numpy's
     default generator (PCG64) seeded with ``seed``, so counts are reproducible
     across runs and platforms for a fixed numpy version.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = exact_probabilities(state)
+    block = probs[outcomes]
+    p_block = block.sum()
+    share = p_block / probs.sum()
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs / probs.sum())
+    hits = shots if share >= 1.0 else int(rng.binomial(shots, share))
+    if hits == 0:
+        return np.zeros(block.size, dtype=np.int64)
+    return rng.multinomial(hits, block / p_block)
 
 
 # perfbench/tracer.py wraps ``state.sample`` by name; the name stays bound

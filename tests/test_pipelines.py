@@ -293,3 +293,21 @@ class TestErrorDecay:
             mask[0] = mask[-1] = False
             maes.append(mean_absolute_error(np.sqrt(series.value_sq), reference, mask))
         assert all(a > b for a, b in zip(maes, maes[1:]))
+
+
+@pytest.mark.parametrize("shots", [None, 10**6])
+def test_runs_call_no_blas(monkeypatch, shots):
+    # A BLAS dot over 2^17 samples wakes the BLAS thread pool on every run.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BLAS-backed call on the pipeline path")
+
+    for name in ("dot", "vdot"):
+        monkeypatch.setattr(np, name, forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    monkeypatch.setattr(psmpo, "_memo", {})  # so the block-encoding build runs too
+    rng = np.random.default_rng(5)
+    derivative = qftd_run(SampledFunction(rng.standard_normal(1 << 14), 0.0, 0.5), shots, seed=1)
+    integral = qfti_run(SampledFunction(rng.standard_normal(1 << 10), 0.0, 0.5), shots, seed=1)
+    assert 10 in psmpo._memo
+    for series in (derivative, integral):
+        assert np.all(np.isfinite(series.value_sq)) and series.success_probability > 0.0

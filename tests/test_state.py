@@ -275,6 +275,11 @@ class TestSampleL2Norm:
     def test_zero_stays_zero(self):
         assert sample_l2_norm(np.zeros(4)) == 0.0
 
+    def test_within_two_ulps_of_the_blas_norm(self):
+        samples = np.random.default_rng(17).standard_normal(1 << 17)
+        expected = float(np.linalg.norm(samples))
+        assert abs(sample_l2_norm(samples) - expected) <= 2 * np.spacing(expected)
+
     def test_tiny_samples_encode(self):
         state, l2 = amplitude_encode([1e-300, 2e-300, 3e-300, 4e-300], two_qubit_layout())
         assert_allclose(l2, math.sqrt(30.0) * 1e-300, rtol=1e-15)
@@ -320,3 +325,49 @@ class TestProbabilitiesAndSampling:
         state = Statevector(1, [1, 0], RegisterLayout((("k", 1),)))
         with pytest.raises(ValueError):
             sample_counts(state, 0, seed=0)
+
+
+class TestBlockSampling:
+    """``sample_counts`` over a slice of outcomes: the slice's marginal of a full draw."""
+
+    SHOTS = 10**6
+    BLOCK = slice(16, 48)
+
+    @pytest.fixture
+    def state(self, rng):
+        return Statevector(6, random_state_vector(6, rng), RegisterLayout((("k", 6),)))
+
+    def test_block_counts_pass_chi_square(self, state):
+        from scipy import stats
+
+        probs = exact_probabilities(state)
+        counts = sample_counts(state, self.SHOTS, 3, self.BLOCK)
+        assert counts.shape == (32,)
+        # The shots that miss the block form one more outcome of the multinomial.
+        observed = np.append(counts, self.SHOTS - counts.sum())
+        expected = self.SHOTS * np.append(probs[self.BLOCK], 1.0 - probs[self.BLOCK].sum())
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert stats.chi2.sf(statistic, df=observed.size - 1) > 1e-6
+
+    def test_hits_are_binomial(self, state):
+        share = float(exact_probabilities(state)[self.BLOCK].sum())
+        sigma = math.sqrt(self.SHOTS * share * (1.0 - share))
+        for seed in range(5):
+            hits = int(sample_counts(state, self.SHOTS, seed, self.BLOCK).sum())
+            assert abs(hits - self.SHOTS * share) < 5.0 * sigma
+
+    def test_full_range_is_one_multinomial_draw(self, state):
+        probs = exact_probabilities(state)
+        expected = np.random.default_rng(8).multinomial(self.SHOTS, probs / probs.sum())
+        assert np.array_equal(sample_counts(state, self.SHOTS, 8), expected)
+        assert np.array_equal(sample_counts(state, self.SHOTS, 8, slice(0, 64)), expected)
+
+    def test_zero_probability_block_gives_zeros(self):
+        state = Statevector(2, [0.6, 0.8, 0, 0], two_qubit_layout())
+        counts = sample_counts(state, 1000, 5, slice(2, 4))
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 0]
+
+    def test_block_holding_all_mass_gets_every_shot(self):
+        state = Statevector(3, [0, 0, 0, 0, 0.6, 0, 0.8, 0], RegisterLayout((("k", 3),)))
+        counts = sample_counts(state, 1000, 5, slice(4, 8))
+        assert counts.dtype == np.int64 and counts.sum() == 1000 and counts[[1, 3]].tolist() == [0, 0]
