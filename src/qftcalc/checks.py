@@ -1,13 +1,15 @@
 """Self-validation suites behind the ``validate`` CLI subcommand.
 
 ``fast`` runs the exact-mode oracle equivalences plus structural checks
-(unitarity, transform-matrix equality, rotation branch bookkeeping, sampling
-soundness, reproducibility) in well under a minute. ``full`` adds the sampled
+(unitarity, transform-matrix equality, gate-by-gate replays of the QFT and
+the rotation cascade, rotation branch bookkeeping, sampling soundness,
+reproducibility) in well under a minute. ``full`` adds the sampled
 reproduction targets and the error-order regressions and reports gate counts.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from .state import (
     amplitude_encode,
     apply_gate,
     exact_probabilities,
+    rx_gate,
     sample_counts,
 )
 
@@ -75,6 +78,30 @@ def check_qft_matrix(n: int) -> CheckResult:
     return _result(f"QFT circuit and FFT match DFT matrix n={n}", err <= 1e-12, f"max deviation {err:.2e}")
 
 
+def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
+    """The FFT-based QFT on a register between two free qubits equals the gate-by-gate replay.
+
+    Runs uncontrolled and controlled from the free qubit above and the one
+    below, so the register's merged axis is a strided view of the state.
+    """
+    layout = RegisterLayout((("y", 1), ("k", n), ("x", 1)))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << (n + 2)) + 1j * rng.normal(size=1 << (n + 2))
+    amps /= np.linalg.norm(amps)
+    err = 0.0
+    for control in (None, (layout.qubits("y")[0], 1), (layout.qubits("x")[0], 0)):
+        fft = spectral.qft(Statevector(n + 2, amps.copy(), layout), "k", inverse=inverse, control=control)
+        replay = Statevector(n + 2, amps.copy(), layout)
+        outer = (control,) if control else ()
+        for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse):
+            apply_gate(replay, GateOp(payload, targets, controls + outer))
+        err = max(err, float(np.max(np.abs(fft.amplitudes - replay.amplitudes))))
+    direction = "inverse" if inverse else "forward"
+    return _result(
+        f"{direction} QFT between free qubits == gate replay n={n}", err <= 1e-13, f"max deviation {err:.2e}"
+    )
+
+
 def check_roundtrip_and_norm(n: int, seed: int = 7) -> CheckResult:
     """Forward-then-inverse QFT restores a random state; norm never drifts."""
     rng = np.random.default_rng(seed)
@@ -109,6 +136,34 @@ def check_branch_completeness(n: int, seed: int = 11) -> CheckResult:
     err = float(np.max(np.abs(total - np.abs(spectrum) ** 2)))
     return _result(
         f"rotation branch completeness n={n}", err <= 1e-12, f"max deviation {err:.2e}"
+    )
+
+
+def check_rotation_replay(n: int, mode: str, seed: int = 17) -> CheckResult:
+    """The fused rotation equals the gate-by-gate controlled-Rx cascade, and a repeat call is bitwise equal.
+
+    The second of two calls on fresh copies reads the memoized rotation
+    factors, so it must reproduce the first bit for bit.
+    """
+    schedule = spectral.angle_schedule(n, mode)
+    layout = RegisterLayout((("a", 1), ("k", n)))
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(2 << n, dtype=complex)
+    offset = schedule.ancilla_init << n
+    amps[offset : offset + (1 << n)] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    first, second, replay = (Statevector(n + 1, amps.copy(), layout) for _ in range(3))
+    spectral.wavenumber_rotation(first, schedule)
+    spectral.wavenumber_rotation(second, schedule)
+    (a_qubit,) = layout.qubits("a")
+    for k_qubit, angle in zip(layout.qubits("k"), schedule.angles):
+        apply_gate(replay, GateOp(rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),)))
+    err = float(np.max(np.abs(first.amplitudes - replay.amplitudes)))
+    repeat = bool(np.array_equal(first.amplitudes, second.amplitudes))
+    return _result(
+        f"rotation == controlled-Rx cascade ({mode}) n={n}",
+        err <= 1e-13 and repeat,
+        f"max deviation {err:.2e}, repeat call {'bitwise equal' if repeat else 'differs'}",
     )
 
 
@@ -336,10 +391,15 @@ def fast_suite() -> list[CheckResult]:
         results.append(check_wavenumber_schedule(spectral.angle_schedule(n, "derivative")))
     for n in range(1, 6):
         results.append(check_qft_matrix(n))
+        for inverse in (False, True):
+            results.append(check_qft_replay(n, inverse))
     results.append(check_roundtrip_and_norm(6))
     results.append(check_branch_completeness(5))
     results.append(check_success_branch_law(5, spectral.MODE_DERIVATIVE))
     results.append(check_success_branch_law(5, spectral.MODE_INTEGRAL))
+    for n in range(1, 6):
+        for mode in (spectral.MODE_DERIVATIVE, spectral.MODE_INTEGRAL):
+            results.append(check_rotation_replay(n, mode))
     results.append(check_control_polarity())
     for n_k in (1, 2, 3, 4):
         results.append(check_block_encoding(n_k))

@@ -9,12 +9,14 @@ controlled version of the register unitary.
 On an ``m``-qubit register the whole circuit is the unitary DFT, so the
 simulator runs it as one FFT over the register (Cooley & Tukey 1965): the
 register's qubits, taken as the last axes of the controlled branch by
-:func:`qftcalc.state._operand`, merge into one axis of length ``2^m`` and
-the transform acts on it. The forward QFT is numpy's ``ifft`` and the
-inverse its ``fft``, both with ``norm="ortho"``; it is numpy's FFT, not
-scipy's, so that importing the CLI loads no scipy. ``gate_count`` still
-advances by the circuit's gate count, ``m(m+1)/2 + m//2``. The gate-by-gate
-sequence, :func:`_qft_gate_sequence`, stays as the oracle that the tests and
+:func:`qftcalc.state._operand`, merge into one strided axis of length
+``2^m``, still a view of the state, and the transform writes its result
+back into that view (``out=``), so no ``2^m`` result array is allocated or
+copied. The forward QFT is numpy's ``ifft`` and the inverse its ``fft``,
+both with ``norm="ortho"``; it is numpy's FFT, not scipy's, so that
+importing the CLI loads no scipy. ``gate_count`` still advances by the
+circuit's gate count, ``m(m+1)/2 + m//2``. The gate-by-gate sequence,
+:func:`_qft_gate_sequence`, stays as the oracle that the tests and
 ``validate`` replay.
 
 The rotation cascade scales the spectrum element-wise: with the ancilla
@@ -22,16 +24,22 @@ initialized to ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)``
 (derivative mode); initialized to ``|1>`` the ``|1>`` branch keeps
 ``cos(2 pi k / N)`` (integral mode). The n controlled rotations commute, so
 they amount to one Rx per value of k, ``[[c, -is], [-is, c]]`` with real
-``c`` and ``s``. The simulator takes the ancilla's two branches from
-:func:`qftcalc.state._operand`, with the k axes last, and updates them in
-place with that real arithmetic, ``c`` and ``s`` broadcast over the k axes;
-the gate-by-gate cascade stays as the oracle the tests replay. Rotation
-angles are kept as exact dyadic multiples of pi and converted to radians
-only at gate application time.
+``c`` and ``s``. Those factors depend only on the schedule's angles, which
+depend only on n, so :func:`_rotation_factors` builds them once per angle
+tuple and process (1 MiB at n=16), checks their unitarity at build and
+hands out read-only arrays; the derivative and integral schedules share the
+entry. Each call checks that the ancilla sits in its basis state, takes the
+ancilla's two branches from :func:`qftcalc.state._operand`, with the k axes
+last, and updates them in place with that real arithmetic, ``c`` and ``s``
+broadcast over the k axes. The gate-by-gate cascade stays as the oracle
+that the tests and ``validate`` replay. Rotation angles are kept as exact
+dyadic multiples of pi and converted to radians only when the factors are
+built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,9 +149,13 @@ def qft(
     qubits = state.layout.qubits(register)
     m = len(qubits)
     view = _operand(state, qubits[::-1], () if control is None else (control,))
+    # A register's qubits are consecutive, so their axes have strides in
+    # ratio 2 and merge into one strided axis without a copy: the transform
+    # writes through to the state.
+    flat = view.reshape(*view.shape[:-m], -1)
     # The e^{+2 pi i jk/N} convention makes the forward QFT numpy's ifft.
     transform = np.fft.fft if inverse else np.fft.ifft
-    view[...] = transform(view.reshape(*view.shape[:-m], -1), axis=-1, norm="ortho").reshape(view.shape)
+    transform(flat, axis=-1, norm="ortho", out=flat)
     state.gate_count += m * (m + 1) // 2 + m // 2
     return state
 
@@ -168,15 +180,8 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
             f"ancilla is not in the basis state |{schedule.ancilla_init}>: "
             f"complementary branch holds probability {wrong_branch:.3e}"
         )
-    phi = _rotation_turns(schedule) * math.pi
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    # Block k is [[c, -is], [-is, c]] with real c and s: U†U - I is diagonal.
-    defect = float(np.max(np.abs(c * c + s * s - 1.0)))
-    if defect > UNITARY_TOL:
-        raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
-    # The k axes, most significant first, index c and s as the value of k does.
-    c, s = c.reshape((2,) * schedule.n), s.reshape((2,) * schedule.n)
-    a0, a1 =(_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (0, 1))
+    c, s = _rotation_factors(schedule.angles)
+    a0, a1 = (_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (0, 1))
     s0, s1 = s * a0, s * a1
     a0 *= c
     a1 *= c
@@ -189,16 +194,37 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
     return state
 
 
-def _rotation_turns(schedule: WavenumberSchedule) -> np.ndarray:
+@functools.cache
+def _rotation_factors(angles: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``c`` and ``s`` of every block ``[[c, -is], [-is, c]]``, shaped ``(2,) * n``.
+
+    ``c`` and ``s`` are the cosine and sine of half the Rx angle of each k;
+    the k axes, most significant first, index them as the value of k does.
+    They depend on the angles alone, so they are built once per process for
+    each angle tuple (the derivative and integral schedules share one entry),
+    and the unitarity check runs here, on the arrays every later call reads.
+    """
+    phi = _rotation_turns(angles) * math.pi
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    # Block k is [[c, -is], [-is, c]] with real c and s: U†U - I is diagonal.
+    defect = float(np.max(np.abs(c * c + s * s - 1.0)))
+    if defect > UNITARY_TOL:
+        raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
+    c.setflags(write=False)
+    s.setflags(write=False)
+    return c.reshape((2,) * len(angles)), s.reshape((2,) * len(angles))
+
+
+def _rotation_turns(angles: tuple[Fraction, ...]) -> np.ndarray:
     """Rx angle, in units of pi, for every spectrum index k.
 
-    The sum of the schedule angles over the set bits of k, i.e.
+    The sum of the schedule ``angles`` over the set bits of k, i.e.
     ``-2 * reconstructed_rotation(schedule, k)``. Each angle is a dyadic
     fraction and every partial sum has magnitude below 4, so the float sums
     are exact.
     """
     turns = np.zeros(1)
-    for angle in schedule.angles:
+    for angle in angles:
         # The indices with bit p set are the ones below 2^p, plus angle p.
         turns = np.concatenate([turns, turns + float(angle)])
     return turns

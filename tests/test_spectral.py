@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qftcalc import spectral
 from qftcalc.spectral import (
     MODE_DERIVATIVE,
     MODE_INTEGRAL,
+    WavenumberSchedule,
     _qft_gate_sequence,
+    _rotation_factors,
     _rotation_turns,
     angle_schedule,
     qft,
@@ -99,6 +102,17 @@ class TestQft:
         with pytest.raises(ValueError, match="inside"):
             qft(k_state(3), "k", control=(1, 1))
 
+    @pytest.mark.parametrize("registers", [(("a", 1), ("k", 5)), (("a", 1), ("b", 1), ("c", 1), ("k", 5))])
+    def test_pipeline_layout_keeps_the_amplitude_array(self, registers, rng):
+        # The transform writes into the state's own array: no result array replaces it.
+        layout = RegisterLayout(registers)
+        state = Statevector(layout.n_qubits, random_state_vector(layout.n_qubits, rng), layout)
+        amplitudes = state.amplitudes
+        (a_qubit,) = layout.qubits("a")
+        qft(state, "k", control=(a_qubit, 0))
+        qft(state, "k", inverse=True, control=(a_qubit, 1))
+        assert state.amplitudes is amplitudes
+
 
 # Widths of the free registers y (above k) and x (below k), and the control
 # as (register, polarity) on that register's lowest qubit.
@@ -177,7 +191,7 @@ class TestAngleSchedule:
     def test_fused_turns_are_the_exact_rotations(self, n):
         schedule = angle_schedule(n, MODE_DERIVATIVE)
         expected = [float(-2 * reconstructed_rotation(schedule, k)) for k in range(1 << n)]
-        assert _rotation_turns(schedule).tolist() == expected
+        assert _rotation_turns(schedule.angles).tolist() == expected
 
     def test_n8_top_value(self):
         schedule = angle_schedule(8, MODE_INTEGRAL)
@@ -206,6 +220,38 @@ def check_against_cascade(state, schedule):
         apply_gate(cascade, GateOp(rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),)))
     assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
     assert state.gate_count == cascade.gate_count == schedule.n
+
+
+class TestRotationFactors:
+    def test_factors_are_read_only(self):
+        for factor in _rotation_factors(angle_schedule(4, MODE_DERIVATIVE).angles):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0, 0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                factor.base[0] = 2.0
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_one_entry_per_register_width(self, n):
+        factors = _rotation_factors(angle_schedule(n, MODE_DERIVATIVE).angles)
+        misses = _rotation_factors.cache_info().misses
+        assert _rotation_factors(angle_schedule(n, MODE_DERIVATIVE).angles) is factors
+        assert _rotation_factors(angle_schedule(n, MODE_INTEGRAL).angles) is factors
+        assert _rotation_factors.cache_info().misses == misses
+
+    def test_unitarity_checked_at_build(self, monkeypatch, rng):
+        # No dyadic angle misses the tolerance, so the test makes it negative.
+        # The angle 1/3 appears in no schedule, so this call builds its entry.
+        schedule = WavenumberSchedule(
+            n=1, mode=MODE_DERIVATIVE, angles=(Fraction(1, 3),), ancilla_init=0, success_bit=1
+        )
+        state, _ = ak_state(1, random_state_vector(1, rng), ancilla_bit=0)
+        before = state.amplitudes.copy()
+        entries = _rotation_factors.cache_info().currsize
+        monkeypatch.setattr(spectral, "UNITARY_TOL", -1.0)
+        with pytest.raises(ValueError, match="not unitary"):
+            wavenumber_rotation(state, schedule)
+        assert _rotation_factors.cache_info().currsize == entries
+        assert np.array_equal(state.amplitudes, before)
 
 
 class TestWavenumberRotation:
@@ -310,6 +356,8 @@ class TestWavenumberRotation:
         n = 2
         spectrum = random_state_vector(n, rng)
         state, _ = ak_state(n, spectrum, ancilla_bit=0)
+        # The memo entry exists, shared with the derivative schedule; the check still runs.
+        _rotation_factors(angle_schedule(n, MODE_DERIVATIVE).angles)
         with pytest.raises(ValueError, match="ancilla"):
             wavenumber_rotation(state, angle_schedule(n, MODE_INTEGRAL))
 
