@@ -4,7 +4,8 @@
 (unitarity, transform-matrix equality, gate-by-gate replays of the QFT and
 the rotation cascade, rotation branch bookkeeping, sampling soundness,
 reproducibility) in well under a minute. ``full`` adds the sampled
-reproduction targets and the error-order regressions and reports gate counts.
+reproduction targets, the error-order regressions and the matrix-free block
+encoding against its dense oracle, and reports gate counts.
 """
 
 from __future__ import annotations
@@ -237,6 +238,19 @@ def check_block_encoding(n_k: int) -> CheckResult:
     )
 
 
+def check_block_encoding_apply(n_k: int, seed: int = 23) -> CheckResult:
+    """``BlockEncoding.apply`` equals the dense ``U_H`` on three probes with all four (b, c) blocks set."""
+    enc = psmpo.build_block_encoding(n_k)
+    dense, _ = psmpo.block_encode_dimension(enc.dimension)
+    rng = np.random.default_rng(seed)
+    probes = rng.normal(size=(3, len(dense))) + 1j * rng.normal(size=(3, len(dense)))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    err = float(np.max(np.abs(enc.apply(probes.reshape(3, 2, 2, -1)).reshape(3, -1) - probes @ dense.T)))
+    return _result(
+        f"matrix-free block encoding == dense U_H N={enc.dimension}", err <= 1e-12, f"max deviation {err:.2e}"
+    )
+
+
 def check_control_polarity(seed: int = 3) -> CheckResult:
     """Amplitudes off the control branch are bitwise untouched."""
     rng = np.random.default_rng(seed)
@@ -419,6 +433,8 @@ def full_suite() -> list[CheckResult]:
     results = fast_suite()
     for n_k in (5, 6):
         results.append(check_block_encoding(n_k))
+    for n_k in range(1, 9):
+        results.append(check_block_encoding_apply(n_k))
     results.append(check_resolution_fig5())
     results.append(check_sampled_r2("fig4", 0.95))
     results.append(check_sampled_r2("fig6", 0.98, coverage_target=0.92))

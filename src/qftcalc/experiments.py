@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles, pipelines, plots
+from . import oracles, pipelines, plots, psmpo
 
 __all__ = [
     "ConfigError",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 QFTD_MAX_QUBITS = 16
-QFTI_MAX_QUBITS = 12
+QFTI_MAX_QUBITS = psmpo.MAX_N_K
 # numpy's multinomial draws an int64 shot count.
 MAX_SHOTS = 2**63 - 1
 

@@ -1,9 +1,10 @@
 """End-to-end derivative (QFTD) and integral (QFTI) pipeline runs.
 
-A run encodes normalized samples, moves to the spectrum, applies the
-trigonometric wavenumber factor through the ancilla rotation, transforms back
-under ancilla control (plus the cumulative-sum block encoding in integral
-mode), and reads the post-selected branch out as squared physical values:
+Both run one spectral circuit: encode normalized samples, move to the
+spectrum, apply the trigonometric wavenumber factor through the ancilla
+rotation and transform back under ancilla control; the integral starts the
+ancilla in |1> and adds the cumulative-sum block encoding. The post-selected
+branch is read out as squared physical values:
 
     derivative:  value_sq_j = (|f| / dx)^2        * psi_j^2
     integral:    value_sq_j = (|f| * eta * dx)^2  * psi_j^2
@@ -11,12 +12,13 @@ mode), and reads the post-selected branch out as squared physical values:
 where ``psi_j^2`` is the probability (exact mode) or ``count_j / shots`` over
 *all* shots (sampled mode) of the success outcome carrying grid point ``j``.
 Points that are never observed are censored to zero and flagged unretained.
+``eta`` is derived from the grid size (:func:`qftcalc.psmpo.spectral_norm`,
+as the encoding is built). A sampled run's ``resolution_epsilon`` is the
+same scale, from the encoding's norm, divided by ``shots``.
 
-Readout touches only the success block, one contiguous index range: exact
-mode squares just those amplitudes, and sampled mode draws how many shots
-succeed and then spreads them over the block (see
-:func:`qftcalc.state.sample_counts`), which is exactly the block's marginal of
-a draw over every outcome. No norm in a run is a BLAS dot (see
+Readout touches only the success block, one contiguous index range; sampled
+mode draws how many shots succeed and then spreads them over the block (see
+:func:`qftcalc.state.sample_counts`). No norm in a run is a BLAS dot (see
 :mod:`qftcalc.state` for why).
 """
 
@@ -31,7 +33,6 @@ from . import psmpo, spectral
 from .state import (
     GateOp,
     RegisterLayout,
-    Statevector,
     amplitude_encode,
     apply_gate,
     exact_probabilities,
@@ -108,30 +109,53 @@ class RecoveredSeries:
         return int(self.x.size)
 
 
-def _require_power_of_two(f: SampledFunction) -> int:
-    n_points = f.n_points
-    n = n_points.bit_length() - 1
-    if n_points != (1 << n) or n < 2:
-        raise ValueError(f"need 2^n samples with n >= 2, got {n_points}")
-    return n
+def _squared_scale(norm: float, f: SampledFunction, mode: str) -> float:
+    """The recovery scale of ``mode`` for ``|f| = norm``, rejected when it under- or overflows."""
+    if mode == spectral.MODE_DERIVATIVE:
+        scale, formula = norm / f.dx, "(|f|/dx)^2"
+    elif mode == spectral.MODE_INTEGRAL:
+        scale, formula = norm * psmpo.spectral_norm(f.n_points) * f.dx, "(|f|*eta*dx)^2"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    try:
+        scale_sq = float(scale) ** 2
+    except OverflowError:
+        scale_sq = math.inf
+    if not 0.0 < scale_sq < math.inf:
+        raise ValueError(
+            f"recovery scale {formula} = {scale_sq!r} is not a positive finite number; "
+            "rescale the samples or the grid"
+        )
+    return scale_sq
 
 
-def _read_out(
-    f: SampledFunction,
-    state: Statevector,
-    success_start: int,
-    shots: int | None,
-    seed: int,
-    mode: str,
-    scale_sq: float,
-    eta: float | None = None,
-) -> RecoveredSeries:
-    """Recover ``scale_sq * psi_j^2`` from the success outcomes ``success_start + j``.
+def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> RecoveredSeries:
+    """Run the spectral circuit of ``mode`` on ``f`` and read out only its success block."""
+    n = f.n_points.bit_length() - 1
+    if f.n_points != (1 << n) or n < 2:
+        raise ValueError(f"need 2^n samples with n >= 2, got {f.n_points}")
+    integral = mode == spectral.MODE_INTEGRAL
+    enc = psmpo.build_block_encoding(n) if integral else None
+    ancillas = (("a", 1), ("b", 1), ("c", 1)) if integral else (("a", 1),)
+    layout = RegisterLayout((*ancillas, ("k", n)))
+    state, l2 = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), layout)
+    scale_sq = _squared_scale(l2, f, mode)
 
-    The k register is the least significant one, so the success block is one
-    contiguous index range, and only that range is read out.
-    """
-    success = slice(success_start, success_start + f.n_points)
+    schedule = spectral.angle_schedule(n, mode)
+    (a_qubit,) = layout.qubits("a")
+    if schedule.ancilla_init:  # the integral's ancilla |1> start
+        apply_gate(state, GateOp(pauli_x(), (a_qubit,)))
+    # Only the ancilla's initial branch holds amplitude; the other is all zeros.
+    spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
+    spectral.wavenumber_rotation(state, schedule)
+    spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
+    prefix = {"a": schedule.success_bit}
+    if integral:
+        psmpo.apply_partial_sum(state, enc, control=(a_qubit, schedule.success_bit))
+        prefix = dict(zip("abc", enc.success_prefix))
+
+    start = layout.index_for({**prefix, "k": 0})
+    success = slice(start, start + f.n_points)
     if shots is None:
         psi_sq = exact_probabilities(state, success)
         success_probability = float(np.sum(psi_sq))
@@ -146,7 +170,7 @@ def _read_out(
         x=f.x,
         value_sq=scale_sq * psi_sq,
         retained=retained,
-        resolution_epsilon=0.0 if shots is None else resolution(f, shots, mode, eta=eta),
+        resolution_epsilon=0.0 if shots is None else scale_sq / shots,
         mode=mode,
         shots_used=shots,
         seed=None if shots is None else seed,
@@ -155,40 +179,13 @@ def _read_out(
     )
 
 
-def _squared_scale(scale: float, formula: str) -> float:
-    """``scale ** 2``, rejected when the square under- or overflows."""
-    try:
-        scale_sq = float(scale) ** 2
-    except OverflowError:
-        scale_sq = math.inf
-    if not 0.0 < scale_sq < math.inf:
-        raise ValueError(
-            f"recovery scale {formula} = {scale_sq!r} is not a positive finite number; "
-            "rescale the samples or the grid"
-        )
-    return scale_sq
-
-
 def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
     """Run the quantum spectral-derivative pipeline on sampled data.
 
     ``shots=None`` selects exact mode (probabilities read directly from the
     statevector); otherwise outcomes are drawn once with the given seed.
     """
-    n = _require_power_of_two(f)
-    layout = RegisterLayout((("a", 1), ("k", n)))
-    state, l2 = amplitude_encode(np.pad(f.samples, (0, f.n_points)), layout)
-    scale_sq = _squared_scale(l2 / f.dx, "(|f|/dx)^2")
-
-    schedule = spectral.angle_schedule(n, spectral.MODE_DERIVATIVE)
-    (a_qubit,) = layout.qubits("a")
-    # Only the ancilla's initial branch holds amplitude; the other is all zeros.
-    spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
-    spectral.wavenumber_rotation(state, schedule)
-    spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
-
-    success_start = layout.index_for({"a": schedule.success_bit, "k": 0})
-    return _read_out(f, state, success_start, shots, seed, "derivative", scale_sq)
+    return _run(f, spectral.MODE_DERIVATIVE, shots, seed)
 
 
 def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
@@ -198,28 +195,10 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     operator after the controlled inverse transform; post-selection happens on
     the encoding's three-bit success prefix.
     """
-    n = _require_power_of_two(f)
-    enc = psmpo.build_block_encoding(n)
-    layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n)))
-    state, l2 = amplitude_encode(np.pad(f.samples, (0, 7 * f.n_points)), layout)
-    scale_sq = _squared_scale(l2 * enc.eta * f.dx, "(|f|*eta*dx)^2")
-
-    (a_qubit,) = layout.qubits("a")
-    schedule = spectral.angle_schedule(n, spectral.MODE_INTEGRAL)
-    apply_gate(state, GateOp(pauli_x(), (a_qubit,)))  # ancilla |1> initialization
-    spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
-    spectral.wavenumber_rotation(state, schedule)
-    spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
-    psmpo.apply_partial_sum(state, enc, control=(a_qubit, schedule.success_bit))
-
-    pa, pb, pc = enc.success_prefix
-    success_start = layout.index_for({"a": pa, "b": pb, "c": pc, "k": 0})
-    return _read_out(f, state, success_start, shots, seed, "integral", scale_sq, eta=enc.eta)
+    return _run(f, spectral.MODE_INTEGRAL, shots, seed)
 
 
-def resolution(
-    f: SampledFunction, shots: int, mode: str, eta: float | None = None
-) -> float:
+def resolution(f: SampledFunction, shots: int, mode: str) -> float:
     """Least non-zero squared value recoverable from ``shots`` measurements.
 
     A single count recovers ``psi^2 = 1/shots``, so the floor is the recovery
@@ -227,13 +206,7 @@ def resolution(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if mode == "derivative":
-        return (f.l2_norm / f.dx) ** 2 / shots
-    if mode == "integral":
-        if eta is None:
-            raise ValueError("integral-mode resolution requires eta")
-        return (f.l2_norm * eta * f.dx) ** 2 / shots
-    raise ValueError(f"unknown mode {mode!r}")
+    return _squared_scale(f.l2_norm, f, mode) / shots
 
 
 def expected_coverage(analytical_sq: np.ndarray, epsilon: float) -> float:

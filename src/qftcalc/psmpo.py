@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import Statevector, _branch, _operand
+from .state import Statevector, _operand
 
 __all__ = [
     "BLOCK_TOL",
@@ -283,7 +283,7 @@ def apply_partial_sum(
     view = _operand(state, operand, (control,))
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
     off_block = (((b_qubit, 1),), ((b_qubit, 0), (c_qubit, 1)))
-    residual = max(float(np.max(np.abs(_branch(state, fixed)))) for fixed in off_block)
+    residual = max(float(np.max(np.abs(_operand(state, (), fixed)))) for fixed in off_block)
     if residual > ANCILLA_ZERO_TOL:
         raise ValueError(
             f"registers b/c are not in |0>: residual amplitude {residual:.3e}"

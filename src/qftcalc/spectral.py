@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .state import UNITARY_TOL, Statevector, _branch, _operand, hadamard, phase_gate, swap_gate
+from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swap_gate
 
 __all__ = [
     "ANCILLA_BASIS_TOL",
@@ -174,7 +174,7 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
             f"schedule built for {schedule.n} qubits, k register has {len(k_qubits)}"
         )
     (a_qubit,) = layout.qubits("a")
-    wrong_branch = _branch_probability(state, a_qubit, 1 - schedule.ancilla_init)
+    wrong_branch = float(np.sum(np.abs(_operand(state, (), ((a_qubit, 1 - schedule.ancilla_init),))) ** 2))
     if wrong_branch > ANCILLA_BASIS_TOL:
         raise ValueError(
             f"ancilla is not in the basis state |{schedule.ancilla_init}>: "
@@ -228,7 +228,3 @@ def _rotation_turns(angles: tuple[Fraction, ...]) -> np.ndarray:
         # The indices with bit p set are the ones below 2^p, plus angle p.
         turns = np.concatenate([turns, turns + float(angle)])
     return turns
-
-
-def _branch_probability(state: Statevector, qubit: int, bit: int) -> float:
-    return float(np.sum(np.abs(_branch(state, ((qubit, bit),))) ** 2))

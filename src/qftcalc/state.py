@@ -9,12 +9,13 @@ register named ``a`` always sits in the most significant position.
 
 One private helper, :func:`_operand`, maps qubits to axes of a view of the
 amplitudes and is the only place that checks qubit range, control polarity
-and control/operand collisions. Every layer that acts on a register takes its
-view from it and is one numpy operation on that view: the gate kernel below,
-the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
-(:func:`qftcalc.spectral.wavenumber_rotation`) and the block-encoded partial
-sum (:func:`qftcalc.psmpo.apply_partial_sum`). The full ``2^n x 2^n``
-embedding is never built here (tests rebuild it as an oracle).
+and control/operand collisions. Every view of the state by qubit comes from
+it. Each layer that acts on a register is one numpy operation on such a
+view: the gate kernel below, the QFT (:func:`qftcalc.spectral.qft`), the
+rotation cascade (:func:`qftcalc.spectral.wavenumber_rotation`) and the
+block-encoded partial sum (:func:`qftcalc.psmpo.apply_partial_sum`); the
+branch checks of the last two read theirs with no operand qubits. The full
+``2^n x 2^n`` embedding is never built here (tests rebuild it as an oracle).
 
 Readout takes one ``outcomes`` slice of basis indices: exact probabilities
 square only those amplitudes, and shot sampling draws only the counts of
@@ -27,7 +28,7 @@ single-threaded FFT and random-number work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -268,21 +269,6 @@ def apply_register_unitary(
     return state
 
 
-def _branch(state: Statevector, fixed: Iterable[tuple[int, int]]) -> np.ndarray:
-    """View of the amplitudes where each (qubit, bit) pair in ``fixed`` holds.
-
-    Tensor axes run most significant first, so qubit q is axis n-1-q. Fixing
-    an axis with an integer index keeps the result a view (the trailing
-    ellipsis keeps it a 0-d view when every axis is fixed); its axes are the
-    unfixed qubits, most significant first.
-    """
-    n = state.n_qubits
-    index = [slice(None)] * n
-    for q, bit in fixed:
-        index[n - 1 - q] = bit
-    return state.amplitudes.reshape((2,) * n)[(*index, ...)]
-
-
 def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
     """View of the branch where every control holds, with ``qubits`` as its last axes.
 
@@ -290,22 +276,29 @@ def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[in
     significant first (qubit q is axis n-1-q). ``qubits`` are listed most
     significant first, so a register's qubits in that order read as one index
     once the last axes are merged; the leading axes are the other free qubits.
+    Fixing the control axes by integer index keeps the result a view (the
+    trailing ellipsis keeps it a 0-d view when every axis is fixed).
     """
     n = state.n_qubits
     control_qubits = [q for q, _ in controls]
+    index = [slice(None)] * n
     for q, bit in controls:
         if bit not in (0, 1):
             raise ValueError(f"control polarity must be 0 or 1, got {bit}")
         if not 0 <= q < n:
             raise ValueError(f"control qubit {q} out of range for {n} qubits")
+        index[n - 1 - q] = bit
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
     touched = [*qubits, *control_qubits]
     if len(set(touched)) < len(touched):
         raise ValueError(f"control qubit collides with the operand (lies inside it) or a qubit repeats: {touched}")
+    branch = state.amplitudes.reshape((2,) * n)[(*index, ...)]
+    if not qubits:  # a branch check: no axes to move, so no second view to allocate
+        return branch
     free = [q for q in range(n - 1, -1, -1) if q not in control_qubits]
-    return np.moveaxis(_branch(state, controls), [free.index(q) for q in qubits], range(-len(qubits), 0))
+    return np.moveaxis(branch, [free.index(q) for q in qubits], range(-len(qubits), 0))
 
 
 def _apply_controlled(

@@ -50,12 +50,18 @@ class TestSampledFunction:
         def f(scale, dx):
             return SampledFunction(samples=np.full(4, scale), x0=0.0, dx=dx)
 
+        def integral_resolution(samples, _shots):
+            return resolution(samples, 1, "integral")
+
         # (|f|/dx)^2 and (|f|*eta*dx)^2 underflow to 0, then overflow to inf.
         cases = [(qftd_run, f(1e-300, 1.0)), (qftd_run, f(1e200, 1e-200)),
-                 (qfti_run, f(1e-300, 1.0)), (qfti_run, f(1e200, 1e200))]
+                 (qfti_run, f(1e-300, 1.0)), (qfti_run, f(1e200, 1e200)),
+                 (integral_resolution, f(1e200, 1e200))]
         for run, samples in cases:
             with pytest.raises(ValueError, match="recovery scale"):
                 run(samples, None)
+        with pytest.raises(ValueError, match="unknown mode"):
+            resolution(f(1.0, 1.0), 1, "antiderivative")
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -260,14 +266,17 @@ class TestResolution:
         values = [resolution(f, m, "derivative") for m in (10**3, 10**5, 10**7)]
         assert values[0] > values[1] > values[2] > 0.0
 
-    def test_integral_requires_eta(self):
+    def test_integral_derives_eta(self):
         f = sample_catalog("cos2pix", 5)
-        with pytest.raises(ValueError, match="eta"):
-            resolution(f, 100, "integral")
         eta = psmpo.build_block_encoding(5).eta
-        assert resolution(f, 100, "integral", eta=eta) == pytest.approx(
-            (f.l2_norm * eta * f.dx) ** 2 / 100.0
-        )
+        assert resolution(f, 100, "integral") == (f.l2_norm * eta * f.dx) ** 2 / 100
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("run, mode", [(qftd_run, "derivative"), (qfti_run, "integral")])
+    def test_run_epsilon_is_resolution(self, run, mode, n):
+        f = SampledFunction(np.random.default_rng(n).standard_normal(1 << n), x0=0.0, dx=0.1)
+        shots = 10**5
+        assert run(f, shots, seed=1).resolution_epsilon == resolution(f, shots, mode)
 
 
 class TestExpectedCoverage:
