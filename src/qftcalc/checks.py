@@ -190,33 +190,19 @@ def check_success_branch_law(n: int, mode: str, seed: int = 13) -> CheckResult:
     )
 
 
-def check_qftd_oracle(function: str, n: int) -> CheckResult:
-    """Exact-mode pipeline equals the squared periodic central difference."""
+def check_oracle(mode: str, function: str, n: int) -> CheckResult:
+    """Exact-mode pipeline equals the squared periodic central difference (qftd) or cumulative trapezoid (qfti)."""
     f = oracles.sample_catalog(function, n)
-    series = pipelines.qftd_run(f, shots=None)
-    oracle_sq = oracles.central_difference_periodic(f.samples, f.dx) ** 2
-    tol = 1e-9 * (f.l2_norm / f.dx) ** 2
-    err = float(np.max(np.abs(series.value_sq - oracle_sq)))
-    return _result(
-        f"QFTD exact == central difference ({function}, n={n})",
-        err <= tol,
-        f"max |diff| {err:.2e} (tol {tol:.2e})",
-    )
-
-
-def check_qfti_oracle(function: str, n: int) -> CheckResult:
-    """Exact-mode pipeline equals the squared cumulative trapezoid stencil."""
-    f = oracles.sample_catalog(function, n)
-    series = pipelines.qfti_run(f, shots=None)
-    oracle_sq = oracles.trapezoid_partial_sums(f.samples, f.dx) ** 2
-    eta = psmpo.build_block_encoding(n).eta
-    tol = 1e-9 * (f.l2_norm * eta * f.dx) ** 2
-    err = float(np.max(np.abs(series.value_sq - oracle_sq)))
-    return _result(
-        f"QFTI exact == cumulative trapezoid ({function}, n={n})",
-        err <= tol,
-        f"max |diff| {err:.2e} (tol {tol:.2e})",
-    )
+    if mode == "qftd":
+        series, name = pipelines.qftd_run(f, shots=None), "QFTD exact == central difference"
+        oracle, scale = oracles.central_difference_periodic(f.samples, f.dx), f.l2_norm / f.dx
+    else:
+        series, name = pipelines.qfti_run(f, shots=None), "QFTI exact == cumulative trapezoid"
+        eta = psmpo.build_block_encoding(n).eta
+        oracle, scale = oracles.trapezoid_partial_sums(f.samples, f.dx), f.l2_norm * eta * f.dx
+    tol = 1e-9 * scale**2
+    err = float(np.max(np.abs(series.value_sq - oracle**2)))
+    return _result(f"{name} ({function}, n={n})", err <= tol, f"max |diff| {err:.2e} (tol {tol:.2e})")
 
 
 def check_block_encoding(n_k: int) -> CheckResult:
@@ -377,10 +363,12 @@ def error_trend(mode: str, qubit_range: range = range(3, 9)) -> tuple[float, lis
     return slope, maes
 
 
-def check_error_trend(mode: str, target: float, tolerance: float = 0.3) -> CheckResult:
-    slope, _ = error_trend(mode)
+def check_error_trend(
+    mode: str, target: float, tolerance: float = 0.3, qubit_range: range = range(3, 9)
+) -> CheckResult:
+    slope, _ = error_trend(mode, qubit_range)
     return _result(
-        f"error-order trend {mode}",
+        f"error-order trend {mode} n={qubit_range.start}..{qubit_range.stop - 1}",
         abs(slope - target) <= tolerance,
         f"log-log slope {slope:.3f} (target {target} +- {tolerance})",
     )
@@ -417,12 +405,10 @@ def fast_suite() -> list[CheckResult]:
     results.append(check_control_polarity())
     for n_k in (1, 2, 3, 4):
         results.append(check_block_encoding(n_k))
-    for function in CATALOG_IDS:
-        for n in range(3, 7):
-            results.append(check_qftd_oracle(function, n))
-    for function in CATALOG_IDS:
-        for n in range(3, 6):
-            results.append(check_qfti_oracle(function, n))
+    for mode, sizes in (("qftd", range(3, 7)), ("qfti", range(3, 6))):
+        for function in CATALOG_IDS:
+            for n in sizes:
+                results.append(check_oracle(mode, function, n))
     for function in CATALOG_IDS:
         results.append(check_sampling_chisquare(function))
     results.append(check_sampling_reproducibility())
@@ -442,6 +428,12 @@ def full_suite() -> list[CheckResult]:
     results.append(check_sampled_r2("fig12b", 0.95))
     results.append(check_error_trend("qftd", -2.0))
     results.append(check_error_trend("qfti", -1.0))
+    # At the caps: the sizes where the strided FFT, the Bluestein-length summation and the block sampler run.
+    for function in CATALOG_IDS:
+        results.append(check_oracle("qftd", function, experiments.QFTD_MAX_QUBITS))
+        results.append(check_oracle("qfti", function, experiments.QFTI_MAX_QUBITS))
+    results.append(check_error_trend("qftd", -2.0, qubit_range=range(3, experiments.QFTD_MAX_QUBITS + 1)))
+    results.append(check_error_trend("qfti", -1.0, qubit_range=range(3, experiments.QFTI_MAX_QUBITS + 1)))
     results.append(check_gate_count_report())
     return results
 

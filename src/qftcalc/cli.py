@@ -30,7 +30,10 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as configuration errors."""
+    """argparse that reports usage problems as configuration errors and reads no abbreviated flag."""
+
+    def __init__(self, *args, **kwargs):  # subcommand parsers are _Parsers too
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # so sweep's --output is not --output-dir
 
     def error(self, message):
         raise ConfigError("usage", message)

@@ -1,10 +1,11 @@
 """End-to-end derivative (QFTD) and integral (QFTI) pipeline runs.
 
-Both run one spectral circuit: encode normalized samples, move to the
-spectrum, apply the trigonometric wavenumber factor through the ancilla
-rotation and transform back under ancilla control; the integral starts the
-ancilla in |1> and adds the cumulative-sum block encoding. The post-selected
-branch is read out as squared physical values:
+Both run one spectral circuit: encode normalized samples straight into the
+start branch, move to the spectrum, apply the trigonometric wavenumber factor
+through the ancilla rotation and transform back under ancilla control; the
+integral starts the ancilla in |1> (its X is counted, not applied) and adds
+the cumulative-sum block encoding. The post-selected branch is read out as
+squared physical values:
 
     derivative:  value_sq_j = (|f| / dx)^2        * psi_j^2
     integral:    value_sq_j = (|f| * eta * dx)^2  * psi_j^2
@@ -13,8 +14,9 @@ where ``psi_j^2`` is the probability (exact mode) or ``count_j / shots`` over
 *all* shots (sampled mode) of the success outcome carrying grid point ``j``.
 Points that are never observed are censored to zero and flagged unretained.
 ``eta`` is derived from the grid size (:func:`qftcalc.psmpo.spectral_norm`,
-as the encoding is built). A sampled run's ``resolution_epsilon`` is the
-same scale, from the encoding's norm, divided by ``shots``.
+as the encoding is built). A run has one norm, ``f.l2_norm``: the encoding,
+the scale and a sampled run's ``resolution_epsilon`` (the scale divided by
+``shots``) all use it.
 
 Readout touches only the success block, one contiguous index range; sampled
 mode draws how many shots succeed and then spreads them over the block (see
@@ -30,16 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import psmpo, spectral
-from .state import (
-    GateOp,
-    RegisterLayout,
-    amplitude_encode,
-    apply_gate,
-    exact_probabilities,
-    pauli_x,
-    sample_counts,
-    sample_l2_norm,
-)
+from .state import RegisterLayout, amplitude_encode, exact_probabilities, sample_counts, sample_l2_norm
 
 __all__ = [
     "EXACT_PSI_SQ_FLOOR",
@@ -109,12 +102,12 @@ class RecoveredSeries:
         return int(self.x.size)
 
 
-def _squared_scale(norm: float, f: SampledFunction, mode: str) -> float:
-    """The recovery scale of ``mode`` for ``|f| = norm``, rejected when it under- or overflows."""
+def _squared_scale(f: SampledFunction, mode: str) -> float:
+    """The recovery scale of ``mode`` for ``f``, rejected when it under- or overflows."""
     if mode == spectral.MODE_DERIVATIVE:
-        scale, formula = norm / f.dx, "(|f|/dx)^2"
+        scale, formula = f.l2_norm / f.dx, "(|f|/dx)^2"
     elif mode == spectral.MODE_INTEGRAL:
-        scale, formula = norm * psmpo.spectral_norm(f.n_points) * f.dx, "(|f|*eta*dx)^2"
+        scale, formula = f.l2_norm * psmpo.spectral_norm(f.n_points) * f.dx, "(|f|*eta*dx)^2"
     else:
         raise ValueError(f"unknown mode {mode!r}")
     try:
@@ -138,13 +131,12 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     enc = psmpo.build_block_encoding(n) if integral else None
     ancillas = (("a", 1), ("b", 1), ("c", 1)) if integral else (("a", 1),)
     layout = RegisterLayout((*ancillas, ("k", n)))
-    state, l2 = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), layout)
-    scale_sq = _squared_scale(l2, f, mode)
-
+    scale_sq = _squared_scale(f, mode)
     schedule = spectral.angle_schedule(n, mode)
+    # Encode straight into the start branch: a = ancilla_init (the integral's X), b = c = 0.
+    state, _ = amplitude_encode(f.samples, layout, block=schedule.ancilla_init << (len(ancillas) - 1))
+    state.gate_count += schedule.ancilla_init
     (a_qubit,) = layout.qubits("a")
-    if schedule.ancilla_init:  # the integral's ancilla |1> start
-        apply_gate(state, GateOp(pauli_x(), (a_qubit,)))
     # Only the ancilla's initial branch holds amplitude; the other is all zeros.
     spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
     spectral.wavenumber_rotation(state, schedule)
@@ -206,7 +198,7 @@ def resolution(f: SampledFunction, shots: int, mode: str) -> float:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    return _squared_scale(f.l2_norm, f, mode) / shots
+    return _squared_scale(f, mode) / shots
 
 
 def expected_coverage(analytical_sq: np.ndarray, epsilon: float) -> float:

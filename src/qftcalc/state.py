@@ -17,6 +17,10 @@ block-encoded partial sum (:func:`qftcalc.psmpo.apply_partial_sum`); the
 branch checks of the last two read theirs with no operand qubits. The full
 ``2^n x 2^n`` embedding is never built here (tests rebuild it as an oracle).
 
+:func:`amplitude_encode` writes the samples into one block of a zeroed
+state, so a pipeline starts in its ancilla branch without a gate. Only the
+oracles of ``validate`` and the tests call the gate kernel (:func:`apply_gate`).
+
 Readout takes one ``outcomes`` slice of basis indices: exact probabilities
 square only those amplitudes, and shot sampling draws only the counts of
 that slice (see :func:`sample_counts`). Norms on a pipeline run are numpy
@@ -219,12 +223,14 @@ def sample_l2_norm(samples: np.ndarray) -> float:
     return norm
 
 
-def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[Statevector, float]:
-    """Normalize real samples into the amplitudes of a fresh statevector.
+def amplitude_encode(samples: Sequence[float], layout: RegisterLayout, block: int = 0) -> tuple[Statevector, float]:
+    """Write normalized real samples into one block of a zeroed statevector.
 
     Returns the state together with the L2 norm of the input (the scale factor
-    needed to recover physical values after measurement). The sample count must
-    equal ``2^layout.n_qubits``; amplitude ``j`` becomes ``samples[j] / norm``.
+    needed to recover physical values after measurement). The blocks are the
+    ``2^layout.n_qubits / len(samples)`` consecutive index ranges of the sample
+    count's size; amplitude ``block * len(samples) + j`` becomes
+    ``samples[j] / norm``, and every other amplitude is zero.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -232,14 +238,14 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout) -> tuple[
     n = samples.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"sample count {n} is not a power of two")
-    if n != (1 << layout.n_qubits):
-        raise ValueError(f"{n} samples do not fill a {layout.n_qubits}-qubit layout")
+    dim = 1 << layout.n_qubits
+    if not 0 <= block < dim // n:
+        raise ValueError(f"{n} samples do not fit block {block} of a {layout.n_qubits}-qubit layout")
     l2 = sample_l2_norm(samples)
     if l2 == 0.0:
         raise ValueError("all-zero input: amplitude encoding undefined")
-    amplitudes = np.empty(n, dtype=complex)
-    np.divide(samples, l2, out=amplitudes.real)
-    amplitudes.imag = 0.0
+    amplitudes = np.zeros(dim, dtype=complex)
+    np.divide(samples, l2, out=amplitudes.real[block * n : (block + 1) * n])
     return Statevector(layout.n_qubits, amplitudes, layout), l2
 
 
@@ -311,14 +317,7 @@ def _apply_controlled(
     _check_unitary(matrix)
     # The matrix's least significant target is its fastest-varying index: the last axis.
     view = _operand(state, targets[::-1], controls)
-    if len(targets) == 1:
-        a0, a1 = view[..., 0], view[..., 1]
-        # Explicit row combination: a 2x2 matmul would round differently.
-        out0 = matrix[0, 0] * a0 + matrix[0, 1] * a1
-        out1 = matrix[1, 0] * a0 + matrix[1, 1] * a1
-        a0[...], a1[...] = out0, out1
-    else:
-        view[...] = (view.reshape(-1, len(matrix)) @ matrix.T).reshape(view.shape)
+    view[...] = (view.reshape(-1, len(matrix)) @ matrix.T).reshape(view.shape)
     state.gate_count += 1
 
 

@@ -432,6 +432,13 @@ class TestSweep:
         assert "--jobs" in err and len(err.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_abbreviated_output_dir_is_one(self, tmp_path, capsys, monkeypatch):
+        # --output is a run flag; with prefix matching argparse would read it as --output-dir.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep", "--preset", "fig9b", "--output", "d"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_preset(self, tmp_path):
         out_dir = tmp_path / "trend"
         code = cli.main(

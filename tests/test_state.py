@@ -86,9 +86,20 @@ class TestAmplitudeEncode:
         with pytest.raises(ValueError, match="power of two"):
             amplitude_encode([1.0, 2.0, 3.0], two_qubit_layout())
 
+    def test_fills_one_block(self):
+        layout = RegisterLayout((("a", 1), ("k", 2)))
+        for block in (0, 1):
+            state, norm = amplitude_encode([3.0, 0.0, 0.0, 4.0], layout, block=block)
+            expected = np.zeros(8, dtype=complex)
+            expected[4 * block : 4 * block + 4] = [0.6, 0.0, 0.0, 0.8]
+            assert np.array_equal(state.amplitudes, expected)
+            assert norm == 5.0
+
     def test_rejects_layout_mismatch(self):
-        with pytest.raises(ValueError):
-            amplitude_encode([1.0, 0.0], two_qubit_layout())
+        # Too many samples, then blocks outside the 2 (or 1) blocks the layout holds.
+        for samples, block in (([1.0] * 8, 0), ([1.0, 0.0], 2), ([1.0, 0.0], -1), ([1.0] * 4, 1)):
+            with pytest.raises(ValueError, match="do not fit"):
+                amplitude_encode(samples, two_qubit_layout(), block=block)
 
 
 class TestApplyGate:
@@ -122,23 +133,6 @@ class TestApplyGate:
         state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(state, GateOp(pauli_x(), (5,)))
-
-    def test_diagonal_payload_matches_row_combination(self, rng):
-        # A diagonal payload goes through the same explicit
-        # m00*a0 + m01*a1 row combination as any other 2x2 payload.
-        n_qubits = 5
-        amps = random_state_vector(n_qubits, rng)
-        for payload in (phase_gate(0.7), np.diag(np.exp([0.3j, -1.1j]))):
-            for target in range(n_qubits):
-                state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
-                apply_gate(state, GateOp(payload, (target,)))
-                expected = amps.copy()
-                view = expected.reshape(-1, 2, 1 << target)
-                a0, a1 = view[:, 0], view[:, 1]
-                out0 = payload[0, 0] * a0 + payload[0, 1] * a1
-                out1 = payload[1, 0] * a0 + payload[1, 1] * a1
-                a0[...], a1[...] = out0, out1
-                assert np.array_equal(state.amplitudes, expected)
 
 
 class TestRegisterUnitary:
@@ -178,14 +172,14 @@ class TestEmbeddingEquivalence:
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_single_qubit_gates(self, n_qubits, rng):
-        for _ in range(12):
+        payloads = [random_unitary(2, rng) for _ in range(12)] + [phase_gate(0.7), np.diag(np.exp([0.3j, -1.1j]))]
+        for payload in payloads:
             amps = random_state_vector(n_qubits, rng)
             target = int(rng.integers(n_qubits))
             others = [q for q in range(n_qubits) if q != target]
             rng.shuffle(others)
             n_controls = int(rng.integers(0, min(2, len(others)) + 1))
             controls = tuple((q, int(rng.integers(2))) for q in others[:n_controls])
-            payload = random_unitary(2, rng)
             state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
             apply_gate(state, GateOp(payload, (target,), controls))
             expected = embed_full(n_qubits, payload, (target,), controls) @ amps
