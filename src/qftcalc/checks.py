@@ -140,20 +140,21 @@ def check_branch_completeness(n: int, seed: int = 11) -> CheckResult:
     )
 
 
-def check_rotation_replay(n: int, mode: str, seed: int = 17) -> CheckResult:
+def check_rotation_replay(n: int, mode: str, ancillas: str = "a", seed: int = 17) -> CheckResult:
     """The fused rotation equals the gate-by-gate controlled-Rx cascade, and a repeat call is bitwise equal.
 
-    The second of two calls on fresh copies reads the memoized rotation
-    factors, so it must reproduce the first bit for bit.
+    ``ancillas`` are the one-qubit registers above k (``"abc"`` is the QFTI
+    layout). The second of two calls on fresh copies reads the memoized
+    rotation factors, so it must reproduce the first bit for bit.
     """
     schedule = spectral.angle_schedule(n, mode)
-    layout = RegisterLayout((("a", 1), ("k", n)))
+    layout = RegisterLayout((*((name, 1) for name in ancillas), ("k", n)))
+    half = 1 << (layout.n_qubits - 1)
     rng = np.random.default_rng(seed)
-    amps = np.zeros(2 << n, dtype=complex)
-    offset = schedule.ancilla_init << n
-    amps[offset : offset + (1 << n)] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps = np.zeros(2 * half, dtype=complex)
+    amps[schedule.ancilla_init * half :][:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
     amps /= np.linalg.norm(amps)
-    first, second, replay = (Statevector(n + 1, amps.copy(), layout) for _ in range(3))
+    first, second, replay = (Statevector(layout.n_qubits, amps.copy(), layout) for _ in range(3))
     spectral.wavenumber_rotation(first, schedule)
     spectral.wavenumber_rotation(second, schedule)
     (a_qubit,) = layout.qubits("a")
@@ -162,7 +163,7 @@ def check_rotation_replay(n: int, mode: str, seed: int = 17) -> CheckResult:
     err = float(np.max(np.abs(first.amplitudes - replay.amplitudes)))
     repeat = bool(np.array_equal(first.amplitudes, second.amplitudes))
     return _result(
-        f"rotation == controlled-Rx cascade ({mode}) n={n}",
+        f"rotation == controlled-Rx cascade ({mode}, {'-'.join(ancillas)}-k) n={n}",
         err <= 1e-13 and repeat,
         f"max deviation {err:.2e}, repeat call {'bitwise equal' if repeat else 'differs'}",
     )
@@ -401,7 +402,8 @@ def fast_suite() -> list[CheckResult]:
     results.append(check_success_branch_law(5, spectral.MODE_INTEGRAL))
     for n in range(1, 6):
         for mode in (spectral.MODE_DERIVATIVE, spectral.MODE_INTEGRAL):
-            results.append(check_rotation_replay(n, mode))
+            for ancillas in ("a", "abc"):
+                results.append(check_rotation_replay(n, mode, ancillas))
     results.append(check_control_polarity())
     for n_k in (1, 2, 3, 4):
         results.append(check_block_encoding(n_k))

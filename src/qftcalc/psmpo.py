@@ -66,8 +66,6 @@ __all__ = [
 
 # Orthogonality tolerance for constructed encodings.
 BLOCK_TOL = 1e-10
-# Residual amplitude allowed on the b/c registers before the summation gate.
-ANCILLA_ZERO_TOL = 1e-10
 # Largest k register with an encoding: FFT lengths 2(2N+1) and 4(2N+1) are
 # not powers of two, so past n_k = 12 the build and the apply need measuring.
 MAX_N_K = 12
@@ -264,10 +262,11 @@ def apply_partial_sum(
 ) -> Statevector:
     """Apply the encoded summation to the (b, c, k) registers under a control.
 
-    The b and c registers must still be in |0>; on the controlled branch the
-    amplitudes at the encoding's success prefix become ``S @ A / eta`` for the
-    incoming k-register coefficients A. Everything off the controlled branch is
-    untouched. Counts as one gate.
+    The b and c registers must still be in |0>: unless every amplitude off the
+    b = c = 0 block is exactly zero, ``ValueError`` is raised and the state
+    is left untouched. On the controlled branch the amplitudes at the
+    encoding's success prefix become ``S @ A / eta`` for the incoming
+    k-register coefficients A; everything else is untouched. One gate.
     """
     layout = state.layout
     k_qubits = layout.qubits("k")
@@ -283,11 +282,8 @@ def apply_partial_sum(
     view = _operand(state, operand, (control,))
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
     off_block = (((b_qubit, 1),), ((b_qubit, 0), (c_qubit, 1)))
-    residual = max(float(np.max(np.abs(_operand(state, (), fixed)))) for fixed in off_block)
-    if residual > ANCILLA_ZERO_TOL:
-        raise ValueError(
-            f"registers b/c are not in |0>: residual amplitude {residual:.3e}"
-        )
+    if any(_operand(state, (), fixed).any() for fixed in off_block):
+        raise ValueError("registers b/c are not in |0>: amplitude off the b = c = 0 block is non-zero")
     view[...] = enc.apply(view.reshape(*view.shape[: -len(operand)], 2, 2, enc.dimension)).reshape(view.shape)
     state.gate_count += 1
     return state

@@ -28,13 +28,14 @@ they amount to one Rx per value of k, ``[[c, -is], [-is, c]]`` with real
 depend only on n, so :func:`_rotation_factors` builds them once per angle
 tuple and process (1 MiB at n=16), checks their unitarity at build and
 hands out read-only arrays; the derivative and integral schedules share the
-entry. Each call checks that the ancilla sits in its basis state, takes the
-ancilla's two branches from :func:`qftcalc.state._operand`, with the k axes
-last, and updates them in place with that real arithmetic, ``c`` and ``s``
-broadcast over the k axes. The gate-by-gate cascade stays as the oracle
-that the tests and ``validate`` replay. Rotation angles are kept as exact
-dyadic multiples of pi and converted to radians only when the factors are
-built.
+entry. Both circuits run the cascade with the ancilla in a basis state, so
+each call takes the start branch ``x`` and the other branch, k axes last,
+from :func:`qftcalc.state._operand`, raises unless the other branch is
+exactly zero, and then writes ``-i s x`` into it and ``c x`` over ``x`` in
+place, with no branch-sized temporary. The gate-by-gate cascade stays as
+the oracle that the tests and ``validate`` replay. Rotation angles are kept
+as exact dyadic multiples of pi and converted to radians only when the
+factors are built.
 """
 
 from __future__ import annotations
@@ -49,16 +50,12 @@ import numpy as np
 from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swap_gate
 
 __all__ = [
-    "ANCILLA_BASIS_TOL",
     "WavenumberSchedule",
     "angle_schedule",
     "qft",
     "wavenumber_rotation",
     "reconstructed_rotation",
 ]
-
-# Probability mass allowed outside the declared ancilla basis state.
-ANCILLA_BASIS_TOL = 1e-10
 
 MODE_DERIVATIVE = "derivative"
 MODE_INTEGRAL = "integral"
@@ -163,9 +160,11 @@ def qft(
 def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Statevector:
     """Run the controlled-Rx cascade against the ``a``/``k`` registers.
 
-    Requires the ancilla to sit in the schedule's initialization basis state;
-    afterwards the amplitude of ``|k>|success>`` carries ``i sin(2 pi k/N)``
-    (derivative) or ``cos(2 pi k/N)`` (integral) times the spectrum component.
+    Requires the ancilla to sit in the schedule's initialization basis state:
+    unless the complementary branch is exactly zero, ``ValueError`` is raised
+    and the state is left untouched. Afterwards the amplitude of
+    ``|k>|success>`` carries ``i sin(2 pi k/N)`` (derivative) or
+    ``cos(2 pi k/N)`` (integral) times the spectrum component.
     """
     layout = state.layout
     k_qubits = layout.qubits("k")
@@ -174,22 +173,16 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
             f"schedule built for {schedule.n} qubits, k register has {len(k_qubits)}"
         )
     (a_qubit,) = layout.qubits("a")
-    wrong_branch = float(np.sum(np.abs(_operand(state, (), ((a_qubit, 1 - schedule.ancilla_init),))) ** 2))
-    if wrong_branch > ANCILLA_BASIS_TOL:
-        raise ValueError(
-            f"ancilla is not in the basis state |{schedule.ancilla_init}>: "
-            f"complementary branch holds probability {wrong_branch:.3e}"
-        )
+    init = schedule.ancilla_init
+    start, other = (_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (init, 1 - init))
+    if other.any():
+        raise ValueError(f"ancilla is not in the basis state |{init}>: complementary branch holds non-zero amplitude")
     c, s = _rotation_factors(schedule.angles)
-    a0, a1 = (_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (0, 1))
-    s0, s1 = s * a0, s * a1
-    a0 *= c
-    a1 *= c
-    # o0 = c a0 - i s a1 and o1 = c a1 - i s a0, in real arithmetic.
-    a0.real += s1.imag
-    a0.imag -= s1.real
-    a1.real += s0.imag
-    a1.imag -= s0.real
+    # other = -i s start, then start = c start, in real arithmetic.
+    np.multiply(s, start.imag, out=other.real)
+    np.multiply(s, start.real, out=other.imag)
+    np.negative(other.imag, out=other.imag)
+    start *= c
     state.gate_count += schedule.n
     return state
 

@@ -13,9 +13,9 @@ and control/operand collisions. Every view of the state by qubit comes from
 it. Each layer that acts on a register is one numpy operation on such a
 view: the gate kernel below, the QFT (:func:`qftcalc.spectral.qft`), the
 rotation cascade (:func:`qftcalc.spectral.wavenumber_rotation`) and the
-block-encoded partial sum (:func:`qftcalc.psmpo.apply_partial_sum`); the
-branch checks of the last two read theirs with no operand qubits. The full
-``2^n x 2^n`` embedding is never built here (tests rebuild it as an oracle).
+block-encoded partial sum (:func:`qftcalc.psmpo.apply_partial_sum`), whose
+b/c check reads its branches with no operand qubits. The full ``2^n x 2^n``
+embedding is never built here (tests rebuild it as an oracle).
 
 :func:`amplitude_encode` writes the samples into one block of a zeroed
 state, so a pipeline starts in its ancilla branch without a gate. Only the

@@ -264,14 +264,20 @@ class TestApplyPartialSum:
         assert abs(np.sum(np.abs(got) ** 2) - expected) <= 1e-10
 
     def test_rejects_occupied_bc_registers(self, rng):
+        # The check is exact: a unit amplitude at b = 1 and a 1e-20 one beside
+        # the populated b = c = 0 block are both refused, with the state untouched.
         n_k = 2
         enc = build_block_encoding(n_k)
         layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n_k)))
-        amps = np.zeros(1 << (n_k + 3), dtype=complex)
-        amps[layout.index_for({"a": 1, "b": 1, "c": 0, "k": 0})] = 1.0
-        state = Statevector(n_k + 3, amps, layout)
-        with pytest.raises(ValueError, match="b/c"):
-            apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
+        occupied = np.zeros(1 << (n_k + 3), dtype=complex)
+        occupied[layout.index_for({"a": 1, "b": 1, "c": 0, "k": 0})] = 1.0
+        stray = qfti_state(n_k, random_state_vector(n_k, rng))[0].amplitudes
+        stray[layout.index_for({"a": 1, "b": 1, "c": 0, "k": 1})] = 1e-20
+        for amps in (occupied, stray):
+            state = Statevector(n_k + 3, amps.copy(), layout)
+            with pytest.raises(ValueError, match="b/c"):
+                apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
+            assert np.array_equal(state.amplitudes, amps)
 
     def test_rejects_width_mismatch(self, rng):
         enc = build_block_encoding(3)

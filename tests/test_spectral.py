@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -222,6 +223,17 @@ def check_against_cascade(state, schedule):
     assert state.gate_count == cascade.gate_count == schedule.n
 
 
+def start_branch_state(registers, mode, rng):
+    """A state on ``registers`` whose whole ancilla start branch is random, and its schedule."""
+    layout = RegisterLayout(registers)
+    width = layout.n_qubits
+    schedule = angle_schedule(layout.width("k"), mode)
+    amps = np.zeros(1 << width, dtype=complex)
+    half = 1 << (width - 1)
+    amps[schedule.ancilla_init * half :][:half] = random_state_vector(width - 1, rng)
+    return Statevector(width, amps, layout), schedule
+
+
 class TestRotationFactors:
     def test_factors_are_read_only(self):
         for factor in _rotation_factors(angle_schedule(4, MODE_DERIVATIVE).angles):
@@ -314,13 +326,7 @@ class TestWavenumberRotation:
     def test_matches_gate_cascade_on_other_layouts(self, registers, mode, rng):
         # Every register other than a carries amplitude, so the update has to
         # broadcast over the qubits above and below k.
-        layout = RegisterLayout(registers)
-        width, n = layout.n_qubits, layout.width("k")
-        schedule = angle_schedule(n, mode)
-        amps = np.zeros(1 << width, dtype=complex)
-        half = 1 << (width - 1)
-        amps[schedule.ancilla_init * half :][:half] = random_state_vector(width - 1, rng)
-        check_against_cascade(Statevector(width, amps, layout), schedule)
+        check_against_cascade(*start_branch_state(registers, mode, rng))
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -344,13 +350,39 @@ class TestWavenumberRotation:
         total = probs[: 1 << n] + probs[1 << n :]
         assert np.max(np.abs(total - np.abs(spectrum) ** 2)) <= 1e-12
 
+    @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
+    @pytest.mark.parametrize(
+        "registers",
+        [(("a", 1), ("k", 16)), (("a", 1), ("b", 1), ("c", 1), ("k", 14))],
+        ids=["qftd-ak-16", "qfti-abck-14"],
+    )
+    def test_update_allocates_no_branch_sized_temporary(self, registers, mode, rng):
+        # Each state is 2 MiB and each branch 1 MiB; with the factors already
+        # built, only numpy's small casting buffers may be allocated.
+        state, schedule = start_branch_state(registers, mode, rng)
+        _rotation_factors(schedule.angles)
+        tracemalloc.start()
+        try:
+            wavenumber_rotation(state, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
     def test_rejects_superposed_ancilla(self, rng):
+        # The check is exact: a uniform superposition and a single 1e-20
+        # amplitude on the |1> branch are both refused, with the state untouched.
         n = 2
         layout = RegisterLayout((("a", 1), ("k", n)))
-        amps = np.full(2 << n, 1.0 / math.sqrt(2 << n))
-        state = Statevector(n + 1, amps, layout)
-        with pytest.raises(ValueError, match="ancilla"):
-            wavenumber_rotation(state, angle_schedule(n, MODE_DERIVATIVE))
+        uniform = np.full(2 << n, 1.0 / math.sqrt(2 << n))
+        stray = np.zeros(2 << n, dtype=complex)
+        stray[: 1 << n] = random_state_vector(n, rng)
+        stray[layout.index_for({"a": 1, "k": 3})] = 1e-20
+        for amps in (uniform, stray):
+            state = Statevector(n + 1, amps.copy(), layout)
+            with pytest.raises(ValueError, match="ancilla"):
+                wavenumber_rotation(state, angle_schedule(n, MODE_DERIVATIVE))
+            assert np.array_equal(state.amplitudes, amps)
 
     def test_rejects_wrong_init_bit(self, rng):
         n = 2
