@@ -20,7 +20,6 @@ from .state import (
 from .spectral import WavenumberSchedule, angle_schedule, qft, wavenumber_rotation
 from .psmpo import (
     BlockEncoding,
-    PartialSumMatrix,
     apply_partial_sum,
     build_block_encoding,
     spectral_norm,
@@ -60,7 +59,6 @@ __all__ = [
     "qft",
     "wavenumber_rotation",
     "BlockEncoding",
-    "PartialSumMatrix",
     "apply_partial_sum",
     "build_block_encoding",
     "spectral_norm",

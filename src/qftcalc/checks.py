@@ -68,11 +68,11 @@ def check_qft_matrix(n: int) -> CheckResult:
     circuit = np.zeros((dim, dim), dtype=complex)
     fft = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
-        replay = Statevector(n, np.eye(dim)[j], layout)
+        replay = Statevector(np.eye(dim)[j], layout)
         for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse=False):
             apply_gate(replay, GateOp(payload, targets, controls))
         circuit[:, j] = replay.amplitudes
-        fft[:, j] = spectral.qft(Statevector(n, np.eye(dim)[j], layout), "k").amplitudes
+        fft[:, j] = spectral.qft(Statevector(np.eye(dim)[j], layout), "k").amplitudes
     k = np.arange(dim)
     dft = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
     err = max(float(np.max(np.abs(built - dft))) for built in (circuit, fft))
@@ -91,8 +91,8 @@ def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
     amps /= np.linalg.norm(amps)
     err = 0.0
     for control in (None, (layout.qubits("y")[0], 1), (layout.qubits("x")[0], 0)):
-        fft = spectral.qft(Statevector(n + 2, amps.copy(), layout), "k", inverse=inverse, control=control)
-        replay = Statevector(n + 2, amps.copy(), layout)
+        fft = spectral.qft(Statevector(amps.copy(), layout), "k", inverse=inverse, control=control)
+        replay = Statevector(amps.copy(), layout)
         outer = (control,) if control else ()
         for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse):
             apply_gate(replay, GateOp(payload, targets, controls + outer))
@@ -109,7 +109,7 @@ def check_roundtrip_and_norm(n: int, seed: int = 7) -> CheckResult:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     layout = RegisterLayout((("k", n),))
-    state = Statevector(n, amps.copy(), layout)
+    state = Statevector(amps.copy(), layout)
     spectral.qft(state, "k")
     norm_mid = abs(state.norm() - 1.0)
     spectral.qft(state, "k", inverse=True)
@@ -130,7 +130,7 @@ def check_branch_completeness(n: int, seed: int = 11) -> CheckResult:
     layout = RegisterLayout((("a", 1), ("k", n)))
     amps = np.zeros(2 << n, dtype=complex)
     amps[: 1 << n] = spectrum
-    state = Statevector(n + 1, amps, layout)
+    state = Statevector(amps, layout)
     spectral.wavenumber_rotation(state, spectral.angle_schedule(n, spectral.MODE_DERIVATIVE))
     probs = exact_probabilities(state)
     total = probs[: 1 << n] + probs[1 << n :]
@@ -154,7 +154,7 @@ def check_rotation_replay(n: int, mode: str, ancillas: str = "a", seed: int = 17
     amps = np.zeros(2 * half, dtype=complex)
     amps[schedule.ancilla_init * half :][:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
     amps /= np.linalg.norm(amps)
-    first, second, replay = (Statevector(layout.n_qubits, amps.copy(), layout) for _ in range(3))
+    first, second, replay = (Statevector(amps.copy(), layout) for _ in range(3))
     spectral.wavenumber_rotation(first, schedule)
     spectral.wavenumber_rotation(second, schedule)
     (a_qubit,) = layout.qubits("a")
@@ -179,9 +179,9 @@ def check_success_branch_law(n: int, mode: str, seed: int = 13) -> CheckResult:
     amps = np.zeros(2 << n, dtype=complex)
     offset = schedule.ancilla_init << n
     amps[offset : offset + (1 << n)] = spectrum
-    state = Statevector(n + 1, amps, layout)
+    state = Statevector(amps, layout)
     spectral.wavenumber_rotation(state, schedule)
-    success = state.amplitudes[(schedule.success_bit << n) :][: 1 << n]
+    success = state.amplitudes[(spectral.SUCCESS_BIT << n) :][: 1 << n]
     k = np.arange(1 << n)
     trig = np.sin if mode == spectral.MODE_DERIVATIVE else np.cos
     expected = np.abs(trig(2.0 * np.pi * k / (1 << n))) * np.abs(spectrum)
@@ -213,7 +213,7 @@ def check_block_encoding(n_k: int) -> CheckResult:
     dim = unitary.shape[0]
     N = enc.dimension
     unitary_defect = float(np.max(np.abs(unitary.T @ unitary - np.eye(dim))))
-    sigma = psmpo.PartialSumMatrix(N).dense()
+    sigma = np.tril(np.ones((N, N)))
     h = np.block([[np.zeros((N, N)), sigma.T], [sigma, np.zeros((N, N))]])
     block_defect = float(np.max(np.abs(unitary[: 2 * N, : 2 * N] - h / enc.eta)))
     eta_err = abs(enc.eta - np.linalg.svd(sigma, compute_uv=False)[0])
@@ -245,7 +245,7 @@ def check_control_polarity(seed: int = 3) -> CheckResult:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     layout = RegisterLayout((("k", n),))
-    state = Statevector(n, amps.copy(), layout)
+    state = Statevector(amps.copy(), layout)
     payload = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     apply_gate(state, GateOp(payload, (1,), ((3, 1), (0, 0))))
     idx = np.arange(1 << n)

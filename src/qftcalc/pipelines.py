@@ -140,11 +140,11 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     # Only the ancilla's initial branch holds amplitude; the other is all zeros.
     spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
     spectral.wavenumber_rotation(state, schedule)
-    spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
-    prefix = {"a": schedule.success_bit}
+    spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
+    prefix = {"a": spectral.SUCCESS_BIT}
     if integral:
-        psmpo.apply_partial_sum(state, enc, control=(a_qubit, schedule.success_bit))
-        prefix = dict(zip("abc", enc.success_prefix))
+        psmpo.apply_partial_sum(state, enc, control=(a_qubit, spectral.SUCCESS_BIT))
+        prefix = dict(zip("abc", psmpo.SUCCESS_PREFIX))
 
     start = layout.index_for({**prefix, "k": 0})
     success = slice(start, start + f.n_points)
@@ -185,7 +185,7 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
 
     Adds the two block-encoding registers (b, c) and the encoded summation
     operator after the controlled inverse transform; post-selection happens on
-    the encoding's three-bit success prefix.
+    the three-bit ``psmpo.SUCCESS_PREFIX``.
     """
     return _run(f, spectral.MODE_INTEGRAL, shots, seed)
 

@@ -22,7 +22,7 @@ With ``A = H/eta`` and ``C = sqrt(I - A^2) = blockdiag(C_V, C_U)``,
 and ``C`` commute, so the Hermitian dilation ``U_H = [[A, C], [C, -A]]`` is a
 symmetric orthogonal involution (Gilyen, Su, Low & Wiebe, "Quantum singular
 value transformation and beyond", STOC 2019). ``S/eta`` is the lower-left
-block of ``A``, which fixes the success prefix.
+block of ``A``, which fixes ``SUCCESS_PREFIX``.
 
 ``U_H`` is never built on the pipeline path. :func:`apply_partial_sum`
 takes its operand from :func:`qftcalc.state._operand`: the controlled branch
@@ -51,11 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import SUCCESS_BIT
 from .state import Statevector, _operand
 
 __all__ = [
     "BLOCK_TOL",
-    "PartialSumMatrix",
+    "SUCCESS_PREFIX",
     "BlockEncoding",
     "spectral_norm",
     "summation_svd",
@@ -69,28 +70,13 @@ BLOCK_TOL = 1e-10
 # Largest k register with an encoding: FFT lengths 2(2N+1) and 4(2N+1) are
 # not powers of two, so past n_k = 12 the build and the apply need measuring.
 MAX_N_K = 12
+# The (a, b, c) bits of the output block that carries ``S @ A / eta``: S/eta
+# is the lower-left block of H/eta, row block (b, c) = (0, 1) of the first
+# block column, on the ancilla branch where the rotation cascade leaves the
+# result.
+SUCCESS_PREFIX = (SUCCESS_BIT, 0, 1)
 
 _memo: dict[int, "BlockEncoding"] = {}
-
-
-@dataclass(frozen=True)
-class PartialSumMatrix:
-    """The N x N unit lower-triangular summation operator, held implicitly.
-
-    ``matvec`` and ``rmatvec`` act along the last axis of their argument.
-    """
-
-    dimension: int
-
-    def dense(self) -> np.ndarray:
-        return np.tril(np.ones((self.dimension, self.dimension)))
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.cumsum(v, axis=-1)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Transpose action: suffix sums."""
-        return np.cumsum(v[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _trig_sum(x: np.ndarray, slots: np.ndarray, bins: np.ndarray, length: int, sine: bool) -> np.ndarray:
@@ -113,19 +99,24 @@ class BlockEncoding:
     """Matrix-free unitary embedding of the summation operator for an ``n_k``-qubit register.
 
     ``weights`` holds ``g``, the N completion weights of ``C`` in the module
-    docstring; ``success_prefix`` is the (a, b, c) bit pattern marking the
-    output block that carries ``S @ A / eta``, assuming the summation gate is
-    controlled on the ancilla's success polarity.
+    docstring. They fix everything else: ``dimension`` is N, ``n_k`` is
+    ``log2 N`` and ``eta`` is ``spectral_norm(N)``. The output block that
+    carries ``S @ A / eta`` is at ``SUCCESS_PREFIX``.
     """
 
     weights: np.ndarray
-    eta: float
-    n_k: int
-    success_prefix: tuple[int, int, int]
 
     @property
     def dimension(self) -> int:
-        return 1 << self.n_k
+        return len(self.weights)
+
+    @property
+    def n_k(self) -> int:
+        return self.dimension.bit_length() - 1
+
+    @property
+    def eta(self) -> float:
+        return spectral_norm(self.dimension)
 
     def apply(self, operand: np.ndarray) -> np.ndarray:
         """``U_H`` applied to ``operand`` of shape ``(..., 2, 2, N)``, indexed ``[..., b, c, k]``."""
@@ -136,8 +127,9 @@ class BlockEncoding:
         c0, c1 = operand[..., 0, :], operand[..., 1, :]  # each (..., 2, N), indexed by b
         cv = _trig_sum(self.weights * _trig_sum(c0, odd, odd, 4 * M, False), odd, odd, 4 * M, False) * (4 / M)
         cu = _trig_sum(self.weights * _trig_sum(c1, natural, odd, 2 * M, True), odd, natural, 2 * M, True) * (4 / M)
-        s = PartialSumMatrix(N).matvec(c0) / self.eta
-        st = PartialSumMatrix(N).rmatvec(c1) / self.eta
+        eta = self.eta
+        s = np.cumsum(c0, axis=-1) / eta  # S: prefix sums
+        st = np.cumsum(c1[..., ::-1], axis=-1)[..., ::-1] / eta  # S^T: suffix sums
         out = np.empty(operand.shape, dtype=complex)
         out[..., 0, 0, :] = st[..., 0, :] + cv[..., 1, :]
         out[..., 0, 1, :] = s[..., 0, :] + cu[..., 1, :]
@@ -197,7 +189,7 @@ def summation_svd(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = _singular_values(N)
     u = np.sin(np.outer(np.arange(1, N + 1), theta))
     u /= np.linalg.norm(u, axis=0)
-    vt = (u.T @ PartialSumMatrix(N).dense()) / s[:, None]
+    vt = (u.T @ np.tril(np.ones((N, N)))) / s[:, None]
     return u, s, vt
 
 
@@ -211,7 +203,7 @@ def block_encode_dimension(N: int) -> tuple[np.ndarray, float]:
     """
     u, s, vt = summation_svd(N)
     v = vt.T
-    dense = PartialSumMatrix(N).dense()
+    dense = np.tril(np.ones((N, N)))
     eta = spectral_norm(N)
     g = np.sqrt(np.clip(1.0 - (s / eta) ** 2, 0.0, 1.0))
     zeros = np.zeros((N, N))
@@ -237,13 +229,9 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     if n_k in _memo:
         return _memo[n_k]
     N = 1 << n_k
-    eta = spectral_norm(N)
-    weights = _completion_weights(N, eta)
+    weights = _completion_weights(N, spectral_norm(N))
     weights.setflags(write=False)
-    # S/eta is the lower-left block of H/eta, i.e. row block (b, c) = (0, 1) of
-    # the first block column; the rotation cascade leaves the wanted branch on
-    # ancilla 1.
-    enc = BlockEncoding(weights=weights, eta=eta, n_k=n_k, success_prefix=(1, 0, 1))
+    enc = BlockEncoding(weights)
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(2, 2, N)) + 1j * rng.normal(size=(2, 2, N))
     # Plain numpy norms: np.linalg.norm is a BLAS dot, which wakes the thread pool.
@@ -264,8 +252,8 @@ def apply_partial_sum(
 
     The b and c registers must still be in |0>: unless every amplitude off the
     b = c = 0 block is exactly zero, ``ValueError`` is raised and the state
-    is left untouched. On the controlled branch the amplitudes at the
-    encoding's success prefix become ``S @ A / eta`` for the incoming
+    is left untouched. On the controlled branch the amplitudes at
+    ``SUCCESS_PREFIX`` become ``S @ A / eta`` for the incoming
     k-register coefficients A; everything else is untouched. One gate.
     """
     layout = state.layout
@@ -274,10 +262,8 @@ def apply_partial_sum(
         raise ValueError(f"encoding built for {enc.n_k} qubits, k register has {len(k_qubits)}")
     (b_qubit,) = layout.qubits("b")
     (c_qubit,) = layout.qubits("c")
-    if control[1] != enc.success_prefix[0]:
-        raise ValueError(
-            "control polarity does not match the encoding's success prefix"
-        )
+    if control[1] != SUCCESS_PREFIX[0]:
+        raise ValueError("control polarity does not match the success prefix")
     operand = (b_qubit, c_qubit, *k_qubits[::-1])  # last axes read [b, c, k]
     view = _operand(state, operand, (control,))
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.

@@ -50,6 +50,7 @@ import numpy as np
 from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swap_gate
 
 __all__ = [
+    "SUCCESS_BIT",
     "WavenumberSchedule",
     "angle_schedule",
     "qft",
@@ -59,6 +60,8 @@ __all__ = [
 
 MODE_DERIVATIVE = "derivative"
 MODE_INTEGRAL = "integral"
+# The ancilla value whose branch carries the result in both modes.
+SUCCESS_BIT = 1
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,21 @@ class WavenumberSchedule:
     """Controlled-Rx angles implementing the trigonometric wavenumber factor.
 
     ``angles[p]`` is the Rx argument, as an exact multiple of pi, controlled by
-    the k-register qubit of significance ``p``. Each equals ``-2^(p-n+2)``
-    (in units of pi), i.e. minus twice the rotation ``theta_p = 2^(p-n+1) pi``
-    that the Rx convention requires.
+    the k-register qubit of significance ``p``; there is one angle per k
+    qubit, so the register width ``n`` is ``len(angles)``. Each equals
+    ``-2^(p-n+2)`` (in units of pi), i.e. minus twice the rotation
+    ``theta_p = 2^(p-n+1) pi`` that the Rx convention requires.
+    ``ancilla_init`` is the ancilla's basis state before the cascade: 0 for
+    the derivative, 1 for the integral. Either way the result lands on the
+    ``SUCCESS_BIT`` branch.
     """
 
-    n: int
-    mode: str
     angles: tuple[Fraction, ...]
     ancilla_init: int
-    success_bit: int
+
+    @property
+    def n(self) -> int:
+        return len(self.angles)
 
 
 def angle_schedule(n: int, mode: str) -> WavenumberSchedule:
@@ -85,13 +93,7 @@ def angle_schedule(n: int, mode: str) -> WavenumberSchedule:
     if mode not in (MODE_DERIVATIVE, MODE_INTEGRAL):
         raise ValueError(f"unknown mode {mode!r}")
     angles = tuple(Fraction(-(1 << (p + 2)), 1 << n) for p in range(n))
-    return WavenumberSchedule(
-        n=n,
-        mode=mode,
-        angles=angles,
-        ancilla_init=0 if mode == MODE_DERIVATIVE else 1,
-        success_bit=1,
-    )
+    return WavenumberSchedule(angles=angles, ancilla_init=0 if mode == MODE_DERIVATIVE else 1)
 
 
 def reconstructed_rotation(schedule: WavenumberSchedule, k: int) -> Fraction:
@@ -162,8 +164,8 @@ def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Sta
 
     Requires the ancilla to sit in the schedule's initialization basis state:
     unless the complementary branch is exactly zero, ``ValueError`` is raised
-    and the state is left untouched. Afterwards the amplitude of
-    ``|k>|success>`` carries ``i sin(2 pi k/N)`` (derivative) or
+    and the state is left untouched. Afterwards the amplitude of ``|k>`` on
+    the ``SUCCESS_BIT`` branch carries ``i sin(2 pi k/N)`` (derivative) or
     ``cos(2 pi k/N)`` (integral) times the spectrum component.
     """
     layout = state.layout

@@ -148,13 +148,14 @@ class RegisterLayout:
 
 @dataclass
 class Statevector:
-    """Complex amplitudes over ``2^n_qubits`` basis states.
+    """Complex amplitudes over the ``2^n_qubits`` basis states of ``layout``.
 
-    ``gate_count`` tallies primitive operations applied to this state; it is
-    bookkeeping for complexity reports and takes no part in the physics.
+    The width is the layout's, so the one check is that the amplitudes have
+    that many entries. ``gate_count`` tallies primitive operations applied to
+    this state; it is bookkeeping for complexity reports and takes no part in
+    the physics.
     """
 
-    n_qubits: int
     amplitudes: np.ndarray
     layout: RegisterLayout
     gate_count: int = 0
@@ -164,10 +165,12 @@ class Statevector:
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError(
                 f"amplitude array of shape {self.amplitudes.shape} does not match "
-                f"{self.n_qubits} qubits"
+                f"the layout's {self.n_qubits} qubits"
             )
-        if self.layout.n_qubits != self.n_qubits:
-            raise ValueError("layout does not cover the statevector's qubits")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.layout.n_qubits
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -246,7 +249,7 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout, block: in
         raise ValueError("all-zero input: amplitude encoding undefined")
     amplitudes = np.zeros(dim, dtype=complex)
     np.divide(samples, l2, out=amplitudes.real[block * n : (block + 1) * n])
-    return Statevector(layout.n_qubits, amplitudes, layout), l2
+    return Statevector(amplitudes, layout), l2
 
 
 def apply_gate(state: Statevector, op: GateOp) -> Statevector:

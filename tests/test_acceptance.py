@@ -18,7 +18,7 @@ from qftcalc.oracles import (
     trapezoid_partial_sums,
 )
 from qftcalc.pipelines import expected_coverage, qftd_run, qfti_run, resolution
-from qftcalc.psmpo import PartialSumMatrix, build_block_encoding
+from qftcalc.psmpo import build_block_encoding
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -72,7 +72,7 @@ def test_criterion_3_block_encoding_validity():
         enc = build_block_encoding(n_k)
         N = enc.dimension
         dim = 4 * N
-        sigma = PartialSumMatrix(N).dense()
+        sigma = np.tril(np.ones((N, N)))
         h = np.block([[np.zeros((N, N)), sigma.T], [sigma, np.zeros((N, N))]])
         worst_unitary = max(
             worst_unitary, float(np.max(np.abs(enc.unitary.T @ enc.unitary - np.eye(dim))))

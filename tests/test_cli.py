@@ -534,11 +534,7 @@ class TestValidateWiring:
     def test_tampered_schedule_fails_invariant(self):
         schedule = spectral.angle_schedule(3, "derivative")
         tampered = spectral.WavenumberSchedule(
-            n=schedule.n,
-            mode=schedule.mode,
-            angles=(schedule.angles[0] * 2,) + schedule.angles[1:],
-            ancilla_init=schedule.ancilla_init,
-            success_bit=schedule.success_bit,
+            angles=(schedule.angles[0] * 2,) + schedule.angles[1:], ancilla_init=schedule.ancilla_init
         )
         assert checks.check_wavenumber_schedule(schedule).passed
         assert not checks.check_wavenumber_schedule(tampered).passed

@@ -169,7 +169,7 @@ def unfused_exact_run(f, mode):
         apply_gate(state, GateOp(pauli_x(), (a_qubit,)))
     spectral.qft(state, "k")
     spectral.wavenumber_rotation(state, schedule)
-    spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit))
+    spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
     if mode == spectral.MODE_DERIVATIVE:
         prefix, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
     else:

@@ -66,12 +66,12 @@ def test_norm_preserved_after_each_stage(f, mode):
     stages = [
         lambda: spectral.qft(state, "k"),
         lambda: spectral.wavenumber_rotation(state, schedule),
-        lambda: spectral.qft(state, "k", inverse=True, control=(a_qubit, schedule.success_bit)),
+        lambda: spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT)),
     ]
     if integral:
         stages.insert(0, lambda: apply_gate(state, GateOp(pauli_x(), (a_qubit,))))
         enc = psmpo.build_block_encoding(n)
-        stages.append(lambda: psmpo.apply_partial_sum(state, enc, control=(a_qubit, schedule.success_bit)))
+        stages.append(lambda: psmpo.apply_partial_sum(state, enc, control=(a_qubit, spectral.SUCCESS_BIT)))
     assert abs(state.norm() - 1.0) <= NORM_TOL
     for stage in stages:
         stage()

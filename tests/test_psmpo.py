@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from qftcalc import psmpo
 from qftcalc.psmpo import (
-    PartialSumMatrix,
+    SUCCESS_PREFIX,
     apply_partial_sum,
     block_encode_dimension,
     build_block_encoding,
@@ -20,7 +20,7 @@ from conftest import random_state_vector
 
 
 def hermitian_embedding(N):
-    sigma = PartialSumMatrix(N).dense()
+    sigma = np.tril(np.ones((N, N)))
     return np.block([[np.zeros((N, N)), sigma.T], [sigma, np.zeros((N, N))]])
 
 
@@ -29,21 +29,7 @@ def qfti_state(n_k, k_amplitudes, ancilla_bit=1):
     amps = np.zeros(1 << (n_k + 3), dtype=complex)
     base = layout.index_for({"a": ancilla_bit, "b": 0, "c": 0, "k": 0})
     amps[base : base + (1 << n_k)] = k_amplitudes
-    return Statevector(n_k + 3, amps, layout), layout
-
-
-class TestPartialSumMatrix:
-    def test_unit_lower_triangular_entries(self):
-        dense = PartialSumMatrix(5).dense()
-        for r in range(5):
-            for c in range(5):
-                assert dense[r, c] == (1.0 if r >= c else 0.0)
-
-    def test_matvec_is_cumsum(self, rng):
-        v = rng.normal(size=8)
-        m = PartialSumMatrix(8)
-        assert_allclose(m.matvec(v), m.dense() @ v, atol=1e-12)
-        assert_allclose(m.rmatvec(v), m.dense().T @ v, atol=1e-12)
+    return Statevector(amps, layout), layout
 
 
 class TestSpectralNorm:
@@ -55,7 +41,7 @@ class TestSpectralNorm:
 
     @pytest.mark.parametrize("N", [4, 16, 64])
     def test_against_dense_svd(self, N):
-        dense = PartialSumMatrix(N).dense()
+        dense = np.tril(np.ones((N, N)))
         expected = np.linalg.svd(dense, compute_uv=False)[0]
         assert abs(spectral_norm(N) - expected) <= 1e-9
 
@@ -65,7 +51,7 @@ class TestJacobiSvd:
 
     @pytest.mark.parametrize("N", [2, 7, 32])
     def test_against_numpy(self, N):
-        a = PartialSumMatrix(N).dense()
+        a = np.tril(np.ones((N, N)))
         u, s, vt = summation_svd(N)
         assert_allclose(u @ np.diag(s) @ vt, a, atol=1e-11)
         assert np.max(np.abs(u.T @ u - np.eye(N))) <= 1e-12
@@ -94,7 +80,7 @@ class TestBlockEncoding:
         unitary = enc.unitary
         assert np.max(np.abs(unitary.T @ unitary - np.eye(dim))) <= 1e-10
         assert np.max(np.abs(unitary[: 2 * N, : 2 * N] - hermitian_embedding(N) / enc.eta)) <= 1e-10
-        expected_eta = np.linalg.svd(PartialSumMatrix(N).dense(), compute_uv=False)[0]
+        expected_eta = np.linalg.svd(np.tril(np.ones((N, N))), compute_uv=False)[0]
         assert abs(enc.eta - expected_eta) <= 1e-10
 
     @pytest.mark.parametrize("n_k", [2, 4, 8])
@@ -107,7 +93,7 @@ class TestBlockEncoding:
         assert np.max(np.abs(b_block @ b_block.T - (np.eye(2 * N) - h_scaled @ h_scaled.T))) <= 1e-9
 
     def test_success_prefix(self):
-        assert build_block_encoding(2).success_prefix == (1, 0, 1)
+        assert SUCCESS_PREFIX == (1, 0, 1)
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
@@ -149,7 +135,7 @@ class TestMatrixFree:
         index = np.arange(1 << n)
         for name in ("b", "c"):
             amps[(index >> layout.offset(name)) & 1 == 1] = 0.0
-        state = Statevector(n, amps.copy(), layout)
+        state = Statevector(amps.copy(), layout)
         expected = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
         (g_qubit,) = layout.qubits("g")
         control = (g_qubit, 1)
@@ -199,7 +185,7 @@ class TestApplyPartialSum:
         amplitudes[0] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
         apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = enc.success_prefix
+        pa, pb, pc = SUCCESS_PREFIX
         got = np.array(
             [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
         )
@@ -211,7 +197,7 @@ class TestApplyPartialSum:
         enc = build_block_encoding(n_k)
         state, layout = qfti_state(n_k, np.full(N, 1.0 / math.sqrt(N)))
         apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = enc.success_prefix
+        pa, pb, pc = SUCCESS_PREFIX
         got = np.array(
             [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
         )
@@ -227,11 +213,11 @@ class TestApplyPartialSum:
         amplitudes[basis] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
         apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = enc.success_prefix
+        pa, pb, pc = SUCCESS_PREFIX
         got = np.array(
             [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
         )
-        assert_allclose(got, PartialSumMatrix(N).dense()[:, basis] / enc.eta, atol=1e-10)
+        assert_allclose(got, np.tril(np.ones((N, N)))[:, basis] / enc.eta, atol=1e-10)
 
     def test_zero_controlled_branch_stays_zero(self, rng):
         # All amplitude on a=0 while the gate is controlled on a=1.
@@ -241,7 +227,7 @@ class TestApplyPartialSum:
         before = state.amplitudes.copy()
         apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
         assert np.array_equal(state.amplitudes, before)
-        pa, pb, pc = enc.success_prefix
+        pa, pb, pc = SUCCESS_PREFIX
         success = [
             state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})]
             for j in range(1 << n_k)
@@ -256,7 +242,7 @@ class TestApplyPartialSum:
         amplitudes /= np.linalg.norm(amplitudes)
         state, layout = qfti_state(n_k, amplitudes)
         apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = enc.success_prefix
+        pa, pb, pc = SUCCESS_PREFIX
         got = np.array(
             [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
         )
@@ -274,7 +260,7 @@ class TestApplyPartialSum:
         stray = qfti_state(n_k, random_state_vector(n_k, rng))[0].amplitudes
         stray[layout.index_for({"a": 1, "b": 1, "c": 0, "k": 1})] = 1e-20
         for amps in (occupied, stray):
-            state = Statevector(n_k + 3, amps.copy(), layout)
+            state = Statevector(amps.copy(), layout)
             with pytest.raises(ValueError, match="b/c"):
                 apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
             assert np.array_equal(state.amplitudes, amps)
@@ -282,8 +268,11 @@ class TestApplyPartialSum:
     def test_rejects_width_mismatch(self, rng):
         enc = build_block_encoding(3)
         state, layout = qfti_state(2, random_state_vector(2, rng))
+        before = state.amplitudes.copy()
         with pytest.raises(ValueError, match="k register"):
             apply_partial_sum(state, enc, control=(layout.qubits("a")[0], 1))
+        assert np.array_equal(state.amplitudes, before)
+        assert state.gate_count == 0
 
     def test_rejects_polarity_mismatch(self, rng):
         enc = build_block_encoding(2)

@@ -11,6 +11,7 @@ from qftcalc import spectral
 from qftcalc.spectral import (
     MODE_DERIVATIVE,
     MODE_INTEGRAL,
+    SUCCESS_BIT,
     WavenumberSchedule,
     _qft_gate_sequence,
     _rotation_factors,
@@ -30,7 +31,7 @@ def k_state(n, amplitudes=None):
     if amplitudes is None:
         amplitudes = np.zeros(1 << n)
         amplitudes[0] = 1.0
-    return Statevector(n, amplitudes, layout)
+    return Statevector(amplitudes, layout)
 
 
 def ak_state(n, spectrum, ancilla_bit):
@@ -39,7 +40,7 @@ def ak_state(n, spectrum, ancilla_bit):
     amps = np.zeros(2 << n, dtype=complex)
     offset = ancilla_bit << n
     amps[offset : offset + (1 << n)] = spectrum
-    return Statevector(n + 1, amps, layout), layout
+    return Statevector(amps, layout), layout
 
 
 def dft_matrix(n):
@@ -94,7 +95,7 @@ class TestQft:
         amps = np.zeros(2 << n, dtype=complex)
         amps[: 1 << n] = spectrum / np.sqrt(2.0)
         amps[1 << n :] = spectrum / np.sqrt(2.0)
-        state = Statevector(n + 1, amps.copy(), layout)
+        state = Statevector(amps.copy(), layout)
         qft(state, "k", control=(layout.qubits("a")[0], 1))
         assert np.array_equal(state.amplitudes[: 1 << n], amps[: 1 << n])
         assert_allclose(state.amplitudes[1 << n :], dft_matrix(n) @ amps[1 << n :], atol=1e-12)
@@ -107,7 +108,7 @@ class TestQft:
     def test_pipeline_layout_keeps_the_amplitude_array(self, registers, rng):
         # The transform writes into the state's own array: no result array replaces it.
         layout = RegisterLayout(registers)
-        state = Statevector(layout.n_qubits, random_state_vector(layout.n_qubits, rng), layout)
+        state = Statevector(random_state_vector(layout.n_qubits, rng), layout)
         amplitudes = state.amplitudes
         (a_qubit,) = layout.qubits("a")
         qft(state, "k", control=(a_qubit, 0))
@@ -128,8 +129,8 @@ def check_against_replay(layout, inverse, control, rng):
     """``qft`` on register k within 1e-13 of a gate-by-gate replay, with equal gate counts."""
     width, n = layout.n_qubits, layout.width("k")
     amps = random_state_vector(width, rng)
-    transformed = qft(Statevector(width, amps.copy(), layout), "k", inverse=inverse, control=control)
-    replay = Statevector(width, amps.copy(), layout)
+    transformed = qft(Statevector(amps.copy(), layout), "k", inverse=inverse, control=control)
+    replay = Statevector(amps.copy(), layout)
     outer = (control,) if control else ()
     for payload, targets, controls in _qft_gate_sequence(layout.qubits("k"), inverse):
         apply_gate(replay, GateOp(payload, targets, controls + outer))
@@ -163,7 +164,7 @@ class TestFusedQft:
     def test_bad_control_rejected(self, control, rng):
         # The QFT and a register unitary on the same qubits share one control check.
         layout = RegisterLayout((("k", 3), ("x", 1)))
-        state = Statevector(4, random_state_vector(4, rng), layout)
+        state = Statevector(random_state_vector(4, rng), layout)
         before = state.amplitudes.copy()
         with pytest.raises(ValueError):
             qft(state, "k", control=control)
@@ -201,8 +202,6 @@ class TestAngleSchedule:
     def test_mode_bits(self):
         assert angle_schedule(4, MODE_DERIVATIVE).ancilla_init == 0
         assert angle_schedule(4, MODE_INTEGRAL).ancilla_init == 1
-        assert angle_schedule(4, MODE_DERIVATIVE).success_bit == 1
-        assert angle_schedule(4, MODE_INTEGRAL).success_bit == 1
 
     def test_rejects_n0_and_bad_mode(self):
         with pytest.raises(ValueError):
@@ -231,7 +230,7 @@ def start_branch_state(registers, mode, rng):
     amps = np.zeros(1 << width, dtype=complex)
     half = 1 << (width - 1)
     amps[schedule.ancilla_init * half :][:half] = random_state_vector(width - 1, rng)
-    return Statevector(width, amps, layout), schedule
+    return Statevector(amps, layout), schedule
 
 
 class TestRotationFactors:
@@ -253,9 +252,7 @@ class TestRotationFactors:
     def test_unitarity_checked_at_build(self, monkeypatch, rng):
         # No dyadic angle misses the tolerance, so the test makes it negative.
         # The angle 1/3 appears in no schedule, so this call builds its entry.
-        schedule = WavenumberSchedule(
-            n=1, mode=MODE_DERIVATIVE, angles=(Fraction(1, 3),), ancilla_init=0, success_bit=1
-        )
+        schedule = WavenumberSchedule(angles=(Fraction(1, 3),), ancilla_init=0)
         state, _ = ak_state(1, random_state_vector(1, rng), ancilla_bit=0)
         before = state.amplitudes.copy()
         entries = _rotation_factors.cache_info().currsize
@@ -335,7 +332,7 @@ class TestWavenumberRotation:
         schedule = angle_schedule(n, mode)
         state, _ = ak_state(n, spectrum, ancilla_bit=schedule.ancilla_init)
         wavenumber_rotation(state, schedule)
-        success = state.amplitudes[schedule.success_bit << n :][: 1 << n]
+        success = state.amplitudes[SUCCESS_BIT << n :][: 1 << n]
         k = np.arange(1 << n)
         trig = np.sin if mode == MODE_DERIVATIVE else np.cos
         expected = np.abs(trig(2.0 * np.pi * k / (1 << n))) * np.abs(spectrum)
@@ -379,7 +376,7 @@ class TestWavenumberRotation:
         stray[: 1 << n] = random_state_vector(n, rng)
         stray[layout.index_for({"a": 1, "k": 3})] = 1e-20
         for amps in (uniform, stray):
-            state = Statevector(n + 1, amps.copy(), layout)
+            state = Statevector(amps.copy(), layout)
             with pytest.raises(ValueError, match="ancilla"):
                 wavenumber_rotation(state, angle_schedule(n, MODE_DERIVATIVE))
             assert np.array_equal(state.amplitudes, amps)
@@ -394,6 +391,13 @@ class TestWavenumberRotation:
             wavenumber_rotation(state, angle_schedule(n, MODE_INTEGRAL))
 
     def test_rejects_width_mismatch(self, rng):
+        # A schedule's width is its angle count: two angles on a 3-qubit k
+        # register are refused, as is a schedule built for 4 qubits.
         state, _ = ak_state(3, random_state_vector(3, rng), ancilla_bit=0)
-        with pytest.raises(ValueError, match="k register"):
-            wavenumber_rotation(state, angle_schedule(4, MODE_DERIVATIVE))
+        before = state.amplitudes.copy()
+        short = WavenumberSchedule(angles=angle_schedule(2, MODE_DERIVATIVE).angles, ancilla_init=0)
+        for schedule in (angle_schedule(4, MODE_DERIVATIVE), short):
+            with pytest.raises(ValueError, match="k register"):
+                wavenumber_rotation(state, schedule)
+        assert np.array_equal(state.amplitudes, before)
+        assert state.gate_count == 0

@@ -57,6 +57,13 @@ class TestRegisterLayout:
             two_qubit_layout().qubits("zz")
 
 
+class TestStatevector:
+    @pytest.mark.parametrize("size", [2, 8])
+    def test_rejects_amplitudes_of_another_width(self, size):
+        with pytest.raises(ValueError, match="does not match"):
+            Statevector(np.eye(size)[0], two_qubit_layout())
+
+
 class TestAmplitudeEncode:
     def test_single_basis_state(self):
         state, norm = amplitude_encode([1, 0, 0, 0], two_qubit_layout())
@@ -104,24 +111,24 @@ class TestAmplitudeEncode:
 
 class TestApplyGate:
     def test_x_flips_qubit_zero(self):
-        state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
+        state = Statevector([1, 0, 0, 0], two_qubit_layout())
         apply_gate(state, GateOp(pauli_x(), (0,)))
         assert_allclose(state.amplitudes, [0, 1, 0, 0])
 
     def test_rx_rotation_on_zero(self):
         # Rx(-2*theta)|0> = cos(theta)|0> + i sin(theta)|1>, checked at pi/4.
         theta = math.pi / 4.0
-        state = Statevector(1, [1, 0], RegisterLayout((("k", 1),)))
+        state = Statevector([1, 0], RegisterLayout((("k", 1),)))
         apply_gate(state, GateOp(rx_gate(-2.0 * theta), (0,)))
         assert_allclose(state.amplitudes, [math.cos(theta), 1j * math.sin(theta)], atol=1e-15)
 
     def test_cnot_truth_table(self):
-        state = Statevector(2, [0, 0, 1, 0], two_qubit_layout())  # |10>
+        state = Statevector([0, 0, 1, 0], two_qubit_layout())  # |10>
         apply_gate(state, GateOp(pauli_x(), (0,), controls=((1, 1),)))
         assert_allclose(state.amplitudes, [0, 0, 0, 1])  # |11>
 
     def test_rejects_non_unitary(self):
-        state = Statevector(1, [1, 0], RegisterLayout((("k", 1),)))
+        state = Statevector([1, 0], RegisterLayout((("k", 1),)))
         with pytest.raises(ValueError, match="not unitary"):
             apply_gate(state, GateOp(np.array([[1.0, 0.0], [0.0, 2.0]]), (0,)))
 
@@ -130,7 +137,7 @@ class TestApplyGate:
             GateOp(pauli_x(), (0,), controls=((0, 1),))
 
     def test_rejects_out_of_range_qubit(self):
-        state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
+        state = Statevector([1, 0, 0, 0], two_qubit_layout())
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(state, GateOp(pauli_x(), (5,)))
 
@@ -138,12 +145,12 @@ class TestApplyGate:
 class TestRegisterUnitary:
     def test_identity_leaves_state(self, rng):
         amps = random_state_vector(3, rng)
-        state = Statevector(3, amps.copy(), RegisterLayout((("k", 3),)))
+        state = Statevector(amps.copy(), RegisterLayout((("k", 3),)))
         apply_register_unitary(state, np.eye(4), (0, 1))
         assert_allclose(state.amplitudes, amps, atol=1e-15)
 
     def test_swap_truth_table(self):
-        state = Statevector(2, [0, 1, 0, 0], two_qubit_layout())  # |01>
+        state = Statevector([0, 1, 0, 0], two_qubit_layout())  # |01>
         apply_register_unitary(state, swap_gate(), (0, 1))
         assert_allclose(state.amplitudes, [0, 0, 1, 0])  # |10>
 
@@ -152,17 +159,17 @@ class TestRegisterUnitary:
         layout = RegisterLayout((("a", 1), ("k", 2)))
         amps = np.zeros(8, dtype=complex)
         amps[4:] = random_state_vector(2, rng)  # a = 1 block
-        state = Statevector(3, amps.copy(), layout)
+        state = Statevector(amps.copy(), layout)
         apply_register_unitary(state, random_unitary(4, rng), (0, 1), control=(2, 0))
         assert np.array_equal(state.amplitudes, amps)
 
     def test_rejects_dimension_mismatch(self):
-        state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
+        state = Statevector([1, 0, 0, 0], two_qubit_layout())
         with pytest.raises(ValueError, match="does not act"):
             apply_register_unitary(state, np.eye(8), (0, 1))
 
     def test_rejects_control_inside_register(self):
-        state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
+        state = Statevector([1, 0, 0, 0], two_qubit_layout())
         with pytest.raises(ValueError, match="collides"):
             apply_register_unitary(state, np.eye(4), (0, 1), control=(1, 1))
 
@@ -180,7 +187,7 @@ class TestEmbeddingEquivalence:
             rng.shuffle(others)
             n_controls = int(rng.integers(0, min(2, len(others)) + 1))
             controls = tuple((q, int(rng.integers(2))) for q in others[:n_controls])
-            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+            state = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
             apply_gate(state, GateOp(payload, (target,), controls))
             expected = embed_full(n_qubits, payload, (target,), controls) @ amps
             assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -194,7 +201,7 @@ class TestEmbeddingEquivalence:
             targets = tuple(order[:2])
             controls = tuple((q, int(rng.integers(2))) for q in order[2 : 2 + n_controls])
             payload = random_unitary(4, rng)
-            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+            state = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
             apply_gate(state, GateOp(payload, targets, controls))
             expected = embed_full(n_qubits, payload, targets, controls) @ amps
             assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -208,7 +215,7 @@ class TestEmbeddingEquivalence:
             remaining = [q for q in range(n_qubits) if q not in qubits]
             control = (remaining[0], int(rng.integers(2))) if remaining and rng.random() < 0.7 else None
             payload = random_unitary(4, rng)
-            state = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+            state = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
             apply_register_unitary(state, payload, qubits, control=control)
             expected = embed_full(n_qubits, payload, qubits, (control,) if control else ()) @ amps
             assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -216,7 +223,7 @@ class TestEmbeddingEquivalence:
     def test_norm_preserved_over_random_sequences(self, rng):
         n_qubits = 5
         amps = random_state_vector(n_qubits, rng)
-        state = Statevector(n_qubits, amps, RegisterLayout((("k", n_qubits),)))
+        state = Statevector(amps, RegisterLayout((("k", n_qubits),)))
         for _ in range(60):
             target = int(rng.integers(n_qubits))
             payload = random_unitary(2, rng)
@@ -240,7 +247,7 @@ class TestReverseQubits:
         amps = random_state_vector(n_qubits, rng)
         qubits = tuple(range(1, n_qubits))
         controls = (control,) if control else ()
-        swaps = Statevector(n_qubits, amps.copy(), RegisterLayout((("k", n_qubits),)))
+        swaps = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
         for i in range(width // 2):
             apply_gate(swaps, GateOp(swap_gate(), (qubits[i], qubits[-1 - i]), controls))
         # The register is qubits 1..width: reverse the bits of index >> 1
@@ -282,7 +289,7 @@ class TestSampleL2Norm:
 
 class TestProbabilitiesAndSampling:
     def test_probabilities_basis_state(self):
-        state = Statevector(2, [1, 0, 0, 0], two_qubit_layout())
+        state = Statevector([1, 0, 0, 0], two_qubit_layout())
         assert_allclose(exact_probabilities(state), [1, 0, 0, 0])
 
     def test_probabilities_uniform(self):
@@ -292,7 +299,7 @@ class TestProbabilitiesAndSampling:
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_sample_degenerate_distribution(self):
-        state = Statevector(2, [0, 0, 1, 0], two_qubit_layout())
+        state = Statevector([0, 0, 1, 0], two_qubit_layout())
         assert sample_counts(state, shots=1000, seed=5).tolist() == [0, 0, 1000, 0]
 
     def test_sample_binomial_moments(self):
@@ -316,7 +323,7 @@ class TestProbabilitiesAndSampling:
         assert counts.sum() == 10**5 and np.all(counts >= 0) and counts[3] == 0
 
     def test_sample_rejects_zero_shots(self):
-        state = Statevector(1, [1, 0], RegisterLayout((("k", 1),)))
+        state = Statevector([1, 0], RegisterLayout((("k", 1),)))
         with pytest.raises(ValueError):
             sample_counts(state, 0, seed=0)
 
@@ -329,7 +336,7 @@ class TestBlockSampling:
 
     @pytest.fixture
     def state(self, rng):
-        return Statevector(6, random_state_vector(6, rng), RegisterLayout((("k", 6),)))
+        return Statevector(random_state_vector(6, rng), RegisterLayout((("k", 6),)))
 
     def test_block_counts_pass_chi_square(self, state):
         from scipy import stats
@@ -357,11 +364,11 @@ class TestBlockSampling:
         assert np.array_equal(sample_counts(state, self.SHOTS, 8, slice(0, 64)), expected)
 
     def test_zero_probability_block_gives_zeros(self):
-        state = Statevector(2, [0.6, 0.8, 0, 0], two_qubit_layout())
+        state = Statevector([0.6, 0.8, 0, 0], two_qubit_layout())
         counts = sample_counts(state, 1000, 5, slice(2, 4))
         assert counts.dtype == np.int64 and counts.tolist() == [0, 0]
 
     def test_block_holding_all_mass_gets_every_shot(self):
-        state = Statevector(3, [0, 0, 0, 0, 0.6, 0, 0.8, 0], RegisterLayout((("k", 3),)))
+        state = Statevector([0, 0, 0, 0, 0.6, 0, 0.8, 0], RegisterLayout((("k", 3),)))
         counts = sample_counts(state, 1000, 5, slice(4, 8))
         assert counts.dtype == np.int64 and counts.sum() == 1000 and counts[[1, 3]].tolist() == [0, 0]
