@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):  # subcommand parsers are _Parsers too
         super().__init__(*args, allow_abbrev=False, **kwargs)  # so sweep's --output is not --output-dir
+        # Any -<digit> or -.<digit> is a value: argparse's own pattern takes -1e-3 for a flag.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ConfigError("usage", message)

@@ -164,7 +164,7 @@ def sample_catalog(
     dx = (hi - lo) / n_points
     start = lo + 0.5 * dx if function.singular else lo
     x = start + dx * np.arange(n_points)
-    # A grid point on a singularity gives inf, which SampledFunction rejects.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A grid point on a singularity, or a huge domain, gives inf or NaN, which SampledFunction rejects.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         samples = function.value(x)
     return SampledFunction(samples=samples, x0=start, dx=dx)

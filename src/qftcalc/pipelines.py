@@ -128,7 +128,6 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     if f.n_points != (1 << n) or n < 2:
         raise ValueError(f"need 2^n samples with n >= 2, got {f.n_points}")
     integral = mode == spectral.MODE_INTEGRAL
-    enc = psmpo.build_block_encoding(n) if integral else None
     ancillas = (("a", 1), ("b", 1), ("c", 1)) if integral else (("a", 1),)
     layout = RegisterLayout((*ancillas, ("k", n)))
     scale_sq = _squared_scale(f, mode)
@@ -143,7 +142,7 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
     prefix = {"a": spectral.SUCCESS_BIT}
     if integral:
-        psmpo.apply_partial_sum(state, enc, control=(a_qubit, spectral.SUCCESS_BIT))
+        psmpo.apply_partial_sum(state, control=(a_qubit, spectral.SUCCESS_BIT))
         prefix = dict(zip("abc", psmpo.SUCCESS_PREFIX))
 
     start = layout.index_for({**prefix, "k": 0})

@@ -33,19 +33,21 @@ to::
     y00 = S^T x01 / eta + C_V x10        y10 = C_V x00 - S^T x11 / eta
     y01 = S x00 / eta   + C_U x11        y11 = C_U x01 - S x10 / eta
 
-``S`` and ``S^T`` are prefix and suffix sums. The bases are trigonometric
-transforms (Makhoul, "A fast cosine transform in one and two dimensions",
-IEEE TASSP 1980), each one numpy FFT: ``C_V = (4/M) T g T`` with the symmetric
-``T[j, k] = cos((2j+1)(2k+1) pi / (2M))``, an FFT of length 4M with the input
-at odd slots read at odd bins; ``U^T`` and ``U`` are sine sums
-``sum_m x_m sin(m (2k-1) pi / M)``, an FFT of length 2M. The amplitudes are
-complex, so the sums are read two-sided, ``(W[q] + W[-q]) / 2`` and
-``(W[-q] - W[q]) / 2i``. One apply costs O(N log N) and holds O(N) weights.
-numpy's FFT, not scipy's, keeps scipy out of ``import qftcalc.cli``.
+``S`` and ``S^T`` are prefix and suffix sums. ``C_U = (4/M) T g T^T`` with
+the sine basis ``T[m, k] = sin(m (2k-1) pi / M)``, so ``T^T`` and ``T`` are
+sine sums, each one numpy FFT of length 2M (Makhoul, "A fast cosine transform
+in one and two dimensions", IEEE TASSP 1980). The amplitudes are complex, so
+the sums are read two-sided, ``(W[-q] - W[q]) / 2i``. ``C_V`` needs no
+transform of its own: ``C_U S = U g sigma V^T = S C_V``, so
+``C_V = S^-1 C_U S``, where ``S^-1`` is a first difference and ``S x00`` is
+the prefix sum the success block needs anyway. One apply costs O(N log N) and
+holds O(N) weights. numpy's FFT, not scipy's, keeps scipy out of
+``import qftcalc.cli``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,8 +69,8 @@ __all__ = [
 
 # Orthogonality tolerance for constructed encodings.
 BLOCK_TOL = 1e-10
-# Largest k register with an encoding: FFT lengths 2(2N+1) and 4(2N+1) are
-# not powers of two, so past n_k = 12 the build and the apply need measuring.
+# Largest k register with an encoding: the FFT length 2(2N+1) is not a power
+# of two, so past n_k = 12 the build and the apply need measuring.
 MAX_N_K = 12
 # The (a, b, c) bits of the output block that carries ``S @ A / eta``: S/eta
 # is the lower-left block of H/eta, row block (b, c) = (0, 1) of the first
@@ -76,22 +78,17 @@ MAX_N_K = 12
 # result.
 SUCCESS_PREFIX = (SUCCESS_BIT, 0, 1)
 
-_memo: dict[int, "BlockEncoding"] = {}
 
+def _sine_sum(x: np.ndarray, slots: np.ndarray, bins: np.ndarray, length: int) -> np.ndarray:
+    """``sum_p x[..., p] sin(2 pi slots[p] bins[q] / length)`` for every q, by one FFT.
 
-def _trig_sum(x: np.ndarray, slots: np.ndarray, bins: np.ndarray, length: int, sine: bool) -> np.ndarray:
-    """``sum_p x[..., p] trig(2 pi slots[p] bins[q] / length)`` for every q, by one FFT.
-
-    With ``x`` placed at ``slots`` of a zero array ``z`` and
-    ``W = fft(z)``, the cosine sum is ``(W[q] + W[-q]) / 2`` and the sine sum
-    ``(W[-q] - W[q]) / 2i``; ``bins`` must lie in 1..length-1.
+    With ``x`` placed at ``slots`` of a zero array ``z`` and ``W = fft(z)``,
+    the sum is ``(W[-q] - W[q]) / 2i``; ``bins`` must lie in 1..length-1.
     """
     z = np.zeros(x.shape[:-1] + (length,), dtype=complex)
     z[..., slots] = x
     w = np.fft.fft(z, axis=-1)
-    if sine:
-        return (w[..., -bins] - w[..., bins]) / 2j
-    return (w[..., bins] + w[..., -bins]) / 2
+    return (w[..., -bins] - w[..., bins]) / 2j
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,9 @@ class BlockEncoding:
     """Matrix-free unitary embedding of the summation operator for an ``n_k``-qubit register.
 
     ``weights`` holds ``g``, the N completion weights of ``C`` in the module
-    docstring. They fix everything else: ``dimension`` is N, ``n_k`` is
-    ``log2 N`` and ``eta`` is ``spectral_norm(N)``. The output block that
-    carries ``S @ A / eta`` is at ``SUCCESS_PREFIX``.
+    docstring. They fix everything else: ``dimension`` is N and ``eta`` is
+    ``spectral_norm(N)``. The output block that carries ``S @ A / eta`` is at
+    ``SUCCESS_PREFIX``.
     """
 
     weights: np.ndarray
@@ -111,10 +108,6 @@ class BlockEncoding:
         return len(self.weights)
 
     @property
-    def n_k(self) -> int:
-        return self.dimension.bit_length() - 1
-
-    @property
     def eta(self) -> float:
         return spectral_norm(self.dimension)
 
@@ -122,13 +115,16 @@ class BlockEncoding:
         """``U_H`` applied to ``operand`` of shape ``(..., 2, 2, N)``, indexed ``[..., b, c, k]``."""
         N = self.dimension
         M = 2 * N + 1
-        odd = 2 * np.arange(N) + 1
         natural = np.arange(1, N + 1)
+        odd = 2 * natural - 1
         c0, c1 = operand[..., 0, :], operand[..., 1, :]  # each (..., 2, N), indexed by b
-        cv = _trig_sum(self.weights * _trig_sum(c0, odd, odd, 4 * M, False), odd, odd, 4 * M, False) * (4 / M)
-        cu = _trig_sum(self.weights * _trig_sum(c1, natural, odd, 2 * M, True), odd, natural, 2 * M, True) * (4 / M)
+        prefix = np.cumsum(c0, axis=-1)  # S c0
+        # C_U on S c0 and c1 in one batch; C_V c0 = S^-1 C_U S c0 is a first difference.
+        both = np.stack((prefix, c1))
+        cu_prefix, cu = _sine_sum(self.weights * _sine_sum(both, natural, odd, 2 * M), odd, natural, 2 * M) * (4 / M)
+        cv = np.diff(cu_prefix, axis=-1, prepend=0)
         eta = self.eta
-        s = np.cumsum(c0, axis=-1) / eta  # S: prefix sums
+        s = prefix / eta
         st = np.cumsum(c1[..., ::-1], axis=-1)[..., ::-1] / eta  # S^T: suffix sums
         out = np.empty(operand.shape, dtype=complex)
         out[..., 0, 0, :] = st[..., 0, :] + cv[..., 1, :]
@@ -216,18 +212,17 @@ def block_encode_dimension(N: int) -> tuple[np.ndarray, float]:
     return unitary, eta
 
 
+@functools.cache
 def build_block_encoding(n_k: int) -> BlockEncoding:
     """Build (or fetch) the block encoding for an ``n_k``-qubit register.
 
     ``U_H`` is a symmetric orthogonal involution, so the build applies it to a
     fixed seeded probe and raises ``RuntimeError`` unless the norm is kept and
     a second application returns the probe, both to ``BLOCK_TOL``.
-    Encodings are memoized per process.
+    Encodings are memoized per process; a width that raises is not.
     """
     if not 1 <= n_k <= MAX_N_K:
         raise ValueError(f"n_k must lie in 1..{MAX_N_K}")
-    if n_k in _memo:
-        return _memo[n_k]
     N = 1 << n_k
     weights = _completion_weights(N, spectral_norm(N))
     weights.setflags(write=False)
@@ -241,25 +236,22 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     defect = max(norm_defect, float(np.max(np.abs(enc.apply(image) - probe))))
     if defect > BLOCK_TOL:
         raise RuntimeError(f"U_H is not an orthogonal involution: defect {defect:.3e} on the probe")
-    _memo[n_k] = enc
     return enc
 
 
-def apply_partial_sum(
-    state: Statevector, enc: BlockEncoding, control: tuple[int, int]
-) -> Statevector:
+def apply_partial_sum(state: Statevector, control: tuple[int, int]) -> Statevector:
     """Apply the encoded summation to the (b, c, k) registers under a control.
 
-    The b and c registers must still be in |0>: unless every amplitude off the
-    b = c = 0 block is exactly zero, ``ValueError`` is raised and the state
-    is left untouched. On the controlled branch the amplitudes at
-    ``SUCCESS_PREFIX`` become ``S @ A / eta`` for the incoming
+    The encoding is :func:`build_block_encoding` for the width of the k
+    register. The b and c registers must still be in |0>: unless every
+    amplitude off the b = c = 0 block is exactly zero, ``ValueError`` is
+    raised and the state is left untouched. On the controlled branch the
+    amplitudes at ``SUCCESS_PREFIX`` become ``S @ A / eta`` for the incoming
     k-register coefficients A; everything else is untouched. One gate.
     """
     layout = state.layout
     k_qubits = layout.qubits("k")
-    if len(k_qubits) != enc.n_k:
-        raise ValueError(f"encoding built for {enc.n_k} qubits, k register has {len(k_qubits)}")
+    enc = build_block_encoding(len(k_qubits))
     (b_qubit,) = layout.qubits("b")
     (c_qubit,) = layout.qubits("c")
     if control[1] != SUCCESS_PREFIX[0]:

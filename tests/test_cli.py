@@ -279,6 +279,7 @@ class TestCliExitCodes:
         "extra",
         [
             ["--domain", "0", "inf"],
+            ["--domain", "0", "1e308"],  # samples overflow to inf
             ["--shots", "1e30"],
             ["--shots", str(2**63)],
             ["--shots", "inf"],
@@ -286,7 +287,8 @@ class TestCliExitCodes:
             ["--seed", "-1"],
             ["--function", "invx", "--qubits", "2", "--domain", "-1", "7"],  # x = 0 on the grid
         ],
-        ids=["domain-inf", "shots-1e30", "shots-2^63", "shots-inf", "shots-nan", "seed-negative", "singular-grid"],
+        ids=["domain-inf", "domain-overflow", "shots-1e30", "shots-2^63", "shots-inf", "shots-nan", "seed-negative",
+             "singular-grid"],
     )
     def test_bad_run_value_is_one(self, extra, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -295,6 +297,17 @@ class TestCliExitCodes:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_exponent_domain_is_a_value(self, tmp_path):
+        # argparse's own pattern takes "-1e-3" for a flag; "--seed -1" must still reach the seed check.
+        out = tmp_path / "o.csv"
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--qubits", "4", "--shots", "exact",
+                "--output", str(out), "--domain", "-1e-3", "1e-3"]
+        assert cli.main(argv) == 0
+        assert np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)[0] == -1e-3
+        out.unlink()
+        assert cli.main(argv + ["--seed", "-1"]) == 1
         assert not out.exists()
 
     def test_shot_bound_is_exact(self):

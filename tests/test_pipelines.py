@@ -316,11 +316,12 @@ def test_runs_call_no_blas(monkeypatch, shots):
     for name in ("dot", "vdot"):
         monkeypatch.setattr(np, name, forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
-    monkeypatch.setattr(psmpo, "_memo", {})  # so the block-encoding build runs too
+    psmpo.build_block_encoding.cache_clear()  # so the block-encoding build runs too
     rng = np.random.default_rng(5)
     derivative = qftd_run(SampledFunction(rng.standard_normal(1 << 14), 0.0, 0.5), shots, seed=1)
     integral = qfti_run(SampledFunction(rng.standard_normal(1 << 10), 0.0, 0.5), shots, seed=1)
-    assert 10 in psmpo._memo
+    built = psmpo.build_block_encoding.cache_info()
+    assert built.misses == built.currsize == 1  # the n=10 build ran under the ban
     for series in (derivative, integral):
         assert np.all(np.isfinite(series.value_sq)) and series.success_probability > 0.0
 

@@ -70,8 +70,7 @@ def test_norm_preserved_after_each_stage(f, mode):
     ]
     if integral:
         stages.insert(0, lambda: apply_gate(state, GateOp(pauli_x(), (a_qubit,))))
-        enc = psmpo.build_block_encoding(n)
-        stages.append(lambda: psmpo.apply_partial_sum(state, enc, control=(a_qubit, spectral.SUCCESS_BIT)))
+        stages.append(lambda: psmpo.apply_partial_sum(state, control=(a_qubit, spectral.SUCCESS_BIT)))
     assert abs(state.norm() - 1.0) <= NORM_TOL
     for stage in stages:
         stage()
