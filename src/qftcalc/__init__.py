@@ -5,11 +5,12 @@ QFT and wavenumber-rotation circuits (`spectral`), the block-encoded
 cumulative-sum operator (`psmpo`), the end-to-end derivative/integral
 pipelines (`pipelines`), classical references and metrics (`oracles`), and an
 experiment runner with presets, plots and a validation suite (`experiments`,
-`plots`, `checks`, `cli`).
+`plots`, `checks`, `cli`). No gate or schedule record sits in front of a
+circuit: `apply_gate` takes its matrix, targets and controls directly, and
+`wavenumber_rotation` reads its width and start branch from the state.
 """
 
 from .state import (
-    GateOp,
     RegisterLayout,
     Statevector,
     amplitude_encode,
@@ -17,7 +18,7 @@ from .state import (
     apply_register_unitary,
     exact_probabilities,
 )
-from .spectral import WavenumberSchedule, angle_schedule, qft, wavenumber_rotation
+from .spectral import qft, wavenumber_rotation
 from .psmpo import (
     BlockEncoding,
     apply_partial_sum,
@@ -47,15 +48,12 @@ from .plots import emit_plot
 __version__ = "0.1.0"
 
 __all__ = [
-    "GateOp",
     "RegisterLayout",
     "Statevector",
     "amplitude_encode",
     "apply_gate",
     "apply_register_unitary",
     "exact_probabilities",
-    "WavenumberSchedule",
-    "angle_schedule",
     "qft",
     "wavenumber_rotation",
     "BlockEncoding",

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import experiments, oracles, pipelines, psmpo, spectral
 from .state import (
-    GateOp,
     RegisterLayout,
     Statevector,
     amplitude_encode,
@@ -46,13 +45,13 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def check_wavenumber_schedule(schedule: spectral.WavenumberSchedule) -> CheckResult:
+def check_wavenumber_schedule(angles: tuple[Fraction, ...]) -> CheckResult:
     """Exact dyadic reconstruction: sum of controlled rotations == 2 pi k / N."""
-    n = schedule.n
+    n = len(angles)
     bad = [
         k
         for k in range(1 << n)
-        if spectral.reconstructed_rotation(schedule, k) != Fraction(2 * k, 1 << n)
+        if spectral.reconstructed_rotation(angles, k) != Fraction(2 * k, 1 << n)
     ]
     return _result(
         f"wavenumber schedule n={n} reconstructs 2*pi*k/N exactly",
@@ -70,7 +69,7 @@ def check_qft_matrix(n: int) -> CheckResult:
     for j in range(dim):
         replay = Statevector(np.eye(dim)[j], layout)
         for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse=False):
-            apply_gate(replay, GateOp(payload, targets, controls))
+            apply_gate(replay, payload, targets, controls)
         circuit[:, j] = replay.amplitudes
         fft[:, j] = spectral.qft(Statevector(np.eye(dim)[j], layout), "k").amplitudes
     k = np.arange(dim)
@@ -95,7 +94,7 @@ def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
         replay = Statevector(amps.copy(), layout)
         outer = (control,) if control else ()
         for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse):
-            apply_gate(replay, GateOp(payload, targets, controls + outer))
+            apply_gate(replay, payload, targets, controls + outer)
         err = max(err, float(np.max(np.abs(fft.amplitudes - replay.amplitudes))))
     direction = "inverse" if inverse else "forward"
     return _result(
@@ -131,7 +130,7 @@ def check_branch_completeness(n: int, seed: int = 11) -> CheckResult:
     amps = np.zeros(2 << n, dtype=complex)
     amps[: 1 << n] = spectrum
     state = Statevector(amps, layout)
-    spectral.wavenumber_rotation(state, spectral.angle_schedule(n, spectral.MODE_DERIVATIVE))
+    spectral.wavenumber_rotation(state)
     probs = exact_probabilities(state)
     total = probs[: 1 << n] + probs[1 << n :]
     err = float(np.max(np.abs(total - np.abs(spectrum) ** 2)))
@@ -147,19 +146,19 @@ def check_rotation_replay(n: int, mode: str, ancillas: str = "a", seed: int = 17
     layout). The second of two calls on fresh copies reads the memoized
     rotation factors, so it must reproduce the first bit for bit.
     """
-    schedule = spectral.angle_schedule(n, mode)
     layout = RegisterLayout((*((name, 1) for name in ancillas), ("k", n)))
     half = 1 << (layout.n_qubits - 1)
     rng = np.random.default_rng(seed)
     amps = np.zeros(2 * half, dtype=complex)
-    amps[schedule.ancilla_init * half :][:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
+    init = int(mode == pipelines.MODE_INTEGRAL)  # the ancilla's start branch
+    amps[init * half :][:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
     amps /= np.linalg.norm(amps)
     first, second, replay = (Statevector(amps.copy(), layout) for _ in range(3))
-    spectral.wavenumber_rotation(first, schedule)
-    spectral.wavenumber_rotation(second, schedule)
+    spectral.wavenumber_rotation(first)
+    spectral.wavenumber_rotation(second)
     (a_qubit,) = layout.qubits("a")
-    for k_qubit, angle in zip(layout.qubits("k"), schedule.angles):
-        apply_gate(replay, GateOp(rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),)))
+    for k_qubit, angle in zip(layout.qubits("k"), spectral.rotation_angles(n)):
+        apply_gate(replay, rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),))
     err = float(np.max(np.abs(first.amplitudes - replay.amplitudes)))
     repeat = bool(np.array_equal(first.amplitudes, second.amplitudes))
     return _result(
@@ -174,16 +173,15 @@ def check_success_branch_law(n: int, mode: str, seed: int = 13) -> CheckResult:
     rng = np.random.default_rng(seed)
     spectrum = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     spectrum /= np.linalg.norm(spectrum)
-    schedule = spectral.angle_schedule(n, mode)
     layout = RegisterLayout((("a", 1), ("k", n)))
     amps = np.zeros(2 << n, dtype=complex)
-    offset = schedule.ancilla_init << n
+    offset = int(mode == pipelines.MODE_INTEGRAL) << n
     amps[offset : offset + (1 << n)] = spectrum
     state = Statevector(amps, layout)
-    spectral.wavenumber_rotation(state, schedule)
+    spectral.wavenumber_rotation(state)
     success = state.amplitudes[(spectral.SUCCESS_BIT << n) :][: 1 << n]
     k = np.arange(1 << n)
-    trig = np.sin if mode == spectral.MODE_DERIVATIVE else np.cos
+    trig = np.sin if mode == pipelines.MODE_DERIVATIVE else np.cos
     expected = np.abs(trig(2.0 * np.pi * k / (1 << n))) * np.abs(spectrum)
     err = float(np.max(np.abs(np.abs(success) - expected)))
     return _result(
@@ -247,7 +245,7 @@ def check_control_polarity(seed: int = 3) -> CheckResult:
     layout = RegisterLayout((("k", n),))
     state = Statevector(amps.copy(), layout)
     payload = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    apply_gate(state, GateOp(payload, (1,), ((3, 1), (0, 0))))
+    apply_gate(state, payload, (1,), ((3, 1), (0, 0)))
     idx = np.arange(1 << n)
     off = (((idx >> 3) & 1) != 1) | (((idx >> 0) & 1) != 0)
     untouched = bool(np.all(state.amplitudes[off] == amps[off]))
@@ -391,17 +389,17 @@ def check_gate_count_report() -> CheckResult:
 def fast_suite() -> list[CheckResult]:
     results: list[CheckResult] = []
     for n in (1, 3, 8):
-        results.append(check_wavenumber_schedule(spectral.angle_schedule(n, "derivative")))
+        results.append(check_wavenumber_schedule(spectral.rotation_angles(n)))
     for n in range(1, 6):
         results.append(check_qft_matrix(n))
         for inverse in (False, True):
             results.append(check_qft_replay(n, inverse))
     results.append(check_roundtrip_and_norm(6))
     results.append(check_branch_completeness(5))
-    results.append(check_success_branch_law(5, spectral.MODE_DERIVATIVE))
-    results.append(check_success_branch_law(5, spectral.MODE_INTEGRAL))
+    results.append(check_success_branch_law(5, pipelines.MODE_DERIVATIVE))
+    results.append(check_success_branch_law(5, pipelines.MODE_INTEGRAL))
     for n in range(1, 6):
-        for mode in (spectral.MODE_DERIVATIVE, spectral.MODE_INTEGRAL):
+        for mode in (pipelines.MODE_DERIVATIVE, pipelines.MODE_INTEGRAL):
             for ancillas in ("a", "abc"):
                 results.append(check_rotation_replay(n, mode, ancillas))
     results.append(check_control_polarity())

@@ -93,8 +93,8 @@ def _load_config_file(path: str) -> dict:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer past Python's 4300-digit limit
+        raise DataError(f"config {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config", "config file must hold a JSON object")
     return payload
@@ -167,8 +167,9 @@ def _merge_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
         raise ConfigError("function", "function is required (catalog id or CSV path)")
     domain = merged.get("domain")
     if domain is not None:
-        if len(domain) != 2 or not all(isinstance(v, (int, float)) for v in domain):
-            raise ConfigError("domain", f"domain takes exactly two numbers MIN MAX, got {domain!r}")
+        # A bool is no JSON number (type() excludes the int subclass), and an int past float range has no float.
+        if len(domain) != 2 or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in domain):
+            raise ConfigError("domain", f"domain takes exactly two finite numbers MIN MAX, got {domain!r}")
         domain = (float(domain[0]), float(domain[1]))
     config = ExperimentConfig(
         mode=merged["mode"],

@@ -36,6 +36,8 @@ from .state import RegisterLayout, amplitude_encode, exact_probabilities, sample
 
 __all__ = [
     "EXACT_PSI_SQ_FLOOR",
+    "MODE_DERIVATIVE",
+    "MODE_INTEGRAL",
     "SampledFunction",
     "RecoveredSeries",
     "qftd_run",
@@ -47,6 +49,9 @@ __all__ = [
 # Exact mode has no shot least count; squared probabilities at or below this
 # floor are double-precision noise (~(1e-12 amplitude)^2) and get censored.
 EXACT_PSI_SQ_FLOOR = 1e-24
+
+MODE_DERIVATIVE = "derivative"
+MODE_INTEGRAL = "integral"
 
 
 @dataclass
@@ -104,9 +109,9 @@ class RecoveredSeries:
 
 def _squared_scale(f: SampledFunction, mode: str) -> float:
     """The recovery scale of ``mode`` for ``f``, rejected when it under- or overflows."""
-    if mode == spectral.MODE_DERIVATIVE:
+    if mode == MODE_DERIVATIVE:
         scale, formula = f.l2_norm / f.dx, "(|f|/dx)^2"
-    elif mode == spectral.MODE_INTEGRAL:
+    elif mode == MODE_INTEGRAL:
         scale, formula = f.l2_norm * psmpo.spectral_norm(f.n_points) * f.dx, "(|f|*eta*dx)^2"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -127,18 +132,18 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     n = f.n_points.bit_length() - 1
     if f.n_points != (1 << n) or n < 2:
         raise ValueError(f"need 2^n samples with n >= 2, got {f.n_points}")
-    integral = mode == spectral.MODE_INTEGRAL
+    integral = mode == MODE_INTEGRAL
     ancillas = (("a", 1), ("b", 1), ("c", 1)) if integral else (("a", 1),)
     layout = RegisterLayout((*ancillas, ("k", n)))
     scale_sq = _squared_scale(f, mode)
-    schedule = spectral.angle_schedule(n, mode)
-    # Encode straight into the start branch: a = ancilla_init (the integral's X), b = c = 0.
-    state, _ = amplitude_encode(f.samples, layout, block=schedule.ancilla_init << (len(ancillas) - 1))
-    state.gate_count += schedule.ancilla_init
+    # Encode straight into the start branch: a = 1 for the integral (its X), else 0; b = c = 0.
+    init = int(integral)
+    state, _ = amplitude_encode(f.samples, layout, block=init << (len(ancillas) - 1))
+    state.gate_count += init
     (a_qubit,) = layout.qubits("a")
     # Only the ancilla's initial branch holds amplitude; the other is all zeros.
-    spectral.qft(state, "k", control=(a_qubit, schedule.ancilla_init))
-    spectral.wavenumber_rotation(state, schedule)
+    spectral.qft(state, "k", control=(a_qubit, init))
+    spectral.wavenumber_rotation(state)
     spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
     prefix = {"a": spectral.SUCCESS_BIT}
     if integral:
@@ -176,7 +181,7 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     ``shots=None`` selects exact mode (probabilities read directly from the
     statevector); otherwise outcomes are drawn once with the given seed.
     """
-    return _run(f, spectral.MODE_DERIVATIVE, shots, seed)
+    return _run(f, MODE_DERIVATIVE, shots, seed)
 
 
 def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredSeries:
@@ -186,7 +191,7 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     operator after the controlled inverse transform; post-selection happens on
     the three-bit ``psmpo.SUCCESS_PREFIX``.
     """
-    return _run(f, spectral.MODE_INTEGRAL, shots, seed)
+    return _run(f, MODE_INTEGRAL, shots, seed)
 
 
 def resolution(f: SampledFunction, shots: int, mode: str) -> float:

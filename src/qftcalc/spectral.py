@@ -19,30 +19,29 @@ circuit's gate count, ``m(m+1)/2 + m//2``. The gate-by-gate sequence,
 :func:`_qft_gate_sequence`, stays as the oracle that the tests and
 ``validate`` replay.
 
-The rotation cascade scales the spectrum element-wise: with the ancilla
-initialized to ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)``
-(derivative mode); initialized to ``|1>`` the ``|1>`` branch keeps
-``cos(2 pi k / N)`` (integral mode). The n controlled rotations commute, so
-they amount to one Rx per value of k, ``[[c, -is], [-is, c]]`` with real
-``c`` and ``s``. Those factors depend only on the schedule's angles, which
-depend only on n, so :func:`_rotation_factors` builds them once per angle
-tuple and process (1 MiB at n=16), checks their unitarity at build and
-hands out read-only arrays; the derivative and integral schedules share the
-entry. Both circuits run the cascade with the ancilla in a basis state, so
-each call takes the start branch ``x`` and the other branch, k axes last,
-from :func:`qftcalc.state._operand`, raises unless the other branch is
-exactly zero, and then writes ``-i s x`` into it and ``c x`` over ``x`` in
-place, with no branch-sized temporary. The gate-by-gate cascade stays as
-the oracle that the tests and ``validate`` replay. Rotation angles are kept
-as exact dyadic multiples of pi and converted to radians only when the
-factors are built.
+The rotation cascade scales the spectrum element-wise: with the ancilla in
+``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)`` (the derivative);
+with the ancilla in ``|1>`` the ``|1>`` branch keeps ``cos(2 pi k / N)``
+(the integral). The cascade is the same unitary in both circuits; only the
+ancilla branch that holds the spectrum differs. The n controlled rotations
+commute, so they amount to one Rx per value of k, ``[[c, -is], [-is, c]]``
+with real ``c`` and ``s``. Those factors depend only on the k width, so
+:func:`_rotation_factors` builds them once per width and process (1 MiB at
+n=16), checks their unitarity at build and hands out read-only arrays. Each
+call reads the width from the k register and the start branch from the
+state: branch 1 if it holds any amplitude, else branch 0, each scanned at
+most once. It raises when both branches hold amplitude, and otherwise
+writes ``-i s x`` into the other branch and ``c x`` over the start branch
+``x`` in place, with no branch-sized temporary. The gate-by-gate cascade of
+:func:`rotation_angles` stays as the oracle that the tests and ``validate``
+replay. Rotation angles are kept as exact dyadic multiples of pi and
+converted to radians only when the factors are built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -51,61 +50,38 @@ from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swa
 
 __all__ = [
     "SUCCESS_BIT",
-    "WavenumberSchedule",
-    "angle_schedule",
     "qft",
+    "rotation_angles",
     "wavenumber_rotation",
     "reconstructed_rotation",
 ]
 
-MODE_DERIVATIVE = "derivative"
-MODE_INTEGRAL = "integral"
 # The ancilla value whose branch carries the result in both modes.
 SUCCESS_BIT = 1
 
 
-@dataclass(frozen=True)
-class WavenumberSchedule:
-    """Controlled-Rx angles implementing the trigonometric wavenumber factor.
+def rotation_angles(n: int) -> tuple[Fraction, ...]:
+    """Controlled-Rx angles of the cascade on an ``n``-qubit k register, as exact multiples of pi.
 
-    ``angles[p]`` is the Rx argument, as an exact multiple of pi, controlled by
-    the k-register qubit of significance ``p``; there is one angle per k
-    qubit, so the register width ``n`` is ``len(angles)``. Each equals
-    ``-2^(p-n+2)`` (in units of pi), i.e. minus twice the rotation
+    ``angles[p]`` is the Rx argument controlled by the k-register qubit of
+    significance ``p``: ``-2^(p-n+2)``, i.e. minus twice the rotation
     ``theta_p = 2^(p-n+1) pi`` that the Rx convention requires.
-    ``ancilla_init`` is the ancilla's basis state before the cascade: 0 for
-    the derivative, 1 for the integral. Either way the result lands on the
-    ``SUCCESS_BIT`` branch.
     """
-
-    angles: tuple[Fraction, ...]
-    ancilla_init: int
-
-    @property
-    def n(self) -> int:
-        return len(self.angles)
-
-
-def angle_schedule(n: int, mode: str) -> WavenumberSchedule:
-    """Build the rotation schedule for an ``n``-qubit k-register."""
     if n < 1:
-        raise ValueError("schedule needs at least one k-register qubit")
-    if mode not in (MODE_DERIVATIVE, MODE_INTEGRAL):
-        raise ValueError(f"unknown mode {mode!r}")
-    angles = tuple(Fraction(-(1 << (p + 2)), 1 << n) for p in range(n))
-    return WavenumberSchedule(angles=angles, ancilla_init=0 if mode == MODE_DERIVATIVE else 1)
+        raise ValueError("the cascade needs at least one k-register qubit")
+    return tuple(Fraction(-(1 << (p + 2)), 1 << n) for p in range(n))
 
 
-def reconstructed_rotation(schedule: WavenumberSchedule, k: int) -> Fraction:
+def reconstructed_rotation(angles: tuple[Fraction, ...], k: int) -> Fraction:
     """Total rotation theta_k (in units of pi) accumulated for spectrum index k.
 
     Summing the per-qubit rotations over the set bits of ``k`` must give
     ``2 k / 2^n`` exactly; this is the invariant the validation suite checks.
     """
     total = Fraction(0)
-    for p in range(schedule.n):
+    for p, angle in enumerate(angles):
         if (k >> p) & 1:
-            total += -schedule.angles[p] / 2
+            total += -angle / 2
     return total
 
 
@@ -159,47 +135,48 @@ def qft(
     return state
 
 
-def wavenumber_rotation(state: Statevector, schedule: WavenumberSchedule) -> Statevector:
+def wavenumber_rotation(state: Statevector) -> Statevector:
     """Run the controlled-Rx cascade against the ``a``/``k`` registers.
 
-    Requires the ancilla to sit in the schedule's initialization basis state:
-    unless the complementary branch is exactly zero, ``ValueError`` is raised
-    and the state is left untouched. Afterwards the amplitude of ``|k>`` on
-    the ``SUCCESS_BIT`` branch carries ``i sin(2 pi k/N)`` (derivative) or
-    ``cos(2 pi k/N)`` (integral) times the spectrum component.
+    The start branch is ancilla ``|1>`` if that holds any amplitude, else
+    ``|0>``; if both hold amplitude, ``ValueError`` is raised and the state
+    is left untouched. Afterwards the amplitude of ``|k>`` on the
+    ``SUCCESS_BIT`` branch carries ``i sin(2 pi k/N)`` (from ``|0>``, the
+    derivative) or ``cos(2 pi k/N)`` (from ``|1>``, the integral) times the
+    spectrum component.
     """
     layout = state.layout
     k_qubits = layout.qubits("k")
-    if schedule.n != len(k_qubits):
-        raise ValueError(
-            f"schedule built for {schedule.n} qubits, k register has {len(k_qubits)}"
-        )
     (a_qubit,) = layout.qubits("a")
-    init = schedule.ancilla_init
-    start, other = (_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (init, 1 - init))
-    if other.any():
-        raise ValueError(f"ancilla is not in the basis state |{init}>: complementary branch holds non-zero amplitude")
-    c, s = _rotation_factors(schedule.angles)
+    zero, one = (_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (0, 1))
+    # Each branch is scanned at most once; a QFTD run scans only its empty |1> branch.
+    if one.any():
+        if zero.any():
+            raise ValueError("ancilla is not in a basis state: both of its branches hold non-zero amplitude")
+        start, other = one, zero
+    else:
+        start, other = zero, one
+    c, s = _rotation_factors(len(k_qubits))
     # other = -i s start, then start = c start, in real arithmetic.
     np.multiply(s, start.imag, out=other.real)
     np.multiply(s, start.real, out=other.imag)
     np.negative(other.imag, out=other.imag)
     start *= c
-    state.gate_count += schedule.n
+    state.gate_count += len(k_qubits)
     return state
 
 
 @functools.cache
-def _rotation_factors(angles: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``c`` and ``s`` of every block ``[[c, -is], [-is, c]]``, shaped ``(2,) * n``.
 
     ``c`` and ``s`` are the cosine and sine of half the Rx angle of each k;
     the k axes, most significant first, index them as the value of k does.
-    They depend on the angles alone, so they are built once per process for
-    each angle tuple (the derivative and integral schedules share one entry),
-    and the unitarity check runs here, on the arrays every later call reads.
+    They depend on the k width alone, so they are built once per process for
+    each width, and the unitarity check runs here, on the arrays every later
+    call reads.
     """
-    phi = _rotation_turns(angles) * math.pi
+    phi = _rotation_turns(rotation_angles(n)) * math.pi
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
     # Block k is [[c, -is], [-is, c]] with real c and s: U†U - I is diagonal.
     defect = float(np.max(np.abs(c * c + s * s - 1.0)))
@@ -207,14 +184,14 @@ def _rotation_factors(angles: tuple[Fraction, ...]) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
     c.setflags(write=False)
     s.setflags(write=False)
-    return c.reshape((2,) * len(angles)), s.reshape((2,) * len(angles))
+    return c.reshape((2,) * n), s.reshape((2,) * n)
 
 
 def _rotation_turns(angles: tuple[Fraction, ...]) -> np.ndarray:
     """Rx angle, in units of pi, for every spectrum index k.
 
-    The sum of the schedule ``angles`` over the set bits of k, i.e.
-    ``-2 * reconstructed_rotation(schedule, k)``. Each angle is a dyadic
+    The sum of the cascade ``angles`` over the set bits of k, i.e.
+    ``-2 * reconstructed_rotation(angles, k)``. Each angle is a dyadic
     fraction and every partial sum has magnitude below 4, so the float sums
     are exact.
     """

@@ -11,7 +11,8 @@ One private helper, :func:`_operand`, maps qubits to axes of a view of the
 amplitudes and is the only place that checks qubit range, control polarity
 and control/operand collisions. Every view of the state by qubit comes from
 it. Each layer that acts on a register is one numpy operation on such a
-view: the gate kernel below, the QFT (:func:`qftcalc.spectral.qft`), the
+view: the gate kernel :func:`apply_gate`, which takes its matrix, targets
+and controls as arguments, the QFT (:func:`qftcalc.spectral.qft`), the
 rotation cascade (:func:`qftcalc.spectral.wavenumber_rotation`) and the
 block-encoded partial sum (:func:`qftcalc.psmpo.apply_partial_sum`), whose
 b/c check reads its branches with no operand qubits. The full ``2^n x 2^n``
@@ -19,7 +20,7 @@ embedding is never built here (tests rebuild it as an oracle).
 
 :func:`amplitude_encode` writes the samples into one block of a zeroed
 state, so a pipeline starts in its ancilla branch without a gate. Only the
-oracles of ``validate`` and the tests call the gate kernel (:func:`apply_gate`).
+oracles of ``validate`` and the tests call the gate kernel.
 
 Readout takes one ``outcomes`` slice of basis indices: exact probabilities
 square only those amplitudes, and shot sampling draws only the counts of
@@ -41,7 +42,6 @@ __all__ = [
     "UNITARY_TOL",
     "RegisterLayout",
     "Statevector",
-    "GateOp",
     "amplitude_encode",
     "apply_gate",
     "apply_register_unitary",
@@ -176,38 +176,6 @@ class Statevector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """A unitary payload with target qubits and optional polarity controls.
-
-    ``targets`` are ordered least significant first with respect to the payload
-    matrix's index. ``controls`` is a tuple of (qubit, polarity) pairs; the
-    payload acts only where every control qubit holds its polarity bit.
-    """
-
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-    controls: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        dim = 1 << len(self.targets)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"payload shape {self.matrix.shape} does not match {len(self.targets)} targets")
-        touched = list(self.targets) + [q for q, _ in self.controls]
-        if len(touched) != len(set(touched)):
-            raise ValueError(f"target/control qubit collision in {touched}")
-        if any(pol not in (0, 1) for _, pol in self.controls):
-            raise ValueError("control polarity must be 0 or 1")
-
-
-def _check_unitary(matrix: np.ndarray) -> None:
-    """Reject a payload that is not unitary."""
-    defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])))
-    if defect > UNITARY_TOL:
-        raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
-
-
 def sample_l2_norm(samples: np.ndarray) -> float:
     """L2 norm of finite real samples, without under- or overflow.
 
@@ -252,9 +220,30 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout, block: in
     return Statevector(amplitudes, layout), l2
 
 
-def apply_gate(state: Statevector, op: GateOp) -> Statevector:
-    """Apply a gate in place and return the (mutated) state."""
-    _apply_controlled(state, op.matrix, op.targets, op.controls)
+def apply_gate(
+    state: Statevector,
+    matrix: np.ndarray,
+    targets: Sequence[int],
+    controls: Sequence[tuple[int, int]] = (),
+) -> Statevector:
+    """Apply a unitary in place where every control holds its polarity, and return the state.
+
+    ``targets`` are ordered least significant first with respect to the
+    matrix index; ``controls`` are (qubit, polarity) pairs. Wherever a
+    control fails the state is untouched.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    targets = tuple(targets)
+    dim = 1 << len(targets)
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"matrix of shape {matrix.shape} does not act on {len(targets)} qubits")
+    defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
+    if defect > UNITARY_TOL:
+        raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
+    # The matrix's least significant target is its fastest-varying index: the last axis.
+    view = _operand(state, targets[::-1], controls)
+    view[...] = (view.reshape(-1, dim) @ matrix.T).reshape(view.shape)
+    state.gate_count += 1
     return state
 
 
@@ -264,18 +253,8 @@ def apply_register_unitary(
     qubits: Sequence[int],
     control: tuple[int, int] | None = None,
 ) -> Statevector:
-    """Apply a dense unitary to a set of qubits, optionally under one control.
-
-    ``qubits`` are ordered least significant first with respect to the matrix
-    index. Wherever the control condition fails the state is untouched.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    qubits = tuple(qubits)
-    dim = 1 << len(qubits)
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"matrix of shape {matrix.shape} does not act on {len(qubits)} qubits")
-    _apply_controlled(state, matrix, qubits, (control,) if control else ())
-    return state
+    """:func:`apply_gate` with at most one control."""
+    return apply_gate(state, matrix, qubits, (control,) if control else ())
 
 
 def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
@@ -308,20 +287,6 @@ def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[in
         return branch
     free = [q for q in range(n - 1, -1, -1) if q not in control_qubits]
     return np.moveaxis(branch, [free.index(q) for q in qubits], range(-len(qubits), 0))
-
-
-def _apply_controlled(
-    state: Statevector,
-    matrix: np.ndarray,
-    targets: tuple[int, ...],
-    controls: tuple[tuple[int, int], ...],
-) -> None:
-    """Check, then apply ``matrix`` in place where every control holds its polarity."""
-    _check_unitary(matrix)
-    # The matrix's least significant target is its fastest-varying index: the last axis.
-    view = _operand(state, targets[::-1], controls)
-    view[...] = (view.reshape(-1, len(matrix)) @ matrix.T).reshape(view.shape)
-    state.gate_count += 1
 
 
 def exact_probabilities(state: Statevector, outcomes: slice = slice(None)) -> np.ndarray:

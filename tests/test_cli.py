@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -28,6 +29,13 @@ from qftcalc.experiments import (
 from qftcalc.oracles import sample_catalog
 from qftcalc.pipelines import qftd_run
 from qftcalc.plots import emit_plot
+
+
+# Config-file domains that are no pair of floats: a bool is no JSON number,
+# and an integer past float range has no float.
+DOMAIN_NOT_FLOATS = [{"domain": [True, 2]}, {"domain": [-1, False]}, {"domain": [10**400, 2]},
+                     {"domain": [-1, -(10**400)]}]
+DOMAIN_NOT_FLOAT_IDS = ["domain-bool-min", "domain-bool-max", "domain-huge-int-min", "domain-huge-int-max"]
 
 
 def write_csv(path, xs, fs, header=True):
@@ -318,9 +326,9 @@ class TestCliExitCodes:
         "field",
         [{"qubits": "6"}, {"qubits": True}, {"seed": "1"}, {"domain": ["a", 1]},
          {"domain": [0, float("inf")]}, {"shots": [10]}, {"output": None}, {"output": ""},
-         {"output": "o\x00.csv"}, {"function": "grid\x00.csv"}],
+         {"output": "o\x00.csv"}, {"function": "grid\x00.csv"}, *DOMAIN_NOT_FLOATS],
         ids=["qubits-str", "qubits-bool", "seed-str", "domain-str", "domain-inf", "shots-list", "output-null",
-             "output-empty", "output-nul", "function-nul"],
+             "output-empty", "output-nul", "function-nul", *DOMAIN_NOT_FLOAT_IDS],
     )
     def test_config_file_bad_value_is_one(self, field, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -329,7 +337,18 @@ class TestCliExitCodes:
         config_path.write_text(json.dumps(dict(valid, **field)))
         assert cli.main(["run", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        (key,) = field
+        assert err.startswith(f"configuration error: field '{key}'") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_config_file_integer_past_the_digit_limit_is_two(self, tmp_path, capsys):
+        # Python's json refuses to parse an integer of more than 4300 digits.
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"mode": "qftd", "function": "cos2pix", "qubits": 4, "seed": 1' + "0" * 5000 + "}")
+        out = tmp_path / "o.csv"
+        assert cli.main(["run", "--config", str(config_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error") and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("plot", ["o.csv", "o.metrics.json"])
@@ -501,9 +520,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "field",
         [{"output": "o.csv"}, {"plot": "o.svg"}, {"scale": "semilog"}, {"qubits": [4, 4]}, {"qubits": []},
-         {"qubits": ["4"]}, {"qubits": [4, True]}, {"qubits": None}, {"qubits": [4, 13]}],
+         {"qubits": ["4"]}, {"qubits": [4, True]}, {"qubits": None}, {"qubits": [4, 13]}, *DOMAIN_NOT_FLOATS],
         ids=["output", "plot", "scale", "qubits-repeated", "qubits-empty", "qubits-str", "qubits-bool",
-             "qubits-null", "qubits-over-cap"],
+             "qubits-null", "qubits-over-cap", *DOMAIN_NOT_FLOAT_IDS],
     )
     def test_sweep_config_bad_value_is_one(self, field, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
@@ -511,7 +530,8 @@ class TestSweep:
         out_dir = tmp_path / "sweep"
         assert cli.main(["sweep", "--config", str(config_path), "--output-dir", str(out_dir)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        (key,) = field
+        assert err.startswith(f"configuration error: field '{key}'") and len(err.splitlines()) == 1
         assert not out_dir.exists()
 
     def test_repeated_qubit_counts_is_one(self, tmp_path, capsys):
@@ -545,12 +565,9 @@ class TestValidateWiring:
         assert "[PASS] stub: fine" in out
 
     def test_tampered_schedule_fails_invariant(self):
-        schedule = spectral.angle_schedule(3, "derivative")
-        tampered = spectral.WavenumberSchedule(
-            angles=(schedule.angles[0] * 2,) + schedule.angles[1:], ancilla_init=schedule.ancilla_init
-        )
-        assert checks.check_wavenumber_schedule(schedule).passed
-        assert not checks.check_wavenumber_schedule(tampered).passed
+        angles = spectral.rotation_angles(3)
+        assert checks.check_wavenumber_schedule(angles).passed
+        assert not checks.check_wavenumber_schedule((angles[0] * 2,) + angles[1:]).passed
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -633,6 +650,22 @@ def test_readme_cli_command_runs(argv, tmp_path, monkeypatch, capsys):
     f = sample_catalog("poly", 4)
     write_csv(tmp_path / "samples.csv", f.x, f.samples)
     assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_library_block_runs():
+    # The README's ``## Library`` python block, run as written: it names public API.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "module", ["qftcalc"] + [f"qftcalc.{info.name}" for info in pkgutil.iter_modules(qftcalc.__path__)]
+)
+def test_every_export_resolves(module):
+    # A stale name in __all__ shows only at ``from module import *``.
+    exported = importlib.import_module(module)
+    assert [name for name in exported.__all__ if not hasattr(exported, name)] == []
 
 
 def traced_functions():

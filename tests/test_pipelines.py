@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qftcalc import checks, psmpo, spectral, state
+from qftcalc import checks, pipelines, psmpo, spectral, state
 from qftcalc.oracles import (
     CATALOG,
     central_difference_periodic,
@@ -11,6 +11,8 @@ from qftcalc.oracles import (
     trapezoid_partial_sums,
 )
 from qftcalc.pipelines import (
+    MODE_DERIVATIVE,
+    MODE_INTEGRAL,
     SampledFunction,
     expected_coverage,
     qftd_run,
@@ -18,7 +20,6 @@ from qftcalc.pipelines import (
     resolution,
 )
 from qftcalc.state import (
-    GateOp,
     RegisterLayout,
     amplitude_encode,
     apply_gate,
@@ -160,17 +161,16 @@ def unfused_exact_run(f, mode):
     unitary (one gate), not the one-branch transform and the matrix-free apply.
     """
     n = f.n_points.bit_length() - 1
-    names = ("a", "k") if mode == spectral.MODE_DERIVATIVE else ("a", "b", "c", "k")
+    names = ("a", "k") if mode == MODE_DERIVATIVE else ("a", "b", "c", "k")
     layout = RegisterLayout(tuple((name, n if name == "k" else 1) for name in names))
     state, l2 = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), layout)
-    schedule = spectral.angle_schedule(n, mode)
     (a_qubit,) = layout.qubits("a")
-    if schedule.ancilla_init:
-        apply_gate(state, GateOp(pauli_x(), (a_qubit,)))
+    if mode == MODE_INTEGRAL:
+        apply_gate(state, pauli_x(), (a_qubit,))
     spectral.qft(state, "k")
-    spectral.wavenumber_rotation(state, schedule)
+    spectral.wavenumber_rotation(state)
     spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
-    if mode == spectral.MODE_DERIVATIVE:
+    if mode == MODE_DERIVATIVE:
         prefix, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
     else:
         dense, eta = psmpo.block_encode_dimension(f.n_points)
@@ -185,10 +185,10 @@ def unfused_exact_run(f, mode):
 class TestOneBranchForwardQft:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    @pytest.mark.parametrize("mode", [spectral.MODE_DERIVATIVE, spectral.MODE_INTEGRAL])
+    @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     def test_equals_unfused_route(self, name, n, mode):
         f = sample_catalog(name, n)
-        run = qftd_run if mode == spectral.MODE_DERIVATIVE else qfti_run
+        run = qftd_run if mode == MODE_DERIVATIVE else qfti_run
         series = run(f, shots=None)
         value_sq, gate_count = unfused_exact_run(f, mode)
         assert np.max(np.abs(series.value_sq - value_sq)) <= 1e-12 * np.max(value_sq)
@@ -332,7 +332,8 @@ def test_runs_call_no_gate_kernel(monkeypatch, shots):
     def forbidden(*args, **kwargs):
         raise AssertionError("gate kernel called on the pipeline path")
 
-    monkeypatch.setattr(state, "_apply_controlled", forbidden)
+    for module in (state, spectral, psmpo, pipelines):
+        monkeypatch.setattr(module, "apply_gate", forbidden, raising=False)
     f = sample_catalog("cos2pix", 5)
     for run, extra_gates in ((qftd_run, 0), (qfti_run, 2)):
         series = run(f, shots, seed=1)

@@ -20,8 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 from qftcalc import cli, psmpo, spectral
 from qftcalc.oracles import CATALOG, central_difference_periodic, trapezoid_partial_sums
-from qftcalc.pipelines import SampledFunction, qftd_run, qfti_run
-from qftcalc.state import NORM_TOL, GateOp, RegisterLayout, amplitude_encode, apply_gate, pauli_x
+from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL, SampledFunction, qftd_run, qfti_run
+from qftcalc.state import NORM_TOL, RegisterLayout, amplitude_encode, apply_gate, pauli_x
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -53,23 +53,22 @@ def test_qfti_equals_squared_trapezoid_sums(f):
 
 
 @PROPERTY_SETTINGS
-@given(sampled_functions(), st.sampled_from([spectral.MODE_DERIVATIVE, spectral.MODE_INTEGRAL]))
+@given(sampled_functions(), st.sampled_from([MODE_DERIVATIVE, MODE_INTEGRAL]))
 def test_norm_preserved_after_each_stage(f, mode):
     # The QFTD / QFTI circuits of ``pipelines``, one stage at a time.
     n = f.n_points.bit_length() - 1
-    integral = mode == spectral.MODE_INTEGRAL
+    integral = mode == MODE_INTEGRAL
     registers = (("a", 1), ("b", 1), ("c", 1), ("k", n)) if integral else (("a", 1), ("k", n))
     layout = RegisterLayout(registers)
     state, _ = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), layout)
     (a_qubit,) = layout.qubits("a")
-    schedule = spectral.angle_schedule(n, mode)
     stages = [
         lambda: spectral.qft(state, "k"),
-        lambda: spectral.wavenumber_rotation(state, schedule),
+        lambda: spectral.wavenumber_rotation(state),
         lambda: spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT)),
     ]
     if integral:
-        stages.insert(0, lambda: apply_gate(state, GateOp(pauli_x(), (a_qubit,))))
+        stages.insert(0, lambda: apply_gate(state, pauli_x(), (a_qubit,)))
         stages.append(lambda: psmpo.apply_partial_sum(state, control=(a_qubit, spectral.SUCCESS_BIT)))
     assert abs(state.norm() - 1.0) <= NORM_TOL
     for stage in stages:
@@ -99,7 +98,10 @@ CONFIG_FIELDS = {
     "qubits": (st.integers(2, 8), st.integers(-1, 1) | st.sampled_from([13, 17, 2**63])),
     "domain": (
         st.tuples(st.floats(-4, 4), st.floats(0.1, 4)).map(lambda d: [d[0], d[0] + d[1]]),
-        st.lists(st.floats() | st.integers(-3, 3), max_size=3),
+        # Booleans and integers beyond float range are no numbers to the config.
+        st.lists(
+            st.floats() | st.integers(-3, 3) | st.booleans() | st.sampled_from([10**400, -(10**400)]), max_size=3
+        ),
     ),
     "shots": (
         st.sampled_from(["exact", "1e4", 1e4]) | st.integers(1, 10**5),

@@ -8,20 +8,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qftcalc import spectral
+from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL
 from qftcalc.spectral import (
-    MODE_DERIVATIVE,
-    MODE_INTEGRAL,
     SUCCESS_BIT,
-    WavenumberSchedule,
     _qft_gate_sequence,
     _rotation_factors,
     _rotation_turns,
-    angle_schedule,
     qft,
     reconstructed_rotation,
+    rotation_angles,
     wavenumber_rotation,
 )
-from qftcalc.state import GateOp, RegisterLayout, Statevector, apply_gate, apply_register_unitary, rx_gate
+from qftcalc.state import RegisterLayout, Statevector, apply_gate, apply_register_unitary, rx_gate
 
 from conftest import embed_full, random_state_vector
 
@@ -133,7 +131,7 @@ def check_against_replay(layout, inverse, control, rng):
     replay = Statevector(amps.copy(), layout)
     outer = (control,) if control else ()
     for payload, targets, controls in _qft_gate_sequence(layout.qubits("k"), inverse):
-        apply_gate(replay, GateOp(payload, targets, controls + outer))
+        apply_gate(replay, payload, targets, controls + outer)
     assert np.max(np.abs(transformed.amplitudes - replay.amplitudes)) <= 1e-13
     assert transformed.gate_count == replay.gate_count == n * (n + 1) // 2 + n // 2
 
@@ -175,91 +173,89 @@ class TestFusedQft:
 
 class TestAngleSchedule:
     def test_n1_rotation_is_pi(self):
-        schedule = angle_schedule(1, MODE_DERIVATIVE)
-        assert reconstructed_rotation(schedule, 1) == Fraction(1)  # theta_1 = pi
+        assert reconstructed_rotation(rotation_angles(1), 1) == Fraction(1)  # theta_1 = pi
 
     def test_n3_angles_quarter_half_full(self):
-        schedule = angle_schedule(3, MODE_DERIVATIVE)
-        assert schedule.angles == (Fraction(-1, 2), Fraction(-1), Fraction(-2))
-        assert tuple(float(a) * math.pi for a in schedule.angles) == (-math.pi / 2.0, -math.pi, -2.0 * math.pi)
+        angles = rotation_angles(3)
+        assert angles == (Fraction(-1, 2), Fraction(-1), Fraction(-2))
+        assert tuple(float(a) * math.pi for a in angles) == (-math.pi / 2.0, -math.pi, -2.0 * math.pi)
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_reconstruction_exhaustive(self, n):
-        schedule = angle_schedule(n, MODE_DERIVATIVE)
+        angles = rotation_angles(n)
         for k in range(1 << n):
-            assert reconstructed_rotation(schedule, k) == Fraction(2 * k, 1 << n)
+            assert reconstructed_rotation(angles, k) == Fraction(2 * k, 1 << n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_fused_turns_are_the_exact_rotations(self, n):
-        schedule = angle_schedule(n, MODE_DERIVATIVE)
-        expected = [float(-2 * reconstructed_rotation(schedule, k)) for k in range(1 << n)]
-        assert _rotation_turns(schedule.angles).tolist() == expected
+        angles = rotation_angles(n)
+        expected = [float(-2 * reconstructed_rotation(angles, k)) for k in range(1 << n)]
+        assert _rotation_turns(angles).tolist() == expected
 
     def test_n8_top_value(self):
-        schedule = angle_schedule(8, MODE_INTEGRAL)
-        assert reconstructed_rotation(schedule, 255) == Fraction(2 * 255, 256)
+        assert reconstructed_rotation(rotation_angles(8), 255) == Fraction(2 * 255, 256)
 
-    def test_mode_bits(self):
-        assert angle_schedule(4, MODE_DERIVATIVE).ancilla_init == 0
-        assert angle_schedule(4, MODE_INTEGRAL).ancilla_init == 1
-
-    def test_rejects_n0_and_bad_mode(self):
+    def test_rejects_n0(self):
         with pytest.raises(ValueError):
-            angle_schedule(0, MODE_DERIVATIVE)
-        with pytest.raises(ValueError):
-            angle_schedule(3, "antiderivative")
+            rotation_angles(0)
 
 
-def check_against_cascade(state, schedule):
+def check_against_cascade(state):
     """``wavenumber_rotation`` within 1e-13 of a gate-by-gate controlled-Rx replay, with equal gate counts."""
     layout = state.layout
+    k_qubits = layout.qubits("k")
     cascade = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
-    wavenumber_rotation(state, schedule)
+    wavenumber_rotation(state)
     (a_qubit,) = layout.qubits("a")
-    for p, angle in enumerate(float(a) * math.pi for a in schedule.angles):
-        apply_gate(cascade, GateOp(rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),)))
+    for k_qubit, angle in zip(k_qubits, rotation_angles(len(k_qubits))):
+        apply_gate(cascade, rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),))
     assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
-    assert state.gate_count == cascade.gate_count == schedule.n
+    assert state.gate_count == cascade.gate_count == len(k_qubits)
+
+
+def start_bit(mode):
+    """The ancilla's basis state before the cascade: 0 for the derivative, 1 for the integral."""
+    return int(mode == MODE_INTEGRAL)
 
 
 def start_branch_state(registers, mode, rng):
-    """A state on ``registers`` whose whole ancilla start branch is random, and its schedule."""
+    """A state on ``registers`` whose whole ancilla start branch for ``mode`` is random."""
     layout = RegisterLayout(registers)
     width = layout.n_qubits
-    schedule = angle_schedule(layout.width("k"), mode)
     amps = np.zeros(1 << width, dtype=complex)
     half = 1 << (width - 1)
-    amps[schedule.ancilla_init * half :][:half] = random_state_vector(width - 1, rng)
-    return Statevector(amps, layout), schedule
+    amps[start_bit(mode) * half :][:half] = random_state_vector(width - 1, rng)
+    return Statevector(amps, layout)
 
 
 class TestRotationFactors:
     def test_factors_are_read_only(self):
-        for factor in _rotation_factors(angle_schedule(4, MODE_DERIVATIVE).angles):
+        for factor in _rotation_factors(4):
             with pytest.raises(ValueError, match="read-only"):
                 factor[0, 0, 0, 0] = 2.0
             with pytest.raises(ValueError, match="read-only"):
                 factor.base[0] = 2.0
 
     @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_one_entry_per_register_width(self, n):
-        factors = _rotation_factors(angle_schedule(n, MODE_DERIVATIVE).angles)
+    def test_one_entry_per_register_width(self, n, rng):
+        # Both circuits read the one entry of their k width.
+        factors = _rotation_factors(n)
         misses = _rotation_factors.cache_info().misses
-        assert _rotation_factors(angle_schedule(n, MODE_DERIVATIVE).angles) is factors
-        assert _rotation_factors(angle_schedule(n, MODE_INTEGRAL).angles) is factors
+        assert _rotation_factors(n) is factors
+        for mode in (MODE_DERIVATIVE, MODE_INTEGRAL):
+            wavenumber_rotation(start_branch_state((("a", 1), ("k", n)), mode, rng))
         assert _rotation_factors.cache_info().misses == misses
 
     def test_unitarity_checked_at_build(self, monkeypatch, rng):
-        # No dyadic angle misses the tolerance, so the test makes it negative.
-        # The angle 1/3 appears in no schedule, so this call builds its entry.
-        schedule = WavenumberSchedule(angles=(Fraction(1, 3),), ancilla_init=0)
+        # No dyadic angle misses the tolerance, so the test makes it negative
+        # and empties the memo, so that this call builds its entry.
         state, _ = ak_state(1, random_state_vector(1, rng), ancilla_bit=0)
         before = state.amplitudes.copy()
-        entries = _rotation_factors.cache_info().currsize
+        _rotation_factors.cache_clear()
         monkeypatch.setattr(spectral, "UNITARY_TOL", -1.0)
         with pytest.raises(ValueError, match="not unitary"):
-            wavenumber_rotation(state, schedule)
-        assert _rotation_factors.cache_info().currsize == entries
+            wavenumber_rotation(state)
+        assert _rotation_factors.cache_info().currsize == 0
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -269,7 +265,7 @@ class TestWavenumberRotation:
         spectrum = np.zeros(1 << n)
         spectrum[0] = 1.0
         state, layout = ak_state(n, spectrum, ancilla_bit=0)
-        wavenumber_rotation(state, angle_schedule(n, MODE_DERIVATIVE))
+        wavenumber_rotation(state)
         success = state.amplitudes[layout.index_for({"a": 1, "k": 0})]
         assert abs(success) <= 1e-15
 
@@ -278,7 +274,7 @@ class TestWavenumberRotation:
         spectrum = np.zeros(1 << n)
         spectrum[0] = 1.0
         state, layout = ak_state(n, spectrum, ancilla_bit=1)
-        wavenumber_rotation(state, angle_schedule(n, MODE_INTEGRAL))
+        wavenumber_rotation(state)
         success = state.amplitudes[layout.index_for({"a": 1, "k": 0})]
         assert_allclose(success, 1.0, atol=1e-15)
 
@@ -287,14 +283,13 @@ class TestWavenumberRotation:
         # analytic i*sin(2 pi k/N) law it should realize.
         n = 3
         spectrum = random_state_vector(n, rng)
-        schedule = angle_schedule(n, MODE_DERIVATIVE)
         state, layout = ak_state(n, spectrum, ancilla_bit=0)
         initial = state.amplitudes.copy()
-        wavenumber_rotation(state, schedule)
+        wavenumber_rotation(state)
 
         cascade = np.eye(2 << n, dtype=complex)
         a_qubit = layout.qubits("a")[0]
-        for p, angle in enumerate(float(a) * math.pi for a in schedule.angles):
+        for p, angle in enumerate(float(a) * math.pi for a in rotation_angles(n)):
             gate = embed_full(n + 1, rx_gate(angle), (a_qubit,), ((layout.qubits("k")[p], 1),))
             cascade = gate @ cascade
         assert_allclose(state.amplitudes, cascade @ initial, atol=1e-12)
@@ -306,9 +301,8 @@ class TestWavenumberRotation:
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_fused_matches_gate_cascade(self, mode, n, rng):
-        schedule = angle_schedule(n, mode)
-        state, _ = ak_state(n, random_state_vector(n, rng), ancilla_bit=schedule.ancilla_init)
-        check_against_cascade(state, schedule)
+        state, _ = ak_state(n, random_state_vector(n, rng), ancilla_bit=start_bit(mode))
+        check_against_cascade(state)
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize(
@@ -323,15 +317,14 @@ class TestWavenumberRotation:
     def test_matches_gate_cascade_on_other_layouts(self, registers, mode, rng):
         # Every register other than a carries amplitude, so the update has to
         # broadcast over the qubits above and below k.
-        check_against_cascade(*start_branch_state(registers, mode, rng))
+        check_against_cascade(start_branch_state(registers, mode, rng))
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_success_branch_law(self, mode, n, rng):
         spectrum = random_state_vector(n, rng)
-        schedule = angle_schedule(n, mode)
-        state, _ = ak_state(n, spectrum, ancilla_bit=schedule.ancilla_init)
-        wavenumber_rotation(state, schedule)
+        state, _ = ak_state(n, spectrum, ancilla_bit=start_bit(mode))
+        wavenumber_rotation(state)
         success = state.amplitudes[SUCCESS_BIT << n :][: 1 << n]
         k = np.arange(1 << n)
         trig = np.sin if mode == MODE_DERIVATIVE else np.cos
@@ -342,7 +335,7 @@ class TestWavenumberRotation:
     def test_branch_completeness(self, n, rng):
         spectrum = random_state_vector(n, rng)
         state, _ = ak_state(n, spectrum, ancilla_bit=0)
-        wavenumber_rotation(state, angle_schedule(n, MODE_DERIVATIVE))
+        wavenumber_rotation(state)
         probs = np.abs(state.amplitudes) ** 2
         total = probs[: 1 << n] + probs[1 << n :]
         assert np.max(np.abs(total - np.abs(spectrum) ** 2)) <= 1e-12
@@ -356,11 +349,11 @@ class TestWavenumberRotation:
     def test_update_allocates_no_branch_sized_temporary(self, registers, mode, rng):
         # Each state is 2 MiB and each branch 1 MiB; with the factors already
         # built, only numpy's small casting buffers may be allocated.
-        state, schedule = start_branch_state(registers, mode, rng)
-        _rotation_factors(schedule.angles)
+        state = start_branch_state(registers, mode, rng)
+        _rotation_factors(state.layout.width("k"))
         tracemalloc.start()
         try:
-            wavenumber_rotation(state, schedule)
+            wavenumber_rotation(state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -368,36 +361,41 @@ class TestWavenumberRotation:
 
     def test_rejects_superposed_ancilla(self, rng):
         # The check is exact: a uniform superposition and a single 1e-20
-        # amplitude on the |1> branch are both refused, with the state untouched.
+        # amplitude on either branch beside a populated other branch are
+        # refused, with the state untouched and no gate counted.
         n = 2
         layout = RegisterLayout((("a", 1), ("k", n)))
-        uniform = np.full(2 << n, 1.0 / math.sqrt(2 << n))
-        stray = np.zeros(2 << n, dtype=complex)
-        stray[: 1 << n] = random_state_vector(n, rng)
-        stray[layout.index_for({"a": 1, "k": 3})] = 1e-20
-        for amps in (uniform, stray):
+        cases = [np.full(2 << n, 1.0 / math.sqrt(2 << n))]
+        for populated in (0, 1):
+            stray = np.zeros(2 << n, dtype=complex)
+            stray[populated << n :][: 1 << n] = random_state_vector(n, rng)
+            stray[layout.index_for({"a": 1 - populated, "k": 3})] = 1e-20
+            cases.append(stray)
+        for amps in cases:
             state = Statevector(amps.copy(), layout)
             with pytest.raises(ValueError, match="ancilla"):
-                wavenumber_rotation(state, angle_schedule(n, MODE_DERIVATIVE))
+                wavenumber_rotation(state)
             assert np.array_equal(state.amplitudes, amps)
+            assert state.gate_count == 0
 
-    def test_rejects_wrong_init_bit(self, rng):
-        n = 2
-        spectrum = random_state_vector(n, rng)
-        state, _ = ak_state(n, spectrum, ancilla_bit=0)
-        # The memo entry exists, shared with the derivative schedule; the check still runs.
-        _rotation_factors(angle_schedule(n, MODE_DERIVATIVE).angles)
-        with pytest.raises(ValueError, match="ancilla"):
-            wavenumber_rotation(state, angle_schedule(n, MODE_INTEGRAL))
+    @pytest.mark.parametrize("populated", [0, 1])
+    def test_scans_each_branch_at_most_once(self, populated, monkeypatch, rng):
+        # A state starting in |0> (QFTD) scans only its empty |1> branch; one
+        # starting in |1> (QFTI) scans its |1> branch, then the empty |0> branch.
+        state, _ = ak_state(3, random_state_vector(3, rng), ancilla_bit=populated)
+        scans = []
+        real_operand = spectral._operand
 
-    def test_rejects_width_mismatch(self, rng):
-        # A schedule's width is its angle count: two angles on a 3-qubit k
-        # register are refused, as is a schedule built for 4 qubits.
-        state, _ = ak_state(3, random_state_vector(3, rng), ancilla_bit=0)
-        before = state.amplitudes.copy()
-        short = WavenumberSchedule(angles=angle_schedule(2, MODE_DERIVATIVE).angles, ancilla_init=0)
-        for schedule in (angle_schedule(4, MODE_DERIVATIVE), short):
-            with pytest.raises(ValueError, match="k register"):
-                wavenumber_rotation(state, schedule)
-        assert np.array_equal(state.amplitudes, before)
-        assert state.gate_count == 0
+        class Branch(np.ndarray):
+            def any(self, *args, **kwargs):
+                scans.append(self.bit)
+                return np.asarray(self).any(*args, **kwargs)
+
+        def operand(state, qubits, controls=()):
+            view = real_operand(state, qubits, controls).view(Branch)
+            view.bit = controls[0][1]
+            return view
+
+        monkeypatch.setattr(spectral, "_operand", operand)
+        wavenumber_rotation(state)
+        assert scans == ([1] if populated == 0 else [1, 0])

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qftcalc.state import (
-    GateOp,
     RegisterLayout,
     Statevector,
     amplitude_encode,
@@ -112,34 +111,36 @@ class TestAmplitudeEncode:
 class TestApplyGate:
     def test_x_flips_qubit_zero(self):
         state = Statevector([1, 0, 0, 0], two_qubit_layout())
-        apply_gate(state, GateOp(pauli_x(), (0,)))
+        apply_gate(state, pauli_x(), (0,))
         assert_allclose(state.amplitudes, [0, 1, 0, 0])
 
     def test_rx_rotation_on_zero(self):
         # Rx(-2*theta)|0> = cos(theta)|0> + i sin(theta)|1>, checked at pi/4.
         theta = math.pi / 4.0
         state = Statevector([1, 0], RegisterLayout((("k", 1),)))
-        apply_gate(state, GateOp(rx_gate(-2.0 * theta), (0,)))
+        apply_gate(state, rx_gate(-2.0 * theta), (0,))
         assert_allclose(state.amplitudes, [math.cos(theta), 1j * math.sin(theta)], atol=1e-15)
 
     def test_cnot_truth_table(self):
         state = Statevector([0, 0, 1, 0], two_qubit_layout())  # |10>
-        apply_gate(state, GateOp(pauli_x(), (0,), controls=((1, 1),)))
+        apply_gate(state, pauli_x(), (0,), controls=((1, 1),))
         assert_allclose(state.amplitudes, [0, 0, 0, 1])  # |11>
 
     def test_rejects_non_unitary(self):
         state = Statevector([1, 0], RegisterLayout((("k", 1),)))
         with pytest.raises(ValueError, match="not unitary"):
-            apply_gate(state, GateOp(np.array([[1.0, 0.0], [0.0, 2.0]]), (0,)))
+            apply_gate(state, np.array([[1.0, 0.0], [0.0, 2.0]]), (0,))
 
     def test_rejects_target_control_collision(self):
-        with pytest.raises(ValueError, match="collision"):
-            GateOp(pauli_x(), (0,), controls=((0, 1),))
+        state = Statevector([1, 0, 0, 0], two_qubit_layout())
+        with pytest.raises(ValueError, match="collides"):
+            apply_gate(state, pauli_x(), (0,), controls=((0, 1),))
+        assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
 
     def test_rejects_out_of_range_qubit(self):
         state = Statevector([1, 0, 0, 0], two_qubit_layout())
         with pytest.raises(ValueError, match="out of range"):
-            apply_gate(state, GateOp(pauli_x(), (5,)))
+            apply_gate(state, pauli_x(), (5,))
 
 
 class TestRegisterUnitary:
@@ -188,7 +189,7 @@ class TestEmbeddingEquivalence:
             n_controls = int(rng.integers(0, min(2, len(others)) + 1))
             controls = tuple((q, int(rng.integers(2))) for q in others[:n_controls])
             state = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
-            apply_gate(state, GateOp(payload, (target,), controls))
+            apply_gate(state, payload, (target,), controls)
             expected = embed_full(n_qubits, payload, (target,), controls) @ amps
             assert_allclose(state.amplitudes, expected, atol=1e-12)
 
@@ -202,7 +203,7 @@ class TestEmbeddingEquivalence:
             controls = tuple((q, int(rng.integers(2))) for q in order[2 : 2 + n_controls])
             payload = random_unitary(4, rng)
             state = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
-            apply_gate(state, GateOp(payload, targets, controls))
+            apply_gate(state, payload, targets, controls)
             expected = embed_full(n_qubits, payload, targets, controls) @ amps
             assert_allclose(state.amplitudes, expected, atol=1e-12)
             assert state.gate_count == 1
@@ -229,7 +230,7 @@ class TestEmbeddingEquivalence:
             payload = random_unitary(2, rng)
             others = [q for q in range(n_qubits) if q != target]
             controls = ((others[0], int(rng.integers(2))),) if rng.random() < 0.5 else ()
-            apply_gate(state, GateOp(payload, (target,), controls))
+            apply_gate(state, payload, (target,), controls)
         assert abs(state.norm() - 1.0) <= 1e-12
 
 
@@ -249,7 +250,7 @@ class TestReverseQubits:
         controls = (control,) if control else ()
         swaps = Statevector(amps.copy(), RegisterLayout((("k", n_qubits),)))
         for i in range(width // 2):
-            apply_gate(swaps, GateOp(swap_gate(), (qubits[i], qubits[-1 - i]), controls))
+            apply_gate(swaps, swap_gate(), (qubits[i], qubits[-1 - i]), controls)
         # The register is qubits 1..width: reverse the bits of index >> 1
         # wherever the control holds.
         expected = amps.copy()
