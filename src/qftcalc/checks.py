@@ -4,8 +4,9 @@
 (unitarity, transform-matrix equality, gate-by-gate replays of the QFT and
 the rotation cascade, rotation branch bookkeeping, sampling soundness,
 reproducibility) in well under a minute. ``full`` adds the sampled
-reproduction targets, the error-order regressions and the matrix-free block
-encoding against its dense oracle, and reports gate counts.
+reproduction targets, the error-order regressions, both oracles and each
+sampled pipeline against its exact twin at the qubit cap, and the matrix-free
+block encoding against its dense oracle, and reports gate counts.
 """
 
 from __future__ import annotations
@@ -299,6 +300,38 @@ def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> C
     )
 
 
+def check_sampled_matches_exact(mode: str, function: str, n: int, shots: int = 10**7, seed: int = 31) -> CheckResult:
+    """A sampled pipeline run draws its success block from its exact twin's probabilities.
+
+    ``function`` is a catalog id, or ``"noise"`` for seeded standard normal
+    samples (QFTD's success probability on noise is about 1/2; on the catalog
+    functions at n = 16 it is too small to fill the block). The success-block
+    counts, plus one bin for the shots that miss the block, pass while their
+    chi-square p-value against ``shots * (psi_exact^2, 1 - success_probability)``
+    stays above 1e-6, lumped as in :func:`check_sampling_chisquare`; the hit
+    count must lie within 6 sigma of its binomial mean.
+    """
+    if function == "noise":
+        f = pipelines.SampledFunction(np.random.default_rng(seed).normal(size=1 << n), 0.0, 1.0 / (1 << n))
+    else:
+        f = oracles.sample_catalog(function, n)
+    run = pipelines.qftd_run if mode == "qftd" else pipelines.qfti_run
+    exact, sampled = run(f, shots=None), run(f, shots=shots, seed=seed)
+    one_count = sampled.resolution_epsilon  # the squared value of one count, scale^2 / shots
+    counts = np.rint(sampled.value_sq / one_count)
+    hits = int(counts.sum())
+    share = exact.success_probability
+    expected = np.append(exact.value_sq / one_count, (1.0 - share) * shots)
+    p_value, bins = _chisquare_p_value(np.append(counts, shots - hits), expected)
+    sigma = float(np.sqrt(shots * share * (1.0 - share)))
+    hits_ok = abs(hits - shots * share) <= 6.0 * sigma
+    return _result(
+        f"sampled == exact twin ({mode}, {function}, n={n}, {shots:.0e} shots)",
+        p_value >= 1e-6 and hits_ok,
+        f"p-value {p_value:.3g} over {bins} bins, {hits} hits against {shots * share:.1f} +- {sigma:.1f}",
+    )
+
+
 def check_sampling_reproducibility(seed: int = 99) -> CheckResult:
     f = oracles.sample_catalog("cos2pix", 6)
     a = pipelines.qftd_run(f, shots=10**5, seed=seed)
@@ -428,12 +461,17 @@ def full_suite() -> list[CheckResult]:
     results.append(check_sampled_r2("fig12b", 0.95))
     results.append(check_error_trend("qftd", -2.0))
     results.append(check_error_trend("qfti", -1.0))
-    # At the caps: the sizes where the strided FFT, the Bluestein-length summation and the block sampler run.
-    for function in CATALOG_IDS:
-        results.append(check_oracle("qftd", function, experiments.QFTD_MAX_QUBITS))
-        results.append(check_oracle("qfti", function, experiments.QFTI_MAX_QUBITS))
-    results.append(check_error_trend("qftd", -2.0, qubit_range=range(3, experiments.QFTD_MAX_QUBITS + 1)))
-    results.append(check_error_trend("qfti", -1.0, qubit_range=range(3, experiments.QFTI_MAX_QUBITS + 1)))
+    # At the cap: the size where the strided FFT, the Bluestein-length summation and the block sampler run.
+    cap = spectral.MAX_QUBITS
+    for mode, order in (("qftd", -2.0), ("qfti", -1.0)):
+        for function in CATALOG_IDS:
+            results.append(check_oracle(mode, function, cap))
+        results.append(check_error_trend(mode, order, qubit_range=range(3, cap + 1)))
+    # Inputs whose success block holds thousands of bins expected at >= 10 counts.
+    for n in (6, cap):
+        results.append(check_sampled_matches_exact("qftd", "noise", n))
+        for function in ("poly", "harmonics"):
+            results.append(check_sampled_matches_exact("qfti", function, n))
     results.append(check_gate_count_report())
     return results
 

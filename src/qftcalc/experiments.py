@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracles, pipelines, plots, psmpo
+from . import oracles, pipelines, plots
+from .spectral import MAX_QUBITS
 
 __all__ = [
     "ConfigError",
@@ -29,8 +30,6 @@ __all__ = [
     "metrics_path_for",
 ]
 
-QFTD_MAX_QUBITS = 16
-QFTI_MAX_QUBITS = psmpo.MAX_N_K
 # numpy's multinomial draws an int64 shot count.
 MAX_SHOTS = 2**63 - 1
 
@@ -80,9 +79,8 @@ class ExperimentConfig:
             results = (os.path.abspath(self.output), os.path.abspath(metrics_path_for(self.output)))
             if os.path.abspath(self.plot) in results:
                 raise ConfigError("plot", f"plot {self.plot!r} would overwrite a result file")
-        limit = QFTD_MAX_QUBITS if self.mode == "qftd" else QFTI_MAX_QUBITS
-        if self.n_qubits is not None and not 2 <= self.n_qubits <= limit:
-            raise ConfigError("qubits", f"{self.mode} supports 2..{limit} qubits")
+        if self.n_qubits is not None and not 2 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError("qubits", f"{self.mode} supports 2..{MAX_QUBITS} qubits")
         if self.function in oracles.CATALOG:
             if self.n_qubits is None:
                 raise ConfigError("qubits", "qubit count is required for catalog functions")

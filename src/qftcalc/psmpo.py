@@ -43,6 +43,15 @@ transform of its own: ``C_U S = U g sigma V^T = S C_V``, so
 the prefix sum the success block needs anyway. One apply costs O(N log N) and
 holds O(N) weights. numpy's FFT, not scipy's, keeps scipy out of
 ``import qftcalc.cli``.
+
+Encodings are built for k registers of up to ``spectral.MAX_QUBITS`` (16)
+qubits, the cap QFTD has too. The length 2M is not a power of two, and at
+some widths numpy's FFT falls back to Bluestein's algorithm (2M = 2*3*2731
+at n_k = 12), so the cap rests on measurement: at n_k = 13..16 the cold
+build took 0.05-0.10, 0.15-0.26, 0.36-0.46 and 0.80-1.12 s, an exact QFTI
+run with the build memoized 0.02-0.03, 0.07-0.12, 0.17-0.19 and 0.39-0.56 s
+(a 1e7-shot run the same within 0.02 s), and the process peaked at 45, 62,
+87 and 139 MiB (five fresh processes per width, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SUCCESS_BIT
+from .spectral import MAX_QUBITS, SUCCESS_BIT
 from .state import Statevector, _operand
 
 __all__ = [
@@ -69,9 +78,6 @@ __all__ = [
 
 # Orthogonality tolerance for constructed encodings.
 BLOCK_TOL = 1e-10
-# Largest k register with an encoding: the FFT length 2(2N+1) is not a power
-# of two, so past n_k = 12 the build and the apply need measuring.
-MAX_N_K = 12
 # The (a, b, c) bits of the output block that carries ``S @ A / eta``: S/eta
 # is the lower-left block of H/eta, row block (b, c) = (0, 1) of the first
 # block column, on the ancilla branch where the rotation cascade leaves the
@@ -221,8 +227,8 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     a second application returns the probe, both to ``BLOCK_TOL``.
     Encodings are memoized per process; a width that raises is not.
     """
-    if not 1 <= n_k <= MAX_N_K:
-        raise ValueError(f"n_k must lie in 1..{MAX_N_K}")
+    if not 1 <= n_k <= MAX_QUBITS:
+        raise ValueError(f"n_k must lie in 1..{MAX_QUBITS}")
     N = 1 << n_k
     weights = _completion_weights(N, spectral_norm(N))
     weights.setflags(write=False)

@@ -49,6 +49,7 @@ import numpy as np
 from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swap_gate
 
 __all__ = [
+    "MAX_QUBITS",
     "SUCCESS_BIT",
     "qft",
     "rotation_angles",
@@ -56,6 +57,8 @@ __all__ = [
     "reconstructed_rotation",
 ]
 
+# Widest k register that either pipeline runs and a block encoding is built for.
+MAX_QUBITS = 16
 # The ancilla value whose branch carries the result in both modes.
 SUCCESS_BIT = 1
 

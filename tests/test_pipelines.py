@@ -140,7 +140,7 @@ class TestQftiExact:
         assert series.gate_count == 2 * qft_gate_total(n) + n + 2
 
 
-    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    @pytest.mark.parametrize("n", range(9, 17))
     def test_large_registers_equal_trapezoid_sums(self, n):
         f = sample_catalog("cos2pix", n, (-1.0, 1.0))
         series = qfti_run(f, shots=None)
@@ -149,7 +149,7 @@ class TestQftiExact:
         assert np.max(np.abs(series.value_sq - oracle_sq)) <= tol
 
     def test_error_trend_up_to_the_cap(self):
-        slope, _ = checks.error_trend("qfti", range(3, 13))
+        slope, _ = checks.error_trend("qfti", range(3, 17))
         assert abs(slope + 1.0) <= 0.3
 
 
@@ -235,6 +235,21 @@ class TestSampledMode:
             censored += int(np.count_nonzero(~series.retained[below]))
             total += int(np.count_nonzero(below))
         assert censored / total >= 0.5
+
+    @pytest.mark.parametrize("mode, function", [("qftd", "noise"), ("qfti", "poly")])
+    def test_twin_check_catches_one_perturbed_weight(self, mode, function, monkeypatch):
+        assert checks.check_sampled_matches_exact(mode, function, 6).passed
+        draw = pipelines.sample_counts
+
+        def perturbed(state, shots, seed, outcomes):
+            # Raise the largest success-block weight by 10% before the draw.
+            block = state.amplitudes[outcomes]
+            block[np.argmax(np.abs(block))] *= np.sqrt(1.1)
+            return draw(state, shots, seed, outcomes)
+
+        monkeypatch.setattr(pipelines, "sample_counts", perturbed)
+        result = checks.check_sampled_matches_exact(mode, function, 6)
+        assert not result.passed, result.detail
 
     def test_success_probability_matches_counts(self):
         f = sample_catalog("harmonics", 5)

@@ -108,7 +108,7 @@ class TestBlockEncoding:
         with pytest.raises(ValueError):
             build_block_encoding(0)
         with pytest.raises(ValueError):
-            build_block_encoding(13)
+            build_block_encoding(17)
 
     def test_unitary_is_frozen(self):
         enc = build_block_encoding(2)
