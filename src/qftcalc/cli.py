@@ -207,6 +207,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not args.output_dir:  # Path("") would be the working directory
+        raise ConfigError("output-dir", "path '' names no directory")
     configs = _merge_configs(args)
     # A bad CSV row count or grid point fails the sweep before it writes anything.
     for config in configs:

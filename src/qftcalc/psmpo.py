@@ -42,7 +42,8 @@ transform of its own: ``C_U S = U g sigma V^T = S C_V``, so
 ``C_V = S^-1 C_U S``, where ``S^-1`` is a first difference and ``S x00`` is
 the prefix sum the success block needs anyway. One apply costs O(N log N) and
 holds O(N) weights. numpy's FFT, not scipy's, keeps scipy out of
-``import qftcalc.cli``.
+``import qftcalc.cli``, and the build's chirp probe keeps ``numpy.random`` out
+of an exact run.
 
 Encodings are built for k registers of up to ``spectral.MAX_QUBITS`` (16)
 qubits, the cap QFTD has too. The length 2M is not a power of two, and at
@@ -222,10 +223,11 @@ def block_encode_dimension(N: int) -> tuple[np.ndarray, float]:
 def build_block_encoding(n_k: int) -> BlockEncoding:
     """Build (or fetch) the block encoding for an ``n_k``-qubit register.
 
-    ``U_H`` is a symmetric orthogonal involution, so the build applies it to a
-    fixed seeded probe and raises ``RuntimeError`` unless the norm is kept and
-    a second application returns the probe, both to ``BLOCK_TOL``.
-    Encodings are memoized per process; a width that raises is not.
+    ``U_H`` is a symmetric orthogonal involution, so the build applies it to
+    the chirp ``exp(i pi j^2 / 4N) / sqrt(4N)`` on the 4N operand entries j
+    and raises ``RuntimeError`` unless the norm is kept and a second
+    application returns the chirp, both to ``BLOCK_TOL``. Encodings are
+    memoized per process; a width that raises is not.
     """
     if not 1 <= n_k <= MAX_QUBITS:
         raise ValueError(f"n_k must lie in 1..{MAX_QUBITS}")
@@ -233,11 +235,10 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     weights = _completion_weights(N, spectral_norm(N))
     weights.setflags(write=False)
     enc = BlockEncoding(weights)
-    rng = np.random.default_rng(0)
-    probe = rng.normal(size=(2, 2, N)) + 1j * rng.normal(size=(2, 2, N))
-    # Plain numpy norms: np.linalg.norm is a BLAS dot, which wakes the thread pool.
-    probe /= np.sqrt(np.sum(np.abs(probe) ** 2))
+    j = np.arange(4 * N)
+    probe = (np.exp(1j * np.pi / (4 * N) * j * j) / math.sqrt(4 * N)).reshape(2, 2, N)
     image = enc.apply(probe)
+    # Plain numpy norms: np.linalg.norm is a BLAS dot, which wakes the thread pool.
     norm_defect = abs(np.sqrt(np.sum(np.abs(image) ** 2)) - 1.0)
     defect = max(norm_defect, float(np.max(np.abs(enc.apply(image) - probe))))
     if defect > BLOCK_TOL:

@@ -32,21 +32,24 @@ call reads the width from the k register and the start branch from the
 state: branch 1 if it holds any amplitude, else branch 0, each scanned at
 most once. It raises when both branches hold amplitude, and otherwise
 writes ``-i s x`` into the other branch and ``c x`` over the start branch
-``x`` in place, with no branch-sized temporary. The gate-by-gate cascade of
-:func:`rotation_angles` stays as the oracle that the tests and ``validate``
-replay. Rotation angles are kept as exact dyadic multiples of pi and
-converted to radians only when the factors are built.
+``x`` in place, with no branch-sized temporary. The factors take their
+angles in closed form, ``-4k/N`` in units of pi. The gate-by-gate cascade of
+:func:`rotation_angles` (exact ``Fraction`` multiples of pi, imported only
+when it runs) stays as the oracle that the tests and ``validate`` replay.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swap_gate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MAX_QUBITS",
@@ -70,6 +73,8 @@ def rotation_angles(n: int) -> tuple[Fraction, ...]:
     significance ``p``: ``-2^(p-n+2)``, i.e. minus twice the rotation
     ``theta_p = 2^(p-n+1) pi`` that the Rx convention requires.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("the cascade needs at least one k-register qubit")
     return tuple(Fraction(-(1 << (p + 2)), 1 << n) for p in range(n))
@@ -81,6 +86,8 @@ def reconstructed_rotation(angles: tuple[Fraction, ...], k: int) -> Fraction:
     Summing the per-qubit rotations over the set bits of ``k`` must give
     ``2 k / 2^n`` exactly; this is the invariant the validation suite checks.
     """
+    from fractions import Fraction
+
     total = Fraction(0)
     for p, angle in enumerate(angles):
         if (k >> p) & 1:
@@ -179,7 +186,7 @@ def _rotation_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     each width, and the unitarity check runs here, on the arrays every later
     call reads.
     """
-    phi = _rotation_turns(rotation_angles(n)) * math.pi
+    phi = _rotation_turns(n) * math.pi
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
     # Block k is [[c, -is], [-is, c]] with real c and s: U†U - I is diagonal.
     defect = float(np.max(np.abs(c * c + s * s - 1.0)))
@@ -190,16 +197,6 @@ def _rotation_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return c.reshape((2,) * n), s.reshape((2,) * n)
 
 
-def _rotation_turns(angles: tuple[Fraction, ...]) -> np.ndarray:
-    """Rx angle, in units of pi, for every spectrum index k.
-
-    The sum of the cascade ``angles`` over the set bits of k, i.e.
-    ``-2 * reconstructed_rotation(angles, k)``. Each angle is a dyadic
-    fraction and every partial sum has magnitude below 4, so the float sums
-    are exact.
-    """
-    turns = np.zeros(1)
-    for angle in angles:
-        # The indices with bit p set are the ones below 2^p, plus angle p.
-        turns = np.concatenate([turns, turns + float(angle)])
-    return turns
+def _rotation_turns(n: int) -> np.ndarray:
+    """Sum of :func:`rotation_angles` over the set bits of every k, in closed form: exact, +0.0 at k = 0."""
+    return -4 * np.arange(1 << n) / (1 << n)

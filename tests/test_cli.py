@@ -437,6 +437,24 @@ class TestCliExitCodes:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False False"
 
+    @pytest.mark.parametrize("shots, loaded", [("exact", False), ("100000", True)])
+    def test_exact_sweep_loads_only_what_it_runs(self, shots, loaded, tmp_path):
+        # An exact run draws nothing and sums no fractions; a sampled run draws
+        # its counts, which is what shows that the probe can see numpy.random.
+        src = str(Path(qftcalc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["sweep", "--mode", "qfti", "--function", "poly", "--qubits", "3", "4", "--shots", shots,
+                "--output-dir", str(tmp_path / "sweep")]
+        probe = (
+            "import sys; from qftcalc import cli; assert cli.main(sys.argv[1:]) == 0; "
+            "print(*(m in sys.modules for m in ('numpy.random', 'fractions', 'decimal', 'scipy', 'qftcalc.checks')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == f"{loaded} False False False False"
+
 
 class TestSweep:
     def test_explicit_sweep_writes_summary(self, tmp_path):
@@ -462,6 +480,13 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--jobs" in err and len(err.splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_empty_output_dir_is_one(self, tmp_path, capsys, monkeypatch):
+        # An empty path would put every run and the summary in the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sweep", "--preset", "fig9b", "--output-dir", ""]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_abbreviated_output_dir_is_one(self, tmp_path, capsys, monkeypatch):
         # --output is a run flag; with prefix matching argparse would read it as --output-dir.

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qftcalc import cli, psmpo, spectral
+from qftcalc import checks, cli, psmpo, spectral
 from qftcalc.oracles import CATALOG, central_difference_periodic, trapezoid_partial_sums
 from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL, SampledFunction, qftd_run, qfti_run
 from qftcalc.state import NORM_TOL, RegisterLayout, amplitude_encode, apply_gate, pauli_x
@@ -50,6 +50,14 @@ def test_qfti_equals_squared_trapezoid_sums(f):
     eta = psmpo.build_block_encoding(f.n_points.bit_length() - 1).eta
     oracle_sq = trapezoid_partial_sums(f.samples, f.dx) ** 2
     assert np.max(np.abs(series.value_sq - oracle_sq)) <= 1e-9 * (f.l2_norm * eta * f.dx) ** 2
+
+
+# Each example's chi-square may fail by chance with probability 1e-6, so few are drawn.
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["qftd", "qfti"]), st.integers(3, 8), st.integers(0, 2**32 - 1))
+def test_sampled_run_matches_its_exact_twin(mode, n, seed):
+    result = checks.check_sampled_matches_exact(mode, "noise", n, shots=10**6, seed=seed)
+    assert result.passed, result.detail
 
 
 @PROPERTY_SETTINGS
@@ -191,3 +199,32 @@ def test_fuzzed_config_file_exits_cleanly(config):
 def test_fuzzed_sweep_config_file_exits_cleanly(config):
     code = exits_cleanly(config, ["sweep", "--config", "cfg.json", "--output-dir", "out"])
     assert code != 0 or not set(RUN_ONLY) & set(config)
+
+
+# Two-element domains that hold a bool or an integer past float range, in a
+# config that is valid otherwise: only the domain's number check stands
+# between them and float(), which raises OverflowError on 10**400.
+NOT_A_NUMBER = st.booleans() | st.sampled_from([10**400, -(10**400)])
+
+
+@st.composite
+def domain_probes(draw):
+    bad, other = draw(NOT_A_NUMBER), draw(NOT_A_NUMBER | st.floats() | st.integers(-3, 3))
+    return [bad, other] if draw(st.booleans()) else [other, bad]
+
+
+def valid_configs(fields):
+    return st.fixed_dictionaries({key: valid for key, (valid, _) in fields.items()})
+
+
+@PROPERTY_SETTINGS
+@given(valid_configs(CONFIG_FIELDS), domain_probes())
+def test_config_file_domain_probe_is_one(config, domain):
+    assert exits_cleanly(dict(config, domain=domain), ["run", "--config", "cfg.json"]) == 1
+
+
+@PROPERTY_SETTINGS
+@given(valid_configs(SWEEP_FIELDS), domain_probes())
+def test_sweep_config_file_domain_probe_is_one(config, domain):
+    argv = ["sweep", "--config", "cfg.json", "--output-dir", "out"]
+    assert exits_cleanly(dict(config, domain=domain), argv) == 1

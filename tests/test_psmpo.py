@@ -171,6 +171,18 @@ class TestMatrixFree:
             build_block_encoding(n_k)
         assert build_block_encoding.cache_info().currsize == 0  # a failed build is not cached
 
+    @pytest.mark.parametrize("n_k", range(1, 7))
+    def test_build_rejects_every_corrupted_weight(self, n_k, monkeypatch):
+        # The probe must see a 1e-3 error in any one of the N weights.
+        weights = psmpo._completion_weights
+        for k in range(1 << n_k):
+            error = np.zeros(1 << n_k)
+            error[k] = 1e-3
+            monkeypatch.setattr(psmpo, "_completion_weights", lambda N, eta: weights(N, eta) + error)
+            build_block_encoding.cache_clear()
+            with pytest.raises(RuntimeError, match="involution"):
+                build_block_encoding(n_k)
+
     def test_materialised_imaginary_part_rejected(self):
         enc = build_block_encoding(2)
         with pytest.raises(RuntimeError, match="imaginary"):

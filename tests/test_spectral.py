@@ -190,7 +190,18 @@ class TestAngleSchedule:
     def test_fused_turns_are_the_exact_rotations(self, n):
         angles = rotation_angles(n)
         expected = [float(-2 * reconstructed_rotation(angles, k)) for k in range(1 << n)]
-        assert _rotation_turns(angles).tolist() == expected
+        assert _rotation_turns(n).tolist() == expected
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_closed_form_turns_are_the_oracle_bytes(self, n):
+        # Bit for bit, the sign of zero at k = 0 included: the factors built
+        # from these turns must not move in the last place. The oracle sums
+        # the exact angles over the set bits of every k, one bit at a time
+        # (the indices with bit p set are those below 2^p, plus angle p).
+        sums = [Fraction(0)]
+        for angle in rotation_angles(n):
+            sums += [total + angle for total in sums]
+        assert _rotation_turns(n).tobytes() == np.array([float(total) for total in sums]).tobytes()
 
     def test_n8_top_value(self):
         assert reconstructed_rotation(rotation_angles(8), 255) == Fraction(2 * 255, 256)
