@@ -5,8 +5,9 @@
 the rotation cascade, rotation branch bookkeeping, sampling soundness,
 reproducibility) in well under a minute. ``full`` adds the sampled
 reproduction targets, the error-order regressions, both oracles and each
-sampled pipeline against its exact twin at the qubit cap, and the matrix-free
-block encoding against its dense oracle, and reports gate counts.
+sampled pipeline against its exact twin at the qubit cap, the matrix-free
+block encoding against its dense oracle, and the run path's summation against
+the four-block map, and reports gate counts.
 """
 
 from __future__ import annotations
@@ -237,6 +238,32 @@ def check_block_encoding_apply(n_k: int, seed: int = 23) -> CheckResult:
     )
 
 
+def check_partial_sum_half_map(n_k: int, seed: int = 29) -> CheckResult:
+    """``apply_partial_sum``, which runs ``half`` on the b = c = 0 block alone, equals ``BlockEncoding.apply`` bitwise.
+
+    Both ancilla branches hold seeded amplitude in their b = c = 0 block; the
+    branch off the control must come back untouched.
+    """
+    enc = psmpo.build_block_encoding(n_k)
+    N = enc.dimension
+    layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n_k)))
+    rng = np.random.default_rng(seed)
+    before = np.zeros((2, 4 * N), dtype=complex)  # [a, k + N c + 2N b]
+    before[:, :N] = rng.normal(size=(2, N)) + 1j * rng.normal(size=(2, N))
+    before /= np.linalg.norm(before)
+    state = Statevector(before.reshape(-1).copy(), layout)
+    on = spectral.SUCCESS_BIT
+    psmpo.apply_partial_sum(state, control=(layout.qubits("a")[0], on))
+    after = state.amplitudes.reshape(2, 4 * N)
+    bitwise = bool(np.array_equal(after[on], enc.apply(before[on].reshape(2, 2, N)).reshape(-1)))
+    untouched = bool(np.array_equal(after[1 - on], before[1 - on]))
+    return _result(
+        f"summation half map == four-block U_H bitwise N={N}",
+        bitwise and untouched,
+        f"controlled branch bitwise equal: {bitwise}, other branch untouched: {untouched}",
+    )
+
+
 def check_control_polarity(seed: int = 3) -> CheckResult:
     """Amplitudes off the control branch are bitwise untouched."""
     rng = np.random.default_rng(seed)
@@ -454,6 +481,8 @@ def full_suite() -> list[CheckResult]:
         results.append(check_block_encoding(n_k))
     for n_k in range(1, 9):
         results.append(check_block_encoding_apply(n_k))
+    for n_k in (12, spectral.MAX_QUBITS):
+        results.append(check_partial_sum_half_map(n_k))
     results.append(check_resolution_fig5())
     results.append(check_sampled_r2("fig4", 0.95))
     results.append(check_sampled_r2("fig6", 0.98, coverage_target=0.92))

@@ -49,7 +49,7 @@ def emit_plot(
     point_y = series.value_sq[shown]
     curve_y = reference
 
-    y_candidates = [point_y[point_y > 0] if scale == "semilog" else point_y]
+    y_candidates = [point_y]  # semilog's shown mask already dropped y <= 0
     y_candidates.append(curve_y[curve_y > 0] if scale == "semilog" else curve_y)
     if scale == "semilog" and series.resolution_epsilon > 0.0:
         y_candidates.append(np.array([series.resolution_epsilon]))
@@ -109,8 +109,6 @@ def emit_plot(
             f'stroke="#c0392b" stroke-width="1.6"/>'
         )
     for x, y in zip(xs[shown], point_y):
-        if scale == "semilog" and y <= 0.0:
-            continue
         parts.append(
             f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.4" '
             f'fill="#2c5f8a" fill-opacity="0.8"/>'

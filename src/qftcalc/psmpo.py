@@ -24,35 +24,40 @@ symmetric orthogonal involution (Gilyen, Su, Low & Wiebe, "Quantum singular
 value transformation and beyond", STOC 2019). ``S/eta`` is the lower-left
 block of ``A``, which fixes ``SUCCESS_PREFIX``.
 
-``U_H`` is never built on the pipeline path. :func:`apply_partial_sum`
-takes its operand from :func:`qftcalc.state._operand`: the controlled branch
-with the b, c and k qubits as its last axes, read as ``(..., 2, 2, N)``. On
-an operand whose index is ``k + N c + 2N b`` it maps the four (b, c) blocks
-to::
+``U_H`` is never built on the pipeline path. On an operand of shape
+``(..., 2, 2, N)`` whose index is ``k + N c + 2N b`` it maps the four
+(b, c) blocks to::
 
     y00 = S^T x01 / eta + C_V x10        y10 = C_V x00 - S^T x11 / eta
     y01 = S x00 / eta   + C_U x11        y11 = C_U x01 - S x10 / eta
 
-``S`` and ``S^T`` are prefix and suffix sums. ``C_U = (4/M) T g T^T`` with
-the sine basis ``T[m, k] = sin(m (2k-1) pi / M)``, so ``T^T`` and ``T`` are
-sine sums, each one numpy FFT of length 2M (Makhoul, "A fast cosine transform
-in one and two dimensions", IEEE TASSP 1980). The amplitudes are complex, so
-the sums are read two-sided, ``(W[-q] - W[q]) / 2i``. ``C_V`` needs no
-transform of its own: ``C_U S = U g sigma V^T = S C_V``, so
-``C_V = S^-1 C_U S``, where ``S^-1`` is a first difference and ``S x00`` is
-the prefix sum the success block needs anyway. One apply costs O(N log N) and
-holds O(N) weights. numpy's FFT, not scipy's, keeps scipy out of
-``import qftcalc.cli``, and the build's chirp probe keeps ``numpy.random`` out
-of an exact run.
+Two primitive maps make all four. :meth:`BlockEncoding.half` is where
+``U_H`` sends a c = 0 block, ``half(x) = (S x / eta, C_V x)``. ``S x`` is a
+prefix sum. ``C_U = (4/M) T g T^T`` with the sine basis
+``T[m, k] = sin(m (2k-1) pi / M)``, so ``T^T`` and ``T`` are sine sums, each
+one numpy FFT of length 2M (Makhoul, "A fast cosine transform in one and two
+dimensions", IEEE TASSP 1980), read two-sided, ``(W[-q] - W[q]) / 2i``, as
+the amplitudes are complex. ``C_U S = U g sigma V^T = S C_V``, so
+``C_V x = S^-1 C_U S x`` is the first difference of ``C_U`` on the prefix
+sum. The c = 1 blocks need no map of their own. With ``J`` the k reversal
+``j -> N-1-j``, ``J S J = S^T``, and ``J u_k = (-1)^(k+1) v_k`` since
+``sin((N-j) theta_k) = (-1)^(k+1) cos((j+1/2) theta_k)``, so
+``J C_U J = C_V``; hence ``(S^T x / eta, C_U x) = J half(J x)``.
+:meth:`BlockEncoding.apply` sends the c = 0 blocks and the reversed c = 1
+blocks through one stacked ``half`` call. :func:`apply_partial_sum` calls
+``half`` on the b = c = 0 block alone, the only one a pipeline populates.
+One apply costs O(N log N) and holds O(N) weights. numpy's FFT, not
+scipy's, keeps scipy out of ``import qftcalc.cli``, and the build's chirp
+probe keeps ``numpy.random`` out of an exact run.
 
 Encodings are built for k registers of up to ``spectral.MAX_QUBITS`` (16)
 qubits, the cap QFTD has too. The length 2M is not a power of two, and at
 some widths numpy's FFT falls back to Bluestein's algorithm (2M = 2*3*2731
 at n_k = 12), so the cap rests on measurement: at n_k = 13..16 the cold
-build took 0.05-0.10, 0.15-0.26, 0.36-0.46 and 0.80-1.12 s, an exact QFTI
-run with the build memoized 0.02-0.03, 0.07-0.12, 0.17-0.19 and 0.39-0.56 s
-(a 1e7-shot run the same within 0.02 s), and the process peaked at 45, 62,
-87 and 139 MiB (five fresh processes per width, 2 vCPUs).
+build took 0.04-0.05, 0.18-0.28, 0.31-0.55 and 0.68-0.76 s, an exact QFTI
+run with the build memoized 0.006-0.008, 0.04-0.06, 0.06-0.10 and
+0.13-0.15 s (a 1e7-shot run 0.01-0.03 s more), and the process peaked at
+40, 56-58, 82-83 and 133-136 MiB (five fresh processes per width, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -118,21 +123,24 @@ class BlockEncoding:
     def eta(self) -> float:
         return spectral_norm(self.dimension)
 
+    def half(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(S x / eta, C_V x)`` for ``x`` of shape ``(..., N)``: where ``U_H`` sends a c = 0 block.
+
+        ``S x`` is the prefix sum and ``C_V x = S^-1 C_U S x`` the first
+        difference of ``C_U`` on it, one pair of sine sums.
+        """
+        natural = np.arange(1, self.dimension + 1)
+        odd = 2 * natural - 1
+        M = 2 * self.dimension + 1
+        prefix = np.cumsum(x, axis=-1)
+        cu_prefix = _sine_sum(self.weights * _sine_sum(prefix, natural, odd, 2 * M), odd, natural, 2 * M) * (4 / M)
+        return prefix / self.eta, np.diff(cu_prefix, axis=-1, prepend=0)
+
     def apply(self, operand: np.ndarray) -> np.ndarray:
         """``U_H`` applied to ``operand`` of shape ``(..., 2, 2, N)``, indexed ``[..., b, c, k]``."""
-        N = self.dimension
-        M = 2 * N + 1
-        natural = np.arange(1, N + 1)
-        odd = 2 * natural - 1
         c0, c1 = operand[..., 0, :], operand[..., 1, :]  # each (..., 2, N), indexed by b
-        prefix = np.cumsum(c0, axis=-1)  # S c0
-        # C_U on S c0 and c1 in one batch; C_V c0 = S^-1 C_U S c0 is a first difference.
-        both = np.stack((prefix, c1))
-        cu_prefix, cu = _sine_sum(self.weights * _sine_sum(both, natural, odd, 2 * M), odd, natural, 2 * M) * (4 / M)
-        cv = np.diff(cu_prefix, axis=-1, prepend=0)
-        eta = self.eta
-        s = prefix / eta
-        st = np.cumsum(c1[..., ::-1], axis=-1)[..., ::-1] / eta  # S^T: suffix sums
+        # J S J = S^T and J C_V J = C_U for the k reversal J, so c1 goes through half reversed.
+        (s, st), (cv, cu) = ((h[0], h[1, ..., ::-1]) for h in self.half(np.stack((c0, c1[..., ::-1]))))
         out = np.empty(operand.shape, dtype=complex)
         out[..., 0, 0, :] = st[..., 0, :] + cv[..., 1, :]
         out[..., 0, 1, :] = s[..., 0, :] + cu[..., 1, :]
@@ -226,7 +234,9 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     ``U_H`` is a symmetric orthogonal involution, so the build applies it to
     the chirp ``exp(i pi j^2 / 4N) / sqrt(4N)`` on the 4N operand entries j
     and raises ``RuntimeError`` unless the norm is kept and a second
-    application returns the chirp, both to ``BLOCK_TOL``. Encodings are
+    application returns the chirp, both to ``BLOCK_TOL``, and unless the
+    first weight is exactly 0 (``sigma_1 = eta``; a 1e-3 error there moves
+    the probe by less than ``BLOCK_TOL`` from n_k = 14 on). Encodings are
     memoized per process; a width that raises is not.
     """
     if not 1 <= n_k <= MAX_QUBITS:
@@ -241,8 +251,8 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     # Plain numpy norms: np.linalg.norm is a BLAS dot, which wakes the thread pool.
     norm_defect = abs(np.sqrt(np.sum(np.abs(image) ** 2)) - 1.0)
     defect = max(norm_defect, float(np.max(np.abs(enc.apply(image) - probe))))
-    if defect > BLOCK_TOL:
-        raise RuntimeError(f"U_H is not an orthogonal involution: defect {defect:.3e} on the probe")
+    if defect > BLOCK_TOL or weights[0] != 0.0:
+        raise RuntimeError(f"U_H is not an orthogonal involution: probe defect {defect:.3e}, g_1 = {weights[0]:.3e}")
     return enc
 
 
@@ -252,9 +262,11 @@ def apply_partial_sum(state: Statevector, control: tuple[int, int]) -> Statevect
     The encoding is :func:`build_block_encoding` for the width of the k
     register. The b and c registers must still be in |0>: unless every
     amplitude off the b = c = 0 block is exactly zero, ``ValueError`` is
-    raised and the state is left untouched. On the controlled branch the
-    amplitudes at ``SUCCESS_PREFIX`` become ``S @ A / eta`` for the incoming
-    k-register coefficients A; everything else is untouched. One gate.
+    raised and the state is left untouched. ``U_H`` then sends the
+    controlled branch's k-register coefficients A, its only populated block,
+    to ``half(A)``: ``S @ A / eta`` at ``SUCCESS_PREFIX`` and ``C_V A`` at
+    (b, c) = (1, 0), leaving zeros at b = c = 0. Everything else is
+    untouched. One gate.
     """
     layout = state.layout
     k_qubits = layout.qubits("k")
@@ -263,12 +275,17 @@ def apply_partial_sum(state: Statevector, control: tuple[int, int]) -> Statevect
     (c_qubit,) = layout.qubits("c")
     if control[1] != SUCCESS_PREFIX[0]:
         raise ValueError("control polarity does not match the success prefix")
-    operand = (b_qubit, c_qubit, *k_qubits[::-1])  # last axes read [b, c, k]
-    view = _operand(state, operand, (control,))
+
+    def block(b: int, c: int) -> np.ndarray:  # a (b, c) block of the controlled branch, k on its last axes
+        return _operand(state, k_qubits[::-1], (control, (b_qubit, b), (c_qubit, c)))
+
+    x00 = block(0, 0)
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
     off_block = (((b_qubit, 1),), ((b_qubit, 0), (c_qubit, 1)))
     if any(_operand(state, (), fixed).any() for fixed in off_block):
         raise ValueError("registers b/c are not in |0>: amplitude off the b = c = 0 block is non-zero")
-    view[...] = enc.apply(view.reshape(*view.shape[: -len(operand)], 2, 2, enc.dimension)).reshape(view.shape)
+    s, cv = enc.half(x00.reshape(*x00.shape[: -len(k_qubits)], enc.dimension))
+    block(0, 1)[...], block(1, 0)[...] = s.reshape(x00.shape), cv.reshape(x00.shape)
+    x00[...] = 0.0
     state.gate_count += 1
     return state

@@ -10,13 +10,15 @@ register named ``a`` always sits in the most significant position.
 One private helper, :func:`_operand`, maps qubits to axes of a view of the
 amplitudes and is the only place that checks qubit range, control polarity
 and control/operand collisions. Every view of the state by qubit comes from
-it. Each layer that acts on a register is one numpy operation on such a
-view: the gate kernel :func:`apply_gate`, which takes its matrix, targets
-and controls as arguments, the QFT (:func:`qftcalc.spectral.qft`), the
-rotation cascade (:func:`qftcalc.spectral.wavenumber_rotation`) and the
-block-encoded partial sum (:func:`qftcalc.psmpo.apply_partial_sum`), whose
-b/c check reads its branches with no operand qubits. The full ``2^n x 2^n``
-embedding is never built here (tests rebuild it as an oracle).
+it. Each layer that acts on a register works on such views: the gate
+kernel :func:`apply_gate`, which takes its matrix, targets and controls as
+arguments, the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
+(:func:`qftcalc.spectral.wavenumber_rotation`) and the block-encoded partial
+sum (:func:`qftcalc.psmpo.apply_partial_sum`). The partial sum's operand is
+the k register alone: it reads the b = c = 0 block of the controlled branch
+and writes two other (b, c) blocks, each fixed by b and c as extra controls,
+and its b/c check reads whole branches with no operand qubits. The full
+``2^n x 2^n`` embedding is never built here (tests rebuild it as an oracle).
 
 :func:`amplitude_encode` writes the samples into one block of a zeroed
 state, so a pipeline starts in its ancilla branch without a gate. Only the

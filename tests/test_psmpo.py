@@ -14,7 +14,9 @@ from qftcalc.psmpo import (
     spectral_norm,
     summation_svd,
 )
-from qftcalc.state import RegisterLayout, Statevector, apply_register_unitary
+from qftcalc.oracles import sample_catalog
+from qftcalc.pipelines import qfti_run
+from qftcalc.state import RegisterLayout, Statevector, _operand, apply_register_unitary
 
 from conftest import random_state_vector
 
@@ -46,8 +48,8 @@ class TestSpectralNorm:
         assert abs(spectral_norm(N) - expected) <= 1e-9
 
 
-class TestJacobiSvd:
-    """The closed-form SVD of S that replaced the one-sided Jacobi SVD, held to the same checks."""
+class TestClosedFormSvd:
+    """The closed-form SVD of S, held to the checks of a numerical SVD."""
 
     @pytest.mark.parametrize("N", [2, 7, 32])
     def test_against_numpy(self, N):
@@ -171,6 +173,24 @@ class TestMatrixFree:
             build_block_encoding(n_k)
         assert build_block_encoding.cache_info().currsize == 0  # a failed build is not cached
 
+    @pytest.mark.parametrize("n_k", [14, 15, 16])
+    def test_build_rejects_corrupted_first_weight_at_large_widths(self, n_k, monkeypatch):
+        # g_1 = 0 since sigma_1 = eta, so its error reaches the probe only at second
+        # order and falls below BLOCK_TOL from n_k = 14 on; the build checks it directly.
+        weights = psmpo._completion_weights
+        assert all(weights(1 << m, spectral_norm(1 << m))[0] == 0.0 for m in range(1, 17))
+
+        def corrupted(N, eta):
+            g = weights(N, eta)
+            g[0] += 1e-3
+            return g
+
+        build_block_encoding.cache_clear()
+        monkeypatch.setattr(psmpo, "_completion_weights", corrupted)
+        with pytest.raises(RuntimeError, match="involution"):
+            build_block_encoding(n_k)
+        assert build_block_encoding.cache_info().currsize == 0
+
     @pytest.mark.parametrize("n_k", range(1, 7))
     def test_build_rejects_every_corrupted_weight(self, n_k, monkeypatch):
         # The probe must see a 1e-3 error in any one of the N weights.
@@ -182,6 +202,59 @@ class TestMatrixFree:
             build_block_encoding.cache_clear()
             with pytest.raises(RuntimeError, match="involution"):
                 build_block_encoding(n_k)
+
+    @pytest.mark.parametrize("n_k", range(1, 9))
+    def test_half_is_the_c0_column_of_the_dense_oracle(self, n_k, rng):
+        # half(x) = (S x / eta, C_V x): the (b, c) = (0, 1) and (1, 0) rows of U_H's c = 0 blocks.
+        enc = build_block_encoding(n_k)
+        N = enc.dimension
+        dense, _ = block_encode_dimension(N)
+        x = rng.normal(size=(3, N)) + 1j * rng.normal(size=(3, N))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        s, cv = enc.half(x)
+        assert np.max(np.abs(s - x @ dense[N : 2 * N, :N].T)) <= 1e-12
+        assert np.max(np.abs(cv - x @ dense[:N, 2 * N : 3 * N].T)) <= 1e-12
+
+    @pytest.mark.parametrize("n_k", range(1, 13))
+    @pytest.mark.parametrize(
+        "registers",
+        [("f", "g", "b", "c", "k", "e"), ("c", "g", "k", "f", "b")],
+        ids=["free-above-and-below", "scrambled"],
+    )
+    def test_partial_sum_equals_four_block_apply_bitwise(self, n_k, registers, rng):
+        # Only b = c = 0 is populated, so applying half to that block alone is U_H exactly.
+        layout = RegisterLayout(tuple((name, n_k if name == "k" else 1) for name in registers))
+        n = layout.n_qubits
+        amps = random_state_vector(n, rng)
+        index = np.arange(1 << n)
+        for name in ("b", "c"):
+            amps[(index >> layout.offset(name)) & 1 == 1] = 0.0
+        state = Statevector(amps.copy(), layout)
+        control = (layout.qubits("g")[0], 1)
+        operand = (*layout.qubits("b"), *layout.qubits("c"), *layout.qubits("k")[::-1])
+        before = _operand(state, operand, (control,))
+        enc = build_block_encoding(n_k)
+        expected = enc.apply(before.reshape(*before.shape[: -len(operand)], 2, 2, enc.dimension))
+        apply_partial_sum(state, control=control)
+        after = _operand(state, operand, (control,))
+        assert np.array_equal(after.reshape(expected.shape), expected)
+        off = (index >> layout.offset("g")) & 1 == 0
+        assert np.array_equal(state.amplitudes[off], amps[off])
+
+    def test_run_path_sine_sums_see_one_row(self, monkeypatch):
+        # An exact QFTI run sums over the populated block alone: one length-N row per sine sum.
+        n = 8
+        build_block_encoding(n)
+        shapes = []
+        sine_sum = psmpo._sine_sum
+
+        def recording(x, *args):
+            shapes.append(x.shape)
+            return sine_sum(x, *args)
+
+        monkeypatch.setattr(psmpo, "_sine_sum", recording)
+        qfti_run(sample_catalog("poly", n), shots=None)
+        assert shapes == [(1 << n,)] * 2
 
     def test_materialised_imaginary_part_rejected(self):
         enc = build_block_encoding(2)
