@@ -1,23 +1,18 @@
 """Statevector simulation of QFT-based numerical differentiation/integration.
 
 The package layers a dense little-endian statevector engine (`state`), the
-QFT and wavenumber-rotation circuits (`spectral`), the block-encoded
+QFT and wavenumber-rotation kernels (`spectral`), the block-encoded
 cumulative-sum operator (`psmpo`), the end-to-end derivative/integral
 pipelines (`pipelines`), classical references and metrics (`oracles`), and an
 experiment runner with presets, plots and a validation suite (`experiments`,
-`plots`, `checks`, `cli`). No gate or schedule record sits in front of a
-circuit: `apply_gate` takes its matrix, targets and controls directly, and
-`wavenumber_rotation` reads its width and start branch from the state.
+`plots`, `checks`, `cli`). `qft` and `wavenumber_rotation` find the k
+register in the state's layout. The gate-level circuits and
+dense matrices that the validation suite and the tests replay against those
+kernels live in `reference`, which this package import, like every run,
+leaves unloaded.
 """
 
-from .state import (
-    RegisterLayout,
-    Statevector,
-    amplitude_encode,
-    apply_gate,
-    apply_register_unitary,
-    exact_probabilities,
-)
+from .state import RegisterLayout, Statevector, amplitude_encode, exact_probabilities
 from .spectral import qft, wavenumber_rotation
 from .psmpo import (
     BlockEncoding,
@@ -51,8 +46,6 @@ __all__ = [
     "RegisterLayout",
     "Statevector",
     "amplitude_encode",
-    "apply_gate",
-    "apply_register_unitary",
     "exact_probabilities",
     "qft",
     "wavenumber_rotation",

@@ -6,8 +6,9 @@ the rotation cascade, rotation branch bookkeeping, sampling soundness,
 reproducibility) in well under a minute. ``full`` adds the sampled
 reproduction targets, the error-order regressions, both oracles and each
 sampled pipeline against its exact twin at the qubit cap, the matrix-free
-block encoding against its dense oracle, and the run path's summation against
-the four-block map, and reports gate counts.
+block encoding against its dense oracle, the run path's summation against
+the four-block map and against its closed-form eigenpairs, and reports gate
+counts. The oracles come from :mod:`qftcalc.reference`.
 """
 
 from __future__ import annotations
@@ -20,16 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import experiments, oracles, pipelines, psmpo, spectral
-from .state import (
-    RegisterLayout,
-    Statevector,
-    amplitude_encode,
-    apply_gate,
-    exact_probabilities,
-    rx_gate,
-    sample_counts,
-)
+from . import experiments, oracles, pipelines, psmpo, reference, spectral
+from .state import RegisterLayout, Statevector, amplitude_encode, apply_gate, exact_probabilities, sample_counts
 
 __all__ = ["CheckResult", "fast_suite", "full_suite", "run_suite"]
 
@@ -53,7 +46,7 @@ def check_wavenumber_schedule(angles: tuple[Fraction, ...]) -> CheckResult:
     bad = [
         k
         for k in range(1 << n)
-        if spectral.reconstructed_rotation(angles, k) != Fraction(2 * k, 1 << n)
+        if reference.reconstructed_rotation(angles, k) != Fraction(2 * k, 1 << n)
     ]
     return _result(
         f"wavenumber schedule n={n} reconstructs 2*pi*k/N exactly",
@@ -70,10 +63,10 @@ def check_qft_matrix(n: int) -> CheckResult:
     fft = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
         replay = Statevector(np.eye(dim)[j], layout)
-        for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse=False):
+        for payload, targets, controls in reference.qft_gate_sequence(layout.qubits("k"), inverse=False):
             apply_gate(replay, payload, targets, controls)
         circuit[:, j] = replay.amplitudes
-        fft[:, j] = spectral.qft(Statevector(np.eye(dim)[j], layout), "k").amplitudes
+        fft[:, j] = spectral.qft(Statevector(np.eye(dim)[j], layout)).amplitudes
     k = np.arange(dim)
     dft = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
     err = max(float(np.max(np.abs(built - dft))) for built in (circuit, fft))
@@ -92,10 +85,10 @@ def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
     amps /= np.linalg.norm(amps)
     err = 0.0
     for control in (None, (layout.qubits("y")[0], 1), (layout.qubits("x")[0], 0)):
-        fft = spectral.qft(Statevector(amps.copy(), layout), "k", inverse=inverse, control=control)
+        fft = spectral.qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
         replay = Statevector(amps.copy(), layout)
         outer = (control,) if control else ()
-        for payload, targets, controls in spectral._qft_gate_sequence(layout.qubits("k"), inverse):
+        for payload, targets, controls in reference.qft_gate_sequence(layout.qubits("k"), inverse):
             apply_gate(replay, payload, targets, controls + outer)
         err = max(err, float(np.max(np.abs(fft.amplitudes - replay.amplitudes))))
     direction = "inverse" if inverse else "forward"
@@ -111,9 +104,9 @@ def check_roundtrip_and_norm(n: int, seed: int = 7) -> CheckResult:
     amps /= np.linalg.norm(amps)
     layout = RegisterLayout((("k", n),))
     state = Statevector(amps.copy(), layout)
-    spectral.qft(state, "k")
-    norm_mid = abs(state.norm() - 1.0)
-    spectral.qft(state, "k", inverse=True)
+    spectral.qft(state)
+    norm_mid = abs(np.linalg.norm(state.amplitudes) - 1.0)
+    spectral.qft(state, inverse=True)
     err = float(np.max(np.abs(state.amplitudes - amps)))
     ok = err <= 1e-12 and norm_mid <= 1e-12
     return _result(
@@ -159,8 +152,8 @@ def check_rotation_replay(n: int, mode: str, ancillas: str = "a", seed: int = 17
     spectral.wavenumber_rotation(first)
     spectral.wavenumber_rotation(second)
     (a_qubit,) = layout.qubits("a")
-    for k_qubit, angle in zip(layout.qubits("k"), spectral.rotation_angles(n)):
-        apply_gate(replay, rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),))
+    for k_qubit, angle in zip(layout.qubits("k"), reference.rotation_angles(n)):
+        apply_gate(replay, reference.rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),))
     err = float(np.max(np.abs(first.amplitudes - replay.amplitudes)))
     repeat = bool(np.array_equal(first.amplitudes, second.amplitudes))
     return _result(
@@ -209,7 +202,7 @@ def check_oracle(mode: str, function: str, n: int) -> CheckResult:
 def check_block_encoding(n_k: int) -> CheckResult:
     """The materialised matrix-free ``U_H`` is orthogonal, with ``H/eta`` as its top-left block."""
     enc = psmpo.build_block_encoding(n_k)
-    unitary = enc.unitary
+    unitary = reference.materialise(enc)
     dim = unitary.shape[0]
     N = enc.dimension
     unitary_defect = float(np.max(np.abs(unitary.T @ unitary - np.eye(dim))))
@@ -228,7 +221,7 @@ def check_block_encoding(n_k: int) -> CheckResult:
 def check_block_encoding_apply(n_k: int, seed: int = 23) -> CheckResult:
     """``BlockEncoding.apply`` equals the dense ``U_H`` on three probes with all four (b, c) blocks set."""
     enc = psmpo.build_block_encoding(n_k)
-    dense, _ = psmpo.block_encode_dimension(enc.dimension)
+    dense, _ = reference.block_encode_dimension(enc.dimension)
     rng = np.random.default_rng(seed)
     probes = rng.normal(size=(3, len(dense))) + 1j * rng.normal(size=(3, len(dense)))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
@@ -261,6 +254,24 @@ def check_partial_sum_half_map(n_k: int, seed: int = 29) -> CheckResult:
         f"summation half map == four-block U_H bitwise N={N}",
         bitwise and untouched,
         f"controlled branch bitwise equal: {bitwise}, other branch untouched: {untouched}",
+    )
+
+
+def check_summation_eigenpairs(n_k: int) -> CheckResult:
+    """``half`` sends Yueh's closed-form ``v_k`` to ``(sigma_k/eta u_k, g_k v_k)`` within 1e-11.
+
+    ``k`` runs over 1, 2, 3, N/2, N/2 + 1, N - 1 and N, and ``g_k`` is the
+    factored closed form, not the encoding's weights, so the check holds the
+    summation transform to an independent oracle at any width.
+    """
+    enc = psmpo.build_block_encoding(n_k)
+    N = enc.dimension
+    ks = sorted({1, 2, 3, N // 2, N // 2 + 1, N - 1, N} & set(range(1, N + 1)))
+    u, v, sigma, g = reference.summation_eigenpairs(N, ks)
+    s, cv = enc.half(v)
+    err = max(float(np.max(np.abs(s - sigma[:, None] / enc.eta * u))), float(np.max(np.abs(cv - g[:, None] * v))))
+    return _result(
+        f"summation half map on closed-form eigenpairs N={N}", err <= 1e-11, f"max deviation {err:.2e} over k = {ks}"
     )
 
 
@@ -306,7 +317,7 @@ def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> C
     """
     f = oracles.sample_catalog(function, n)
     layout = RegisterLayout((("k", n),))
-    state, _ = amplitude_encode(f.samples, layout)
+    state = amplitude_encode(f.samples, f.l2_norm, layout)
     probs = exact_probabilities(state)
     p_value, bins = _chisquare_p_value(sample_counts(state, shots, seed=2024), probs * shots)
 
@@ -411,12 +422,12 @@ def error_trend(mode: str, qubit_range: range = range(3, 9)) -> tuple[float, lis
         f = oracles.sample_catalog("cos2pix", n, (-1.0, 1.0))
         if mode == "qftd":
             series = pipelines.qftd_run(f, shots=None)
-            reference = oracles.CATALOG["cos2pix"].derivative(f.x)
+            exact = oracles.CATALOG["cos2pix"].derivative(f.x)
         else:
             series = pipelines.qfti_run(f, shots=None)
-            reference = oracles.CATALOG["cos2pix"].integral_from(float(f.x[0]), f.x)
+            exact = oracles.CATALOG["cos2pix"].integral_from(float(f.x[0]), f.x)
         maes.append(
-            oracles.mean_absolute_error(np.sqrt(series.value_sq), np.abs(reference))
+            oracles.mean_absolute_error(np.sqrt(series.value_sq), np.abs(exact))
         )
     slope = oracles.loglog_slope([1 << n for n in qubit_range], maes)
     return slope, maes
@@ -449,7 +460,7 @@ def check_gate_count_report() -> CheckResult:
 def fast_suite() -> list[CheckResult]:
     results: list[CheckResult] = []
     for n in (1, 3, 8):
-        results.append(check_wavenumber_schedule(spectral.rotation_angles(n)))
+        results.append(check_wavenumber_schedule(reference.rotation_angles(n)))
     for n in range(1, 6):
         results.append(check_qft_matrix(n))
         for inverse in (False, True):
@@ -483,6 +494,8 @@ def full_suite() -> list[CheckResult]:
         results.append(check_block_encoding_apply(n_k))
     for n_k in (12, spectral.MAX_QUBITS):
         results.append(check_partial_sum_half_map(n_k))
+    for n_k in (12, 14, spectral.MAX_QUBITS):
+        results.append(check_summation_eigenpairs(n_k))
     results.append(check_resolution_fig5())
     results.append(check_sampled_r2("fig4", 0.95))
     results.append(check_sampled_r2("fig6", 0.98, coverage_target=0.92))

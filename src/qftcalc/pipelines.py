@@ -138,13 +138,13 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     scale_sq = _squared_scale(f, mode)
     # Encode straight into the start branch: a = 1 for the integral (its X), else 0; b = c = 0.
     init = int(integral)
-    state, _ = amplitude_encode(f.samples, layout, block=init << (len(ancillas) - 1))
+    state = amplitude_encode(f.samples, f.l2_norm, layout, block=init << (len(ancillas) - 1))
     state.gate_count += init
     (a_qubit,) = layout.qubits("a")
     # Only the ancilla's initial branch holds amplitude; the other is all zeros.
-    spectral.qft(state, "k", control=(a_qubit, init))
+    spectral.qft(state, control=(a_qubit, init))
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
+    spectral.qft(state, inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
     prefix = {"a": spectral.SUCCESS_BIT}
     if integral:
         psmpo.apply_partial_sum(state, control=(a_qubit, spectral.SUCCESS_BIT))

@@ -24,7 +24,7 @@ symmetric orthogonal involution (Gilyen, Su, Low & Wiebe, "Quantum singular
 value transformation and beyond", STOC 2019). ``S/eta`` is the lower-left
 block of ``A``, which fixes ``SUCCESS_PREFIX``.
 
-``U_H`` is never built on the pipeline path. On an operand of shape
+``U_H`` is never built as a matrix. On an operand of shape
 ``(..., 2, 2, N)`` whose index is ``k + N c + 2N b`` it maps the four
 (b, c) blocks to::
 
@@ -73,17 +73,18 @@ from .state import Statevector, _operand
 
 __all__ = [
     "BLOCK_TOL",
+    "WEIGHT_TOL",
     "SUCCESS_PREFIX",
     "BlockEncoding",
     "spectral_norm",
-    "summation_svd",
-    "block_encode_dimension",
     "build_block_encoding",
     "apply_partial_sum",
 ]
 
 # Orthogonality tolerance for constructed encodings.
 BLOCK_TOL = 1e-10
+# Largest |g - g_factored| a build accepts; the two closed forms agree to 2 ulps at n_k = 1..16.
+WEIGHT_TOL = 1e-13
 # The (a, b, c) bits of the output block that carries ``S @ A / eta``: S/eta
 # is the lower-left block of H/eta, row block (b, c) = (0, 1) of the first
 # block column, on the ancilla branch where the rotation cascade leaves the
@@ -148,25 +149,6 @@ class BlockEncoding:
         out[..., 1, 1, :] = cu[..., 0, :] - s[..., 1, :]
         return out
 
-    @property
-    def unitary(self) -> np.ndarray:
-        """``U_H`` as a read-only real 4N x 4N matrix, built column by column by :meth:`apply`.
-
-        For tests and the validation suite; the pipeline never builds it. The
-        columns go through :meth:`apply` N at a time, one (b, c) block each,
-        which bounds the FFT work arrays at a quarter of a single batch.
-        """
-        N = self.dimension
-        dim = 4 * N
-        blocks = [self.apply(np.eye(N, dim, b * N).reshape(N, 2, 2, N)).reshape(N, dim) for b in range(4)]
-        matrix = np.concatenate(blocks).T
-        imaginary = float(np.max(np.abs(matrix.imag)))
-        if imaginary > BLOCK_TOL:
-            raise RuntimeError(f"materialised U_H has an imaginary part of {imaginary:.3e}")
-        real = np.ascontiguousarray(matrix.real)
-        real.setflags(write=False)
-        return real
-
 
 def spectral_norm(N: int) -> float:
     """Largest singular value of the N x N unit lower-triangular matrix (closed form)."""
@@ -177,10 +159,14 @@ def spectral_norm(N: int) -> float:
     return 1.0 / (2.0 * math.sin(math.pi / (2 * (2 * N + 1))))
 
 
+def _angles(N: int) -> np.ndarray:
+    """``theta_k`` of the module docstring, k = 1..N."""
+    return (2 * np.arange(1, N + 1) - 1) * np.pi / (2 * N + 1)
+
+
 def _singular_values(N: int) -> np.ndarray:
     """``sigma_k`` of the module docstring, in descending order."""
-    theta = (2 * np.arange(1, N + 1) - 1) * np.pi / (2 * N + 1)
-    return 0.5 / np.sin(theta / 2)
+    return 0.5 / np.sin(_angles(N) / 2)
 
 
 def _completion_weights(N: int, eta: float) -> np.ndarray:
@@ -188,43 +174,15 @@ def _completion_weights(N: int, eta: float) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - (_singular_values(N) / eta) ** 2, 0.0, 1.0))
 
 
-def summation_svd(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form SVD ``S = U diag(sigma) V^T`` of the N x N summation matrix.
+def _factored_weights(N: int) -> np.ndarray:
+    """``g`` in a second closed form, ``sqrt(sin((theta_k-theta_1)/2) sin((theta_k+theta_1)/2)) / sin(theta_k/2)``.
 
-    Returns ``(U, sigma, V^T)`` with ``sigma`` in descending order, as in the
-    module docstring.
+    ``1 - sigma_k^2/eta^2 = 1 - sin^2(theta_1/2)/sin^2(theta_k/2)``, and the
+    difference of squared sines factors into the product above, so no
+    difference of nearly equal numbers is taken and ``g_1`` is exactly 0.
     """
-    if N < 1:
-        raise ValueError("dimension must be >= 1")
-    theta = (2 * np.arange(1, N + 1) - 1) * np.pi / (2 * N + 1)
-    s = _singular_values(N)
-    u = np.sin(np.outer(np.arange(1, N + 1), theta))
-    u /= np.linalg.norm(u, axis=0)
-    vt = (u.T @ np.tril(np.ones((N, N)))) / s[:, None]
-    return u, s, vt
-
-
-def block_encode_dimension(N: int) -> tuple[np.ndarray, float]:
-    """Construct the dense ``(U_H, eta)`` for an N x N summation operator.
-
-    The independent oracle for :class:`BlockEncoding`: it follows the
-    closed-form SVD and Hermitian dilation in the module docstring with dense
-    matrices. ``sigma^2/eta^2`` is clamped to [0, 1] before the square root
-    so round-off at the extreme singular value cannot produce NaNs.
-    """
-    u, s, vt = summation_svd(N)
-    v = vt.T
-    dense = np.tril(np.ones((N, N)))
-    eta = spectral_norm(N)
-    g = np.sqrt(np.clip(1.0 - (s / eta) ** 2, 0.0, 1.0))
-    zeros = np.zeros((N, N))
-    a = np.block([[zeros, dense.T], [dense, zeros]]) / eta
-    c = np.block([[(v * g) @ v.T, zeros], [zeros, (u * g) @ u.T]])
-    unitary = np.block([[a, c], [c, -a]])
-    defect = float(np.max(np.abs(unitary.T @ unitary - np.eye(4 * N))))
-    if defect > BLOCK_TOL:
-        raise RuntimeError(f"constructed U_H deviates from orthogonality by {defect:.3e}")
-    return unitary, eta
+    theta = _angles(N)
+    return np.sqrt(np.sin((theta - theta[0]) / 2) * np.sin((theta + theta[0]) / 2)) / np.sin(theta / 2)
 
 
 @functools.cache
@@ -236,8 +194,11 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     and raises ``RuntimeError`` unless the norm is kept and a second
     application returns the chirp, both to ``BLOCK_TOL``, and unless the
     first weight is exactly 0 (``sigma_1 = eta``; a 1e-3 error there moves
-    the probe by less than ``BLOCK_TOL`` from n_k = 14 on). Encodings are
-    memoized per process; a width that raises is not.
+    the probe by less than ``BLOCK_TOL`` from n_k = 14 on). It also raises
+    unless every weight is within ``WEIGHT_TOL`` of :func:`_factored_weights`,
+    which sees an error in any one weight that the probe, whose margin thins
+    as N grows, can miss. Encodings are memoized per process; a width that
+    raises is not.
     """
     if not 1 <= n_k <= MAX_QUBITS:
         raise ValueError(f"n_k must lie in 1..{MAX_QUBITS}")
@@ -253,6 +214,9 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     defect = max(norm_defect, float(np.max(np.abs(enc.apply(image) - probe))))
     if defect > BLOCK_TOL or weights[0] != 0.0:
         raise RuntimeError(f"U_H is not an orthogonal involution: probe defect {defect:.3e}, g_1 = {weights[0]:.3e}")
+    deviation = float(np.max(np.abs(weights - _factored_weights(N))))
+    if deviation > WEIGHT_TOL:
+        raise RuntimeError(f"completion weights deviate from their factored closed form by {deviation:.3e}")
     return enc
 
 

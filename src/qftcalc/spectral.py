@@ -1,4 +1,4 @@
-"""QFT circuits and the ancilla-controlled modified-wavenumber rotation.
+"""The QFT of the k register and the ancilla-controlled modified-wavenumber rotation.
 
 The forward QFT maps basis amplitudes with weights ``e^{+2 pi i j k / N}``
 (so a lone ``|1>`` on two qubits transforms to ``(1, i, -1, -i)/2``); the
@@ -15,9 +15,7 @@ back into that view (``out=``), so no ``2^m`` result array is allocated or
 copied. The forward QFT is numpy's ``ifft`` and the inverse its ``fft``,
 both with ``norm="ortho"``; it is numpy's FFT, not scipy's, so that
 importing the CLI loads no scipy. ``gate_count`` still advances by the
-circuit's gate count, ``m(m+1)/2 + m//2``. The gate-by-gate sequence,
-:func:`_qft_gate_sequence`, stays as the oracle that the tests and
-``validate`` replay.
+circuit's gate count, ``m(m+1)/2 + m//2``.
 
 The rotation cascade scales the spectrum element-wise: with the ancilla in
 ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)`` (the derivative);
@@ -33,31 +31,23 @@ state: branch 1 if it holds any amplitude, else branch 0, each scanned at
 most once. It raises when both branches hold amplitude, and otherwise
 writes ``-i s x`` into the other branch and ``c x`` over the start branch
 ``x`` in place, with no branch-sized temporary. The factors take their
-angles in closed form, ``-4k/N`` in units of pi. The gate-by-gate cascade of
-:func:`rotation_angles` (exact ``Fraction`` multiples of pi, imported only
-when it runs) stays as the oracle that the tests and ``validate`` replay.
+angles in closed form, ``-4k/N`` in units of pi.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .state import UNITARY_TOL, Statevector, _operand, hadamard, phase_gate, swap_gate
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .state import UNITARY_TOL, Statevector, _operand
 
 __all__ = [
     "MAX_QUBITS",
     "SUCCESS_BIT",
     "qft",
-    "rotation_angles",
     "wavenumber_rotation",
-    "reconstructed_rotation",
 ]
 
 # Widest k register that either pipeline runs and a block encoding is built for.
@@ -66,72 +56,15 @@ MAX_QUBITS = 16
 SUCCESS_BIT = 1
 
 
-def rotation_angles(n: int) -> tuple[Fraction, ...]:
-    """Controlled-Rx angles of the cascade on an ``n``-qubit k register, as exact multiples of pi.
-
-    ``angles[p]`` is the Rx argument controlled by the k-register qubit of
-    significance ``p``: ``-2^(p-n+2)``, i.e. minus twice the rotation
-    ``theta_p = 2^(p-n+1) pi`` that the Rx convention requires.
-    """
-    from fractions import Fraction
-
-    if n < 1:
-        raise ValueError("the cascade needs at least one k-register qubit")
-    return tuple(Fraction(-(1 << (p + 2)), 1 << n) for p in range(n))
-
-
-def reconstructed_rotation(angles: tuple[Fraction, ...], k: int) -> Fraction:
-    """Total rotation theta_k (in units of pi) accumulated for spectrum index k.
-
-    Summing the per-qubit rotations over the set bits of ``k`` must give
-    ``2 k / 2^n`` exactly; this is the invariant the validation suite checks.
-    """
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for p, angle in enumerate(angles):
-        if (k >> p) & 1:
-            total += -angle / 2
-    return total
-
-
-def _qft_gate_sequence(qubits: tuple[int, ...], inverse: bool):
-    """Yield (payload, targets, controls) for the QFT on ``qubits``, gate by gate.
-
-    The oracle that the tests replay against :func:`qft`. ``qubits`` are
-    ordered least significant first. Controlled-phase gates are emitted as
-    single-qubit phase payloads with a control, so an outer control can
-    always be stacked on top.
-    """
-    m = len(qubits)
-    seq: list[tuple[np.ndarray, tuple[int, ...], tuple[tuple[int, int], ...]]] = []
-    for s in range(m - 1, -1, -1):
-        seq.append((hadamard(), (qubits[s],), ()))
-        for s2 in range(s - 1, -1, -1):
-            angle = 2.0 * math.pi / (1 << (s - s2 + 1))
-            seq.append((phase_gate(angle), (qubits[s],), ((qubits[s2], 1),)))
-    for i in range(m // 2):
-        seq.append((swap_gate(), (qubits[i], qubits[m - 1 - i]), ()))
-    if inverse:
-        seq = [(payload.conj().T, targets, controls) for payload, targets, controls in reversed(seq)]
-    return seq
-
-
-def qft(
-    state: Statevector,
-    register: str,
-    inverse: bool = False,
-    control: tuple[int, int] | None = None,
-) -> Statevector:
-    """Apply the (inverse) QFT to a named register, optionally controlled.
+def qft(state: Statevector, inverse: bool = False, *, control: tuple[int, int] | None = None) -> Statevector:
+    """Apply the (inverse) QFT to the ``k`` register, optionally controlled.
 
     With ``control=(qubit, polarity)`` the transform acts only on the branch
-    where that qubit holds the polarity, which is the circuit of
-    :func:`_qft_gate_sequence` with the control added to every gate. The
-    transform is one FFT over the register; ``gate_count`` advances as for
-    the gate-by-gate circuit.
+    where that qubit holds the polarity, which is the gate-level circuit
+    with the control added to every gate. The transform is one FFT over the
+    register; ``gate_count`` advances as for the gate-by-gate circuit.
     """
-    qubits = state.layout.qubits(register)
+    qubits = state.layout.qubits("k")
     m = len(qubits)
     view = _operand(state, qubits[::-1], () if control is None else (control,))
     # A register's qubits are consecutive, so their axes have strides in
@@ -198,5 +131,5 @@ def _rotation_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotation_turns(n: int) -> np.ndarray:
-    """Sum of :func:`rotation_angles` over the set bits of every k, in closed form: exact, +0.0 at k = 0."""
+    """Sum of the cascade's Rx angles over the set bits of every k, in closed form: exact, +0.0 at k = 0."""
     return -4 * np.arange(1 << n) / (1 << n)

@@ -1,4 +1,4 @@
-"""Dense statevector engine: named registers, gate application, readout.
+"""Dense statevector engine: named registers, amplitude encoding, readout.
 
 Conventions
 -----------
@@ -17,12 +17,12 @@ arguments, the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
 sum (:func:`qftcalc.psmpo.apply_partial_sum`). The partial sum's operand is
 the k register alone: it reads the b = c = 0 block of the controlled branch
 and writes two other (b, c) blocks, each fixed by b and c as extra controls,
-and its b/c check reads whole branches with no operand qubits. The full
-``2^n x 2^n`` embedding is never built here (tests rebuild it as an oracle).
+and its b/c check reads whole branches with no operand qubits. No
+``2^n x 2^n`` matrix is built.
 
 :func:`amplitude_encode` writes the samples into one block of a zeroed
-state, so a pipeline starts in its ancilla branch without a gate. Only the
-oracles of ``validate`` and the tests call the gate kernel.
+state, so a pipeline starts in its ancilla branch without a gate; no run
+calls the gate kernel.
 
 Readout takes one ``outcomes`` slice of basis indices: exact probabilities
 square only those amplitudes, and shot sampling draws only the counts of
@@ -40,53 +40,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "NORM_TOL",
     "UNITARY_TOL",
     "RegisterLayout",
     "Statevector",
     "amplitude_encode",
     "apply_gate",
-    "apply_register_unitary",
     "exact_probabilities",
     "sample_counts",
     "sample_l2_norm",
-    "hadamard",
-    "pauli_x",
-    "phase_gate",
-    "rx_gate",
-    "swap_gate",
 ]
 
-# Tolerance for |‖state‖₂ − 1| after any unitary operation.
-NORM_TOL = 1e-12
 # Tolerance for max |U†U − I| when accepting a gate payload.
 UNITARY_TOL = 1e-10
-
-
-def hadamard() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-def pauli_x() -> np.ndarray:
-    return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{i phi})."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=complex)
-
-
-def rx_gate(phi: float) -> np.ndarray:
-    """X-axis rotation e^{-i X phi / 2}."""
-    c = np.cos(phi / 2.0)
-    s = np.sin(phi / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def swap_gate() -> np.ndarray:
-    m = np.eye(4, dtype=complex)
-    m[[1, 2]] = m[[2, 1]]
-    return m
 
 
 @dataclass(frozen=True)
@@ -174,9 +139,6 @@ class Statevector:
     def n_qubits(self) -> int:
         return self.layout.n_qubits
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def sample_l2_norm(samples: np.ndarray) -> float:
     """L2 norm of finite real samples, without under- or overflow.
@@ -196,14 +158,14 @@ def sample_l2_norm(samples: np.ndarray) -> float:
     return norm
 
 
-def amplitude_encode(samples: Sequence[float], layout: RegisterLayout, block: int = 0) -> tuple[Statevector, float]:
-    """Write normalized real samples into one block of a zeroed statevector.
+def amplitude_encode(samples: Sequence[float], l2: float, layout: RegisterLayout, block: int = 0) -> Statevector:
+    """Write real samples divided by their L2 norm ``l2`` into one block of a zeroed statevector.
 
-    Returns the state together with the L2 norm of the input (the scale factor
-    needed to recover physical values after measurement). The blocks are the
-    ``2^layout.n_qubits / len(samples)`` consecutive index ranges of the sample
-    count's size; amplitude ``block * len(samples) + j`` becomes
-    ``samples[j] / norm``, and every other amplitude is zero.
+    The caller holds the norm (:func:`sample_l2_norm` of the samples), which
+    also scales the measured values back, so it is taken once per run. The
+    blocks are the ``2^layout.n_qubits / len(samples)`` consecutive index
+    ranges of the sample count's size; amplitude ``block * len(samples) + j``
+    becomes ``samples[j] / l2``, and every other amplitude is zero.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -214,12 +176,11 @@ def amplitude_encode(samples: Sequence[float], layout: RegisterLayout, block: in
     dim = 1 << layout.n_qubits
     if not 0 <= block < dim // n:
         raise ValueError(f"{n} samples do not fit block {block} of a {layout.n_qubits}-qubit layout")
-    l2 = sample_l2_norm(samples)
-    if l2 == 0.0:
-        raise ValueError("all-zero input: amplitude encoding undefined")
+    if not 0.0 < l2 < np.inf:
+        raise ValueError(f"L2 norm {l2!r} is not positive and finite: an all-zero input has no amplitude encoding")
     amplitudes = np.zeros(dim, dtype=complex)
     np.divide(samples, l2, out=amplitudes.real[block * n : (block + 1) * n])
-    return Statevector(amplitudes, layout), l2
+    return Statevector(amplitudes, layout)
 
 
 def apply_gate(
@@ -249,6 +210,9 @@ def apply_gate(
     return state
 
 
+# perfbench/tracer.py looks up every name of its TRACED list in this module,
+# so ``apply_gate``, ``apply_register_unitary`` and ``sample`` stay bound here
+# until that list drops them, though no run calls them.
 def apply_register_unitary(
     state: Statevector,
     matrix: np.ndarray,
@@ -323,6 +287,6 @@ def sample_counts(state: Statevector, shots: int, seed: int, outcomes: slice = s
     return rng.multinomial(hits, block / p_block)
 
 
-# perfbench/tracer.py wraps ``state.sample`` by name; the name stays bound
-# until that list drops it. The counts array is the only sampling path.
+# Bound for perfbench/tracer.py (see apply_register_unitary); the counts
+# array is the only sampling path.
 sample = sample_counts

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qftcalc
-from qftcalc import checks, cli, experiments, spectral
+from qftcalc import checks, cli, experiments, reference
 from qftcalc.experiments import (
     ConfigError,
     DataError,
@@ -188,6 +188,23 @@ class TestRunExperiment:
         write_csv(path, f.x, f.samples)
         with pytest.raises(ConfigError, match="domain"):
             run_experiment(ExperimentConfig("qftd", str(path), domain=(0.0, 1.0), shots=None))
+
+    def test_series_csv_reads_as_numpy_scalars_format(self, tmp_path):
+        # The writer formats Python floats; its text must be what an f-string
+        # over the numpy scalars gives, edge values included.
+        values = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0 / 3.0, 2.0**70, -1.5e300, np.inf, -np.inf, np.nan, 0.1])
+        series = experiments.pipelines.RecoveredSeries(
+            x=values, value_sq=values[::-1].copy(), retained=np.arange(values.size) % 3 == 0,
+            resolution_epsilon=0.0, mode="derivative", shots_used=None, seed=None,
+            success_probability=0.5, gate_count=1,
+        )
+        reference_sq = values * 7.0
+        experiments.write_series_csv(series, reference_sq, tmp_path / "s.csv")
+        rows = zip(series.x, series.value_sq, reference_sq, series.retained)
+        expected = ["x,quantum_sq,analytical_sq,retained"] + [
+            f"{x:.17g},{q:.17g},{a:.17g},{1 if kept else 0}" for x, q, a, kept in rows
+        ]
+        assert (tmp_path / "s.csv").read_text() == "\n".join(expected) + "\n"
 
 
 class TestPresets:
@@ -429,31 +446,36 @@ class TestCliExitCodes:
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(qftcalc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        # The validation suite is imported by `validate` alone: run and sweep never compile it.
-        probe = "import sys, qftcalc.cli; print('scipy' in sys.modules, 'qftcalc.checks' in sys.modules)"
+        # The validation suite and its oracles are imported by `validate` alone: run and sweep never compile them.
+        probe = (
+            "import sys, qftcalc.cli; "
+            "print(*(m in sys.modules for m in ('scipy', 'qftcalc.checks', 'qftcalc.reference')))"
+        )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False False"
+        assert result.stdout.strip() == "False False False"
 
     @pytest.mark.parametrize("shots, loaded", [("exact", False), ("100000", True)])
     def test_exact_sweep_loads_only_what_it_runs(self, shots, loaded, tmp_path):
         # An exact run draws nothing and sums no fractions; a sampled run draws
         # its counts, which is what shows that the probe can see numpy.random.
+        # Neither loads the oracles of the validation suite.
         src = str(Path(qftcalc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         argv = ["sweep", "--mode", "qfti", "--function", "poly", "--qubits", "3", "4", "--shots", shots,
                 "--output-dir", str(tmp_path / "sweep")]
         probe = (
             "import sys; from qftcalc import cli; assert cli.main(sys.argv[1:]) == 0; "
-            "print(*(m in sys.modules for m in ('numpy.random', 'fractions', 'decimal', 'scipy', 'qftcalc.checks')))"
+            "print(*(m in sys.modules for m in "
+            "('numpy.random', 'fractions', 'decimal', 'scipy', 'qftcalc.checks', 'qftcalc.reference')))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == f"{loaded} False False False False"
+        assert result.stdout.splitlines()[-1] == f"{loaded} False False False False False"
 
 
 class TestSweep:
@@ -589,7 +611,7 @@ class TestValidateWiring:
         assert "[PASS] stub: fine" in out
 
     def test_tampered_schedule_fails_invariant(self):
-        angles = spectral.rotation_angles(3)
+        angles = reference.rotation_angles(3)
         assert checks.check_wavenumber_schedule(angles).passed
         assert not checks.check_wavenumber_schedule((angles[0] * 2,) + angles[1:]).passed
 
@@ -706,3 +728,23 @@ def traced_functions():
 def test_traced_function_resolves(module, attr):
     # The tracer looks each one up with getattr and no default.
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_tracer_installs_after_cli_import():
+    # A traced CLI run installs the tracer right after ``import qftcalc.cli``:
+    # every TRACED module must then be loaded and hold its function.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(qftcalc.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, str(root / "perfbench"), os.environ.get("PYTHONPATH", "")]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    probe = (
+        "import sys, qftcalc.cli; from tracer import TRACED, Tracer; "
+        "print([f'{m}.{a}' for m, a in TRACED if not callable(getattr(sys.modules.get(m), a, None))]); "
+        "tracer = Tracer(); tracer.install(); tracer.uninstall()"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

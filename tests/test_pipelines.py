@@ -19,13 +19,13 @@ from qftcalc.pipelines import (
     qfti_run,
     resolution,
 )
+from qftcalc.reference import block_encode_dimension, pauli_x
 from qftcalc.state import (
     RegisterLayout,
     amplitude_encode,
     apply_gate,
     apply_register_unitary,
     exact_probabilities,
-    pauli_x,
 )
 
 from conftest import dft_derivative
@@ -163,17 +163,18 @@ def unfused_exact_run(f, mode):
     n = f.n_points.bit_length() - 1
     names = ("a", "k") if mode == MODE_DERIVATIVE else ("a", "b", "c", "k")
     layout = RegisterLayout(tuple((name, n if name == "k" else 1) for name in names))
-    state, l2 = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), layout)
+    l2 = f.l2_norm
+    state = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), l2, layout)
     (a_qubit,) = layout.qubits("a")
     if mode == MODE_INTEGRAL:
         apply_gate(state, pauli_x(), (a_qubit,))
-    spectral.qft(state, "k")
+    spectral.qft(state)
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, "k", inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
+    spectral.qft(state, inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
     if mode == MODE_DERIVATIVE:
         prefix, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
     else:
-        dense, eta = psmpo.block_encode_dimension(f.n_points)
+        dense, eta = block_encode_dimension(f.n_points)
         operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
         apply_register_unitary(state, dense, operand, control=(a_qubit, 1))
         prefix, scale_sq = {"a": 1, "b": 0, "c": 1}, (l2 * eta * f.dx) ** 2

@@ -5,16 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qftcalc import psmpo
-from qftcalc.psmpo import (
-    SUCCESS_PREFIX,
-    apply_partial_sum,
-    block_encode_dimension,
-    build_block_encoding,
-    spectral_norm,
-    summation_svd,
-)
+from qftcalc import checks, psmpo
+from qftcalc.psmpo import SUCCESS_PREFIX, BlockEncoding, apply_partial_sum, build_block_encoding, spectral_norm
 from qftcalc.oracles import sample_catalog
+from qftcalc.reference import block_encode_dimension, materialise, summation_eigenpairs, summation_svd
 from qftcalc.pipelines import qfti_run
 from qftcalc.state import RegisterLayout, Statevector, _operand, apply_register_unitary
 
@@ -79,7 +73,7 @@ class TestBlockEncoding:
         enc = build_block_encoding(n_k)
         N = enc.dimension
         dim = 4 * N
-        unitary = enc.unitary
+        unitary = materialise(enc)
         assert np.max(np.abs(unitary.T @ unitary - np.eye(dim))) <= 1e-10
         assert np.max(np.abs(unitary[: 2 * N, : 2 * N] - hermitian_embedding(N) / enc.eta)) <= 1e-10
         expected_eta = np.linalg.svd(np.tril(np.ones((N, N))), compute_uv=False)[0]
@@ -91,7 +85,7 @@ class TestBlockEncoding:
         enc = build_block_encoding(n_k)
         N = enc.dimension
         h_scaled = hermitian_embedding(N) / enc.eta
-        b_block = enc.unitary[: 2 * N, 2 * N :]
+        b_block = materialise(enc)[: 2 * N, 2 * N :]
         assert np.max(np.abs(b_block @ b_block.T - (np.eye(2 * N) - h_scaled @ h_scaled.T))) <= 1e-9
 
     def test_completion_blocks_are_conjugate(self):
@@ -115,7 +109,7 @@ class TestBlockEncoding:
     def test_unitary_is_frozen(self):
         enc = build_block_encoding(2)
         with pytest.raises(ValueError):
-            enc.unitary[0, 0] = 5.0
+            materialise(enc)[0, 0] = 5.0
 
 
 class TestMatrixFree:
@@ -203,6 +197,29 @@ class TestMatrixFree:
             with pytest.raises(RuntimeError, match="involution"):
                 build_block_encoding(n_k)
 
+    @pytest.mark.parametrize("n_k, k, error", [(3, 5, 1e-12), (8, 100, 1e-11), (12, 2048, 1e-9)])
+    def test_build_rejects_a_weight_the_probe_misses(self, n_k, k, error, monkeypatch):
+        # Errors far below BLOCK_TOL pass the probe; the factored closed form sees them.
+        weights = psmpo._completion_weights
+
+        def corrupted(N, eta):
+            g = weights(N, eta)
+            g[k] += error
+            return g
+
+        build_block_encoding.cache_clear()
+        monkeypatch.setattr(psmpo, "_completion_weights", corrupted)
+        with pytest.raises(RuntimeError, match="factored closed form"):
+            build_block_encoding(n_k)
+        assert build_block_encoding.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n_k", range(1, 17))
+    def test_weights_match_their_factored_form(self, n_k):
+        N = 1 << n_k
+        g = psmpo._factored_weights(N)
+        assert g[0] == 0.0
+        assert np.max(np.abs(psmpo._completion_weights(N, spectral_norm(N)) - g)) <= psmpo.WEIGHT_TOL
+
     @pytest.mark.parametrize("n_k", range(1, 9))
     def test_half_is_the_c0_column_of_the_dense_oracle(self, n_k, rng):
         # half(x) = (S x / eta, C_V x): the (b, c) = (0, 1) and (1, 0) rows of U_H's c = 0 blocks.
@@ -259,7 +276,7 @@ class TestMatrixFree:
     def test_materialised_imaginary_part_rejected(self):
         enc = build_block_encoding(2)
         with pytest.raises(RuntimeError, match="imaginary"):
-            dataclasses.replace(enc, weights=enc.weights * (1 + 1e-6j)).unitary
+            materialise(dataclasses.replace(enc, weights=enc.weights * (1 + 1e-6j)))
 
     def test_control_inside_operand_rejected(self, rng):
         state, layout = qfti_state(2, random_state_vector(2, rng))
@@ -268,6 +285,56 @@ class TestMatrixFree:
             with pytest.raises(ValueError, match="control qubit"):
                 apply_partial_sum(state, control=(qubit, 1))
         assert np.array_equal(state.amplitudes, before)
+
+
+class TestSummationEigenpairs:
+    """``half`` against Yueh's closed-form eigenpairs (``checks.check_summation_eigenpairs``)."""
+
+    @pytest.mark.parametrize("N", [2, 7, 32])
+    def test_closed_forms_are_singular_triplets(self, N):
+        ks = list(range(1, N + 1))
+        u, v, sigma, g = summation_eigenpairs(N, ks)
+        s = np.tril(np.ones((N, N)))
+        assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(v @ s.T - sigma[:, None] * u)) <= 1e-11
+        assert np.max(np.abs(u @ s - sigma[:, None] * v)) <= 1e-11
+        assert_allclose(g, np.sqrt(np.clip(1.0 - (sigma / spectral_norm(N)) ** 2, 0.0, 1.0)), atol=1e-13)
+
+    @pytest.mark.parametrize("n_k", range(1, 13))
+    def test_check_passes(self, n_k):
+        result = checks.check_summation_eigenpairs(n_k)
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize("k", [1, 2048])
+    def test_check_sees_one_weight_off(self, k, monkeypatch):
+        # The build would refuse these weights, so the encoding is constructed directly.
+        n_k = 12
+        weights = psmpo._completion_weights(1 << n_k, spectral_norm(1 << n_k))
+        weights[k] += 1e-3
+        monkeypatch.setattr(psmpo, "build_block_encoding", lambda n: BlockEncoding(weights))
+        result = checks.check_summation_eigenpairs(n_k)
+        assert not result.passed
+        assert float(result.detail.split()[2]) > 1e-5, result.detail
+
+    def test_check_sees_swapped_inner_sine_sum(self, monkeypatch):
+        # half's inner sine sum with its slots and bins exchanged: the build's probe
+        # refuses it too, so the encoding is constructed directly.
+        n_k = 12
+        N = 1 << n_k
+        sine_sum = psmpo._sine_sum
+
+        def swapped(x, slots, bins, length):
+            if slots[-1] == N:  # the inner call sums over slots 1..N
+                slots, bins = bins, slots
+            return sine_sum(x, slots, bins, length)
+
+        monkeypatch.setattr(psmpo, "_sine_sum", swapped)
+        enc = BlockEncoding(psmpo._completion_weights(N, spectral_norm(N)))
+        monkeypatch.setattr(psmpo, "build_block_encoding", lambda n: enc)
+        result = checks.check_summation_eigenpairs(n_k)
+        assert not result.passed
+        assert float(result.detail.split()[2]) > 1.0, result.detail
 
 
 class TestApplyPartialSum:

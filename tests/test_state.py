@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qftcalc.reference import pauli_x, phase_gate, rx_gate, swap_gate
 from qftcalc.state import (
     RegisterLayout,
     Statevector,
@@ -11,12 +12,8 @@ from qftcalc.state import (
     apply_gate,
     apply_register_unitary,
     exact_probabilities,
-    pauli_x,
-    phase_gate,
-    rx_gate,
     sample_counts,
     sample_l2_norm,
-    swap_gate,
 )
 
 from conftest import embed_full, random_state_vector, random_unitary
@@ -24,6 +21,11 @@ from conftest import embed_full, random_state_vector, random_unitary
 
 def two_qubit_layout():
     return RegisterLayout((("k", 2),))
+
+
+def encode(samples, layout, block=0):
+    """``amplitude_encode`` with the norm its callers pass: the samples' ``sample_l2_norm``."""
+    return amplitude_encode(samples, sample_l2_norm(np.asarray(samples, dtype=float)), layout, block)
 
 
 class TestRegisterLayout:
@@ -65,12 +67,14 @@ class TestStatevector:
 
 class TestAmplitudeEncode:
     def test_single_basis_state(self):
-        state, norm = amplitude_encode([1, 0, 0, 0], two_qubit_layout())
+        norm = sample_l2_norm(np.array([1.0, 0.0, 0.0, 0.0]))
+        state = amplitude_encode([1, 0, 0, 0], norm, two_qubit_layout())
         assert_allclose(state.amplitudes, [1, 0, 0, 0])
         assert norm == 1.0
 
     def test_uniform(self):
-        state, norm = amplitude_encode([1, 1, 1, 1], two_qubit_layout())
+        norm = sample_l2_norm(np.ones(4))
+        state = amplitude_encode([1, 1, 1, 1], norm, two_qubit_layout())
         assert_allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5])
         assert norm == 2.0
 
@@ -79,23 +83,30 @@ class TestAmplitudeEncode:
         xs = [-2.0 + 4.0 * j / 256 for j in range(256)]
         samples = [math.cos(2.0 * math.pi * x) for x in xs]
         expected_norm = math.sqrt(math.fsum(v * v for v in samples))
-        state, norm = amplitude_encode(samples, RegisterLayout((("k", 8),)))
+        norm = sample_l2_norm(np.array(samples))
+        state = amplitude_encode(samples, norm, RegisterLayout((("k", 8),)))
         assert_allclose(norm, expected_norm, rtol=1e-14)
         assert_allclose(state.amplitudes, np.array(samples) / expected_norm, atol=1e-14)
-        assert abs(state.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError, match="all-zero"):
-            amplitude_encode([0.0, 0.0, 0.0, 0.0], two_qubit_layout())
+            encode([0.0, 0.0, 0.0, 0.0], two_qubit_layout())
+
+    @pytest.mark.parametrize("l2", [-1.0, math.inf, math.nan])
+    def test_rejects_a_norm_that_is_not_positive_and_finite(self, l2):
+        with pytest.raises(ValueError, match="not positive and finite"):
+            amplitude_encode([1.0, 0.0, 0.0, 0.0], l2, two_qubit_layout())
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            amplitude_encode([1.0, 2.0, 3.0], two_qubit_layout())
+            encode([1.0, 2.0, 3.0], two_qubit_layout())
 
     def test_fills_one_block(self):
         layout = RegisterLayout((("a", 1), ("k", 2)))
         for block in (0, 1):
-            state, norm = amplitude_encode([3.0, 0.0, 0.0, 4.0], layout, block=block)
+            norm = sample_l2_norm(np.array([3.0, 0.0, 0.0, 4.0]))
+            state = amplitude_encode([3.0, 0.0, 0.0, 4.0], norm, layout, block=block)
             expected = np.zeros(8, dtype=complex)
             expected[4 * block : 4 * block + 4] = [0.6, 0.0, 0.0, 0.8]
             assert np.array_equal(state.amplitudes, expected)
@@ -105,7 +116,7 @@ class TestAmplitudeEncode:
         # Too many samples, then blocks outside the 2 (or 1) blocks the layout holds.
         for samples, block in (([1.0] * 8, 0), ([1.0, 0.0], 2), ([1.0, 0.0], -1), ([1.0] * 4, 1)):
             with pytest.raises(ValueError, match="do not fit"):
-                amplitude_encode(samples, two_qubit_layout(), block=block)
+                encode(samples, two_qubit_layout(), block=block)
 
 
 class TestApplyGate:
@@ -231,7 +242,7 @@ class TestEmbeddingEquivalence:
             others = [q for q in range(n_qubits) if q != target]
             controls = ((others[0], int(rng.integers(2))),) if rng.random() < 0.5 else ()
             apply_gate(state, payload, (target,), controls)
-        assert abs(state.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
 
 class TestReverseQubits:
@@ -283,9 +294,11 @@ class TestSampleL2Norm:
         assert abs(sample_l2_norm(samples) - expected) <= 2 * np.spacing(expected)
 
     def test_tiny_samples_encode(self):
-        state, l2 = amplitude_encode([1e-300, 2e-300, 3e-300, 4e-300], two_qubit_layout())
+        samples = np.array([1e-300, 2e-300, 3e-300, 4e-300])
+        l2 = sample_l2_norm(samples)
+        state = amplitude_encode(samples, l2, two_qubit_layout())
         assert_allclose(l2, math.sqrt(30.0) * 1e-300, rtol=1e-15)
-        assert abs(state.norm() - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
 
 class TestProbabilitiesAndSampling:
@@ -294,7 +307,7 @@ class TestProbabilitiesAndSampling:
         assert_allclose(exact_probabilities(state), [1, 0, 0, 0])
 
     def test_probabilities_uniform(self):
-        state, _ = amplitude_encode([1, 1, 1, 1], two_qubit_layout())
+        state = encode([1, 1, 1, 1], two_qubit_layout())
         probs = exact_probabilities(state)
         assert_allclose(probs, [0.25] * 4)
         assert abs(probs.sum() - 1.0) <= 1e-12
@@ -304,7 +317,7 @@ class TestProbabilitiesAndSampling:
         assert sample_counts(state, shots=1000, seed=5).tolist() == [0, 0, 1000, 0]
 
     def test_sample_binomial_moments(self):
-        state, _ = amplitude_encode([1, 1, 1, 1], two_qubit_layout())
+        state = encode([1, 1, 1, 1], two_qubit_layout())
         shots = 10**6
         sigma = math.sqrt(shots * 0.25 * 0.75)
         for seed in (0, 1, 2):
@@ -313,12 +326,12 @@ class TestProbabilitiesAndSampling:
                 assert abs(counts[index] - shots * 0.25) < 5.0 * sigma
 
     def test_sample_deterministic_for_seed(self):
-        state, _ = amplitude_encode([3, 1, 4, 1], two_qubit_layout())
+        state = encode([3, 1, 4, 1], two_qubit_layout())
         assert np.array_equal(sample_counts(state, 4096, seed=42), sample_counts(state, 4096, seed=42))
 
     def test_sample_counts_are_the_histogram(self):
         # One int64 count per basis index, summing to the shots, zero where the probability is.
-        state, _ = amplitude_encode([3, 1, 4, 0, 5, 9, 2, 6], RegisterLayout((("k", 3),)))
+        state = encode([3, 1, 4, 0, 5, 9, 2, 6], RegisterLayout((("k", 3),)))
         counts = sample_counts(state, 10**5, seed=11)
         assert counts.dtype == np.int64 and counts.shape == (8,)
         assert counts.sum() == 10**5 and np.all(counts >= 0) and counts[3] == 0
