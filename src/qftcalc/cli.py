@@ -5,7 +5,7 @@ Subcommands: ``run`` (one experiment), ``sweep`` (one run per qubit count),
 and ``sweep`` merge defaults < preset < ``--config`` JSON file < explicit
 flags. A sweep config file may list its ``qubits``; a repeated count, an
 ``output``/``plot``/``scale`` key and a run preset are configuration errors
-there, and every run's input is checked before a sweep writes anything.
+there, and a sweep writes nothing unless every run and its summary succeed.
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 validation failure.
 """
 
@@ -210,15 +210,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.output_dir:  # Path("") would be the working directory
         raise ConfigError("output-dir", "path '' names no directory")
     configs = _merge_configs(args)
-    # A bad CSV row count or grid point fails the sweep before it writes anything.
-    for config in configs:
-        experiments.sample_input(config)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [experiments.run_one_sweep_point(config) for config in configs]
-    summary = out_dir / "sweep_summary.csv"
-    experiments.write_summary_csv(rows, summary)
-    print(f"wrote {len(rows)} runs and {summary}")
+    summary = experiments.run_sweep(configs, args.output_dir)
+    print(f"wrote {len(configs)} runs and {summary}")
     return 0
 
 

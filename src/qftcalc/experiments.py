@@ -25,6 +25,7 @@ __all__ = [
     "metric_mask",
     "write_series_csv",
     "write_summary_csv",
+    "run_sweep",
     "write_atomic",
     "staged_writes",
     "metrics_path_for",
@@ -75,10 +76,10 @@ class ExperimentConfig:
         for field, path in (("output", self.output), ("plot", self.plot)):
             if path is not None and not Path(path).name:
                 raise ConfigError(field, f"path {path!r} names no file")
-        if self.output is not None and self.plot is not None:
-            results = (os.path.abspath(self.output), os.path.abspath(metrics_path_for(self.output)))
-            if os.path.abspath(self.plot) in results:
-                raise ConfigError("plot", f"plot {self.plot!r} would overwrite a result file")
+        results = [] if self.output is None else [os.path.abspath(p) for p in (self.output, metrics_path_for(self.output))]
+        plot = None if self.plot is None else os.path.abspath(self.plot)
+        if plot in results:
+            raise ConfigError("plot", f"plot {self.plot!r} would overwrite a result file")
         if self.n_qubits is not None and not 2 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError("qubits", f"{self.mode} supports 2..{MAX_QUBITS} qubits")
         if self.function in oracles.CATALOG:
@@ -89,6 +90,9 @@ class ExperimentConfig:
             # missing or malformed file surfaces later as an I/O error.
             if self.domain is not None:
                 raise ConfigError("domain", "domain comes from the CSV grid for file inputs")
+            for field, paths in (("output", results), ("plot", [plot])):
+                if os.path.abspath(self.function) in paths:
+                    raise ConfigError(field, f"{field} would overwrite the input CSV {self.function!r}")
         return self
 
 
@@ -211,12 +215,13 @@ def metric_mask(series: pipelines.RecoveredSeries) -> np.ndarray:
 
 
 def run_experiment(
-    config: ExperimentConfig,
+    config: ExperimentConfig, staged: dict | None = None
 ) -> tuple[pipelines.RecoveredSeries, dict]:
     """Execute a configured pipeline run; write CSV/metrics/plot when asked.
 
-    Returns the recovered series and the metrics dict (the exact content of
-    the metrics JSON; unavailable metrics are null).
+    Given ``staged``, the files are written when that :func:`staged_writes`
+    block ends. Returns the recovered series and the metrics dict (the exact
+    content of the metrics JSON; unavailable metrics are null).
     """
     config, f = sample_input(config.validated())
     run = pipelines.qftd_run if config.mode == "qftd" else pipelines.qfti_run
@@ -245,7 +250,7 @@ def run_experiment(
         "success_probability": series.success_probability,
     }
 
-    with staged_writes() as staged:
+    with staged_writes() if staged is None else contextlib.nullcontext(staged) as staged:
         if config.output is not None:
             write_series_csv(series, reference_sq, config.output, staged)
             _write_json(metrics, metrics_path_for(config.output), staged)
@@ -268,11 +273,11 @@ def write_series_csv(
     write_atomic("\n".join(lines) + "\n", path, staged)
 
 
-def write_summary_csv(rows: list[dict], path: str | Path) -> None:
+def write_summary_csv(rows: list[dict], path: str | Path, staged: dict | None = None) -> None:
     """One line per sweep run; an empty cell is a null metric."""
     columns = list(rows[0])
     lines = [",".join(columns)] + [",".join(_format_cell(row[c]) for c in columns) for row in rows]
-    write_atomic("\n".join(lines) + "\n", path)
+    write_atomic("\n".join(lines) + "\n", path, staged)
 
 
 def _format_cell(value) -> str:
@@ -291,44 +296,41 @@ def _write_json(payload: dict, path: str | Path, staged: dict | None = None) -> 
 
 @contextlib.contextmanager
 def staged_writes():
-    """Rename every file that :func:`write_atomic` stages in the block into place together.
+    """Write every file that :func:`write_atomic` stages in the block, together.
 
-    Nothing is renamed unless the block ends without an error and no
-    destination is a directory; no temporary file is left behind.
+    The block stages each destination ``Path`` with its text. Nothing is
+    written unless the block ends without an error and no destination is a
+    directory. Then each text goes to a temporary file beside its
+    destination, and all of them are renamed into place. No temporary file
+    is left behind.
     """
-    staged: dict[Path, Path] = {}
+    staged: dict[Path, str] = {}
+    yield staged
+    written: list[Path] = []
     try:
-        yield staged
-        for destination in staged.values():
+        for destination in staged:
             if destination.is_dir():
                 raise DataError(f"cannot write {destination}: it is a directory")
-        for tmp, destination in staged.items():
-            try:
-                os.replace(tmp, destination)
-            except OSError as exc:
-                raise DataError(f"cannot write {destination}: {exc}") from exc
+        for destination, text in staged.items():
+            written.append(destination.with_name(destination.name + ".tmp"))
+            written[-1].write_text(text, encoding="utf-8")
+        for tmp, destination in zip(written, staged):
+            os.replace(tmp, destination)
+    except OSError as exc:
+        raise DataError(f"cannot write {destination}: {exc}") from exc
     finally:
-        for tmp in staged:
+        for tmp in written:
             with contextlib.suppress(OSError):  # a renamed file is gone already
                 tmp.unlink()
 
 
 def write_atomic(text: str, path: str | Path, staged: dict | None = None) -> None:
-    """Write a result file through a temporary file beside it.
+    """Stage a result file's text; the :func:`staged_writes` block writes it.
 
-    It is renamed into place at once or, given ``staged``, when that
-    :func:`staged_writes` block ends.
+    Without ``staged``, the file is written in a block of its own.
     """
-    if staged is None:
-        with staged_writes() as staged:
-            return write_atomic(text, path, staged)
-    destination = Path(path)
-    tmp = destination.with_name(destination.name + ".tmp")
-    staged[tmp] = destination
-    try:
-        tmp.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {destination}: {exc}") from exc
+    with staged_writes() if staged is None else contextlib.nullcontext(staged) as staged:
+        staged[Path(path)] = text
 
 
 def sweep_configs(
@@ -351,16 +353,21 @@ def sweep_configs(
     return configs
 
 
-def run_one_sweep_point(config: ExperimentConfig) -> dict:
-    """Run one point of a sweep; returns its summary row."""
-    series, metrics = run_experiment(config)
-    row = {
-        "mode": config.mode,
-        "function": config.function,
-        "n_qubits": config.n_qubits,
-        "shots": "exact" if config.shots is None else config.shots,
-        "seed": config.seed,
-        "gate_count": series.gate_count,
-    }
-    row.update(metrics)
-    return row
+def run_sweep(configs: list[ExperimentConfig], output_dir: str | Path) -> Path:
+    """Run every config of a sweep and write its results and summary; return the summary's path.
+
+    Nothing is written, and no directory is made, unless every run and the
+    summary succeed.
+    """
+    out_dir = Path(output_dir)
+    summary = out_dir / "sweep_summary.csv"
+    with staged_writes() as staged:
+        rows = []
+        for config in configs:
+            series, metrics = run_experiment(config, staged)
+            shots = "exact" if config.shots is None else config.shots
+            rows.append(dict(mode=config.mode, function=config.function, n_qubits=config.n_qubits, shots=shots,
+                             seed=config.seed, gate_count=series.gate_count, **metrics))
+        write_summary_csv(rows, summary, staged)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return summary

@@ -160,6 +160,8 @@ def sample_catalog(
     lo, hi = domain if domain is not None else function.default_domain
     if not hi > lo:
         raise ValueError(f"empty domain [{lo}, {hi}]")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"domain [{lo}, {hi}] is wider than float range")
     n_points = 1 << n_qubits
     dx = (hi - lo) / n_points
     start = lo + 0.5 * dx if function.singular else lo

@@ -31,8 +31,8 @@ def emit_plot(
 ) -> None:
     """Write the series/reference comparison as a standalone SVG file.
 
-    Given ``staged``, it is renamed into place with the other result files of
-    that :func:`qftcalc.experiments.staged_writes` block.
+    Given ``staged``, it is written with the other result files of that
+    :func:`qftcalc.experiments.staged_writes` block.
     """
     if scale not in ("linear", "semilog"):
         raise ValueError(f"unknown scale {scale!r}")

@@ -309,9 +309,10 @@ class TestCliExitCodes:
             ["--shots", "nan"],
             ["--seed", "-1"],
             ["--function", "invx", "--qubits", "2", "--domain", "-1", "7"],  # x = 0 on the grid
+            ["--domain", "-1e308", "1e308"],  # the width overflows to inf
         ],
         ids=["domain-inf", "domain-overflow", "shots-1e30", "shots-2^63", "shots-inf", "shots-nan", "seed-negative",
-             "singular-grid"],
+             "singular-grid", "domain-width-overflow"],
     )
     def test_bad_run_value_is_one(self, extra, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -375,6 +376,23 @@ class TestCliExitCodes:
         assert "overwrite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, function, argv",
+        [("output", "d.csv", ["--output", "d.csv"]), ("output", "d.metrics.json", ["--output", "d.csv"]),
+         ("plot", "d.csv", ["--output", "o.csv", "--plot", "d.csv"])],
+        ids=["output", "output-metrics", "plot"],
+    )
+    def test_result_over_the_input_csv_is_one(self, field, function, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        f = sample_catalog("poly", 4)
+        write_csv(tmp_path / "d.csv", f.x, f.samples)
+        write_csv(tmp_path / "d.metrics.json", f.x, f.samples)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert cli.main(["run", "--mode", "qftd", "--function", function, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: field '{field}'") and "input CSV" in err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_csv_is_two(self, cell, tmp_path, capsys):
         path = tmp_path / "grid.csv"
@@ -433,7 +451,8 @@ class TestCliExitCodes:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "extra", [["--seed", "-1", "--shots", "100"], ["--domain", "0", "inf"]], ids=["seed-negative", "domain-inf"]
+        "extra", [["--seed", "-1", "--shots", "100"], ["--domain", "0", "inf"], ["--domain", "-1e308", "1e308"]],
+        ids=["seed-negative", "domain-inf", "domain-width-overflow"],
     )
     def test_bad_sweep_value_is_one(self, extra, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -586,6 +605,36 @@ class TestSweep:
         assert cli.main(argv) == 1
         assert "repeat" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    # n = 3 runs; at n = 8 the recovery scale (|f|/dx)^2 overflows.
+    FAILING_AT_N8 = ["sweep", "--mode", "qftd", "--function", "cos2pix", "--domain", "0", "1e-152",
+                     "--qubits", "3", "8"]
+
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "sw"
+        assert cli.main([*self.FAILING_AT_N8, "--output-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "recovery scale" in err and len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_directory_summary_path_is_two_and_leaves_only_it(self, tmp_path, capsys):
+        out_dir = tmp_path / "sw"
+        (out_dir / "sweep_summary.csv").mkdir(parents=True)
+        argv = ["sweep", "--mode", "qfti", "--function", "poly", "--qubits", "3", "4", "--shots", "exact"]
+        assert cli.main([*argv, "--output-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("I/O error: cannot write")
+        assert [path.relative_to(tmp_path) for path in tmp_path.rglob("*")] == [
+            Path("sw"), Path("sw", "sweep_summary.csv")
+        ]
+
+    def test_failed_sweep_leaves_earlier_files_unchanged(self, tmp_path):
+        out_dir = tmp_path / "sw"
+        out_dir.mkdir()
+        for name in ("qftd_cos2pix_n3.csv", "qftd_cos2pix_n3.metrics.json", "sweep_summary.csv", "notes.txt"):
+            (out_dir / name).write_text(f"earlier {name}\n")
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert cli.main([*self.FAILING_AT_N8, "--output-dir", str(out_dir)]) == 2
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
 
     def test_csv_sweep_checked_before_writing(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -205,3 +207,9 @@ class TestCatalog:
     def test_rejects_empty_domain(self):
         with pytest.raises(ValueError):
             sample_catalog("poly", 3, (1.0, 1.0))
+
+    def test_rejects_domain_wider_than_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="wider than float range"):
+                sample_catalog("poly", 4, (-1e308, 1e308))
