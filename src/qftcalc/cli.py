@@ -3,8 +3,9 @@
 Subcommands: ``run`` (one experiment), ``sweep`` (one run per qubit count),
 ``presets`` (list built-in configurations), ``validate`` (self checks). ``run``
 and ``sweep`` merge defaults < preset < ``--config`` JSON file < explicit
-flags. A sweep config file may list its ``qubits``; a repeated count, an
-``output``/``plot``/``scale`` key and a run preset are configuration errors
+flags into a config that checks itself when it is built. A sweep config file
+may list its ``qubits``; a repeated count, an ``output``/``plot``/``scale`` key,
+a run preset and an input CSV at the summary's path are configuration errors
 there, and a sweep writes nothing unless every run and its summary succeed.
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 validation failure.
 """
@@ -134,11 +135,12 @@ def _preset_values(name: str, command: str) -> dict:
     return values
 
 
-def _merge_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
+def _merge_configs(args: argparse.Namespace) -> tuple[ExperimentConfig, tuple[int, ...] | None]:
     """Defaults < preset < config file < explicit flags, for run and sweep.
 
-    ``run`` gets one config. ``sweep`` gets the merged base expanded over its
-    qubit counts by ``experiments.sweep_configs``. Every config is validated.
+    Returns the config and a sweep's qubit counts (None for ``run``). A sweep's
+    config is the base of ``experiments.run_sweep``: it holds the first count,
+    so its checks fail in the order its first run's do, and no output.
     """
     sweep = args.command == "sweep"
     merged: dict = {}
@@ -171,32 +173,32 @@ def _merge_configs(args: argparse.Namespace) -> list[ExperimentConfig]:
         if len(domain) != 2 or not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in domain):
             raise ConfigError("domain", f"domain takes exactly two finite numbers MIN MAX, got {domain!r}")
         domain = (float(domain[0]), float(domain[1]))
+    shots = _parse_shots(merged.get("shots", "exact"))
+    counts = merged.get("qubits")
+    if sweep:
+        counts = [counts] if isinstance(counts, int) else counts
+        if not counts:
+            raise ConfigError("qubits", "sweep needs qubit counts (--qubits N [N ...] or a config 'qubits' list)")
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in counts):
+            raise ConfigError("qubits", f"sweep qubit counts must be integers, got {counts!r}")
+        if len(set(counts)) != len(counts):
+            raise ConfigError("qubits", f"qubit counts {counts} repeat; each run's files are named by its count")
     config = ExperimentConfig(
         mode=merged["mode"],
         function=str(merged["function"]),
-        n_qubits=None if sweep else merged.get("qubits"),
+        n_qubits=counts[0] if sweep else counts,
         domain=domain,
-        shots=_parse_shots(merged.get("shots", "exact")),
+        shots=shots,
         seed=int(merged.get("seed", 0)),
-        output=merged.get("output", "result.csv"),
+        output=None if sweep else merged.get("output", "result.csv"),
         plot=merged.get("plot"),
         scale=merged.get("scale", "linear"),
     )
-    if not sweep:
-        return [config.validated()]
-    counts = merged.get("qubits")
-    counts = [counts] if isinstance(counts, int) else counts
-    if not counts:
-        raise ConfigError("qubits", "sweep needs qubit counts (--qubits N [N ...] or a config 'qubits' list)")
-    if any(isinstance(n, bool) or not isinstance(n, int) for n in counts):
-        raise ConfigError("qubits", f"sweep qubit counts must be integers, got {counts!r}")
-    if len(set(counts)) != len(counts):
-        raise ConfigError("qubits", f"qubit counts {counts} repeat; each run's files are named by its count")
-    return [c.validated() for c in experiments.sweep_configs(config, tuple(counts), args.output_dir)]
+    return config, tuple(counts) if sweep else None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    (config,) = _merge_configs(args)
+    config, _ = _merge_configs(args)
     _, metrics = experiments.run_experiment(config)
     print(f"wrote {config.output} and {experiments.metrics_path_for(config.output)}")
     if config.plot:
@@ -209,9 +211,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.output_dir:  # Path("") would be the working directory
         raise ConfigError("output-dir", "path '' names no directory")
-    configs = _merge_configs(args)
-    summary = experiments.run_sweep(configs, args.output_dir)
-    print(f"wrote {len(configs)} runs and {summary}")
+    base, counts = _merge_configs(args)
+    summary = experiments.run_sweep(base, counts, args.output_dir)
+    print(f"wrote {len(counts)} runs and {summary}")
     return 0
 
 

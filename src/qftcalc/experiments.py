@@ -59,7 +59,9 @@ class ExperimentConfig:
     plot: str | None = None
     scale: str = "linear"
 
-    def validated(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
+        # dataclasses.replace runs this again. A catalog function's qubit count
+        # is checked where it is used, in sample_input: a sweep's base has none.
         if self.mode not in ("qftd", "qfti"):
             raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if self.scale not in ("linear", "semilog"):
@@ -82,10 +84,7 @@ class ExperimentConfig:
             raise ConfigError("plot", f"plot {self.plot!r} would overwrite a result file")
         if self.n_qubits is not None and not 2 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigError("qubits", f"{self.mode} supports 2..{MAX_QUBITS} qubits")
-        if self.function in oracles.CATALOG:
-            if self.n_qubits is None:
-                raise ConfigError("qubits", "qubit count is required for catalog functions")
-        else:
+        if self.function not in oracles.CATALOG:
             # Anything that is not a catalog id is treated as a CSV path; a
             # missing or malformed file surfaces later as an I/O error.
             if self.domain is not None:
@@ -93,7 +92,6 @@ class ExperimentConfig:
             for field, paths in (("output", results), ("plot", [plot])):
                 if os.path.abspath(self.function) in paths:
                     raise ConfigError(field, f"{field} would overwrite the input CSV {self.function!r}")
-        return self
 
 
 # Built-in single-run configurations, named after the result figures they
@@ -171,8 +169,10 @@ def ingest_samples(path: str | Path) -> pipelines.SampledFunction:
 
 
 def sample_input(config: ExperimentConfig) -> tuple[ExperimentConfig, pipelines.SampledFunction]:
-    """Sample a validated config's input; a CSV's row count fixes and re-validates n_qubits."""
+    """Sample a config's input; a catalog function needs a qubit count, and a CSV's row count fixes it."""
     if config.function in oracles.CATALOG:
+        if config.n_qubits is None:
+            raise ConfigError("qubits", "qubit count is required for catalog functions")
         try:
             return config, oracles.sample_catalog(config.function, config.n_qubits, config.domain)
         except ValueError as exc:  # e.g. a grid point on a singularity
@@ -181,7 +181,7 @@ def sample_input(config: ExperimentConfig) -> tuple[ExperimentConfig, pipelines.
     n = f.n_points.bit_length() - 1
     if config.n_qubits is not None and config.n_qubits != n:
         raise ConfigError("qubits", f"CSV holds 2^{n} rows but {config.n_qubits} qubits were requested")
-    return replace(config, n_qubits=n).validated(), f
+    return replace(config, n_qubits=n), f  # replace checks the count against 2..16
 
 
 def _reference_magnitudes(
@@ -223,7 +223,7 @@ def run_experiment(
     block ends. Returns the recovered series and the metrics dict (the exact
     content of the metrics JSON; unavailable metrics are null).
     """
-    config, f = sample_input(config.validated())
+    config, f = sample_input(config)
     run = pipelines.qftd_run if config.mode == "qftd" else pipelines.qfti_run
     try:
         series = run(f, config.shots, config.seed)
@@ -333,34 +333,24 @@ def write_atomic(text: str, path: str | Path, staged: dict | None = None) -> Non
         staged[Path(path)] = text
 
 
-def sweep_configs(
-    base: ExperimentConfig, qubit_counts: tuple[int, ...], output_dir: str | Path
-) -> list[ExperimentConfig]:
-    """Expand a base config over qubit counts with per-run seeds and paths."""
-    out_dir = Path(output_dir)
-    configs = []
-    for offset, n in enumerate(qubit_counts):
-        stem = f"{base.mode}_{Path(base.function).stem}_n{n}"
-        configs.append(
-            replace(
-                base,
-                n_qubits=n,
-                seed=base.seed + offset,
-                output=str(out_dir / f"{stem}.csv"),
-                plot=None,
-            )
-        )
-    return configs
+def run_sweep(base: ExperimentConfig, qubit_counts: tuple[int, ...], output_dir: str | Path) -> Path:
+    """Run ``base`` once per qubit count, write every run's results and a summary, and return its path.
 
-
-def run_sweep(configs: list[ExperimentConfig], output_dir: str | Path) -> Path:
-    """Run every config of a sweep and write its results and summary; return the summary's path.
-
-    Nothing is written, and no directory is made, unless every run and the
-    summary succeed.
+    Run i takes ``qubit_counts[i]`` qubits, seed ``base.seed + i``, no plot and
+    the result ``<mode>_<function stem>_n<count>.csv`` under ``output_dir``.
+    Every run's config is built, so checked, and an input CSV at the summary's
+    path is refused before the first run. Nothing is written, and no directory
+    is made, unless every run and the summary succeed.
     """
     out_dir = Path(output_dir)
     summary = out_dir / "sweep_summary.csv"
+    stem = f"{base.mode}_{Path(base.function).stem}"
+    configs = [
+        replace(base, n_qubits=n, seed=base.seed + i, output=str(out_dir / f"{stem}_n{n}.csv"), plot=None)
+        for i, n in enumerate(qubit_counts)
+    ]
+    if os.path.abspath(base.function) == os.path.abspath(summary):
+        raise ConfigError("output-dir", f"the sweep summary {summary} would overwrite the input CSV {base.function!r}")
     with staged_writes() as staged:
         rows = []
         for config in configs:

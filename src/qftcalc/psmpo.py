@@ -241,7 +241,7 @@ def apply_partial_sum(state: Statevector, control: tuple[int, int]) -> Statevect
         raise ValueError("control polarity does not match the success prefix")
 
     def block(b: int, c: int) -> np.ndarray:  # a (b, c) block of the controlled branch, k on its last axes
-        return _operand(state, k_qubits[::-1], (control, (b_qubit, b), (c_qubit, c)))
+        return _operand(state, k_qubits, (control, (b_qubit, b), (c_qubit, c)))
 
     x00 = block(0, 0)
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.

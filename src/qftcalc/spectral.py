@@ -66,7 +66,7 @@ def qft(state: Statevector, inverse: bool = False, *, control: tuple[int, int] |
     """
     qubits = state.layout.qubits("k")
     m = len(qubits)
-    view = _operand(state, qubits[::-1], () if control is None else (control,))
+    view = _operand(state, qubits, () if control is None else (control,))
     # A register's qubits are consecutive, so their axes have strides in
     # ratio 2 and merge into one strided axis without a copy: the transform
     # writes through to the state.
@@ -91,7 +91,7 @@ def wavenumber_rotation(state: Statevector) -> Statevector:
     layout = state.layout
     k_qubits = layout.qubits("k")
     (a_qubit,) = layout.qubits("a")
-    zero, one = (_operand(state, k_qubits[::-1], ((a_qubit, bit),)) for bit in (0, 1))
+    zero, one = (_operand(state, k_qubits, ((a_qubit, bit),)) for bit in (0, 1))
     # Each branch is scanned at most once; a QFTD run scans only its empty |1> branch.
     if one.any():
         if zero.any():

@@ -9,7 +9,9 @@ register named ``a`` always sits in the most significant position.
 
 One private helper, :func:`_operand`, maps qubits to axes of a view of the
 amplitudes and is the only place that checks qubit range, control polarity
-and control/operand collisions. Every view of the state by qubit comes from
+and control/operand collisions. It takes a register's qubits in the order
+:meth:`RegisterLayout.qubits` lists them, least significant first, and
+reverses them into axes once. Every view of the state by qubit comes from
 it. Each layer that acts on a register works on such views: the gate
 kernel :func:`apply_gate`, which takes its matrix, targets and controls as
 arguments, the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
@@ -204,7 +206,7 @@ def apply_gate(
     if defect > UNITARY_TOL:
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
     # The matrix's least significant target is its fastest-varying index: the last axis.
-    view = _operand(state, targets[::-1], controls)
+    view = _operand(state, targets, controls)
     view[...] = (view.reshape(-1, dim) @ matrix.T).reshape(view.shape)
     state.gate_count += 1
     return state
@@ -227,9 +229,11 @@ def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[in
     """View of the branch where every control holds, with ``qubits`` as its last axes.
 
     The amplitudes are viewed as a ``(2,) * n`` tensor whose axes run most
-    significant first (qubit q is axis n-1-q). ``qubits`` are listed most
-    significant first, so a register's qubits in that order read as one index
-    once the last axes are merged; the leading axes are the other free qubits.
+    significant first (qubit q is axis n-1-q). ``qubits`` are listed least
+    significant first, as :meth:`RegisterLayout.qubits` lists a register and
+    :func:`apply_gate` takes its targets; their axes come last, most
+    significant first, so they read as one index once the last axes are
+    merged. The leading axes are the other free qubits.
     Fixing the control axes by integer index keeps the result a view (the
     trailing ellipsis keeps it a 0-d view when every axis is fixed).
     """
@@ -252,7 +256,7 @@ def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[in
     if not qubits:  # a branch check: no axes to move, so no second view to allocate
         return branch
     free = [q for q in range(n - 1, -1, -1) if q not in control_qubits]
-    return np.moveaxis(branch, [free.index(q) for q in qubits], range(-len(qubits), 0))
+    return np.moveaxis(branch, [free.index(q) for q in qubits[::-1]], range(-len(qubits), 0))
 
 
 def exact_probabilities(state: Statevector, outcomes: slice = slice(None)) -> np.ndarray:

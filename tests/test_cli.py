@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -25,6 +26,7 @@ from qftcalc.experiments import (
     ingest_samples,
     metrics_path_for,
     run_experiment,
+    sample_input,
 )
 from qftcalc.oracles import sample_catalog
 from qftcalc.pipelines import qftd_run
@@ -96,7 +98,7 @@ class TestIngest:
 class TestConfigValidation:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="mode"):
-            ExperimentConfig("qft", "cos2pix", 4).validated()
+            ExperimentConfig("qft", "cos2pix", 4)
 
     def test_nonexistent_function_surfaces_as_io_error(self, tmp_path):
         config = ExperimentConfig("qftd", str(tmp_path / "ghost.csv"), shots=None)
@@ -106,20 +108,23 @@ class TestConfigValidation:
     def test_qubit_budgets(self):
         for mode in ("qftd", "qfti"):
             with pytest.raises(ConfigError, match=r"2\.\.16 qubits"):
-                ExperimentConfig(mode, "cos2pix", 17).validated()
-            ExperimentConfig(mode, "cos2pix", 16).validated()
+                ExperimentConfig(mode, "cos2pix", 17)
+            ExperimentConfig(mode, "cos2pix", 16)
 
     def test_domain_order(self):
         with pytest.raises(ConfigError, match="domain"):
-            ExperimentConfig("qftd", "cos2pix", 4, domain=(1.0, -1.0)).validated()
+            ExperimentConfig("qftd", "cos2pix", 4, domain=(1.0, -1.0))
 
     def test_unknown_function_treated_as_path(self):
         with pytest.raises(DataError, match="catalog id"):
             run_experiment(ExperimentConfig("qftd", "sinhx", shots=None))
 
     def test_catalog_requires_qubits(self):
-        with pytest.raises(ConfigError, match="qubits"):
-            ExperimentConfig("qftd", "cos2pix").validated()
+        # A sweep's base config has no count, so the count is checked where it is used.
+        config = ExperimentConfig("qftd", "cos2pix")
+        for use in (sample_input, run_experiment):
+            with pytest.raises(ConfigError, match="field 'qubits'"):
+                use(config)
 
 
 class TestRunExperiment:
@@ -218,8 +223,6 @@ class TestPresets:
         assert (fig12a.mode, fig12a.function, fig12a.n_qubits) == ("qfti", "poly", 6)
         assert {*RUN_PRESETS} == {"fig4", "fig5", "fig6", "fig7a", "fig7b", "fig10", "fig11", "fig12a", "fig12b"}
         assert {*SWEEP_PRESETS} == {"fig9a", "fig9b"}
-        for preset in RUN_PRESETS.values():
-            preset.validated()
 
     def test_presets_listing_command(self, capsys):
         assert cli.main(["presets"]) == 0
@@ -648,6 +651,40 @@ class TestSweep:
         assert cli.main(argv + ["4"]) == 0
         assert (out_dir / "qftd_d_n4.csv").exists()
 
+    @pytest.mark.parametrize(
+        "function, output_dir", [("sw/sweep_summary.csv", "sw"), ("./sw/../sw/sweep_summary.csv", None)],
+        ids=["relative", "spelled-apart"],
+    )
+    def test_summary_over_the_input_csv_is_one(self, function, output_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sw").mkdir()
+        f = sample_catalog("poly", 4)
+        write_csv(tmp_path / "sw" / "sweep_summary.csv", f.x, f.samples)
+        digest = hashlib.sha256((tmp_path / "sw" / "sweep_summary.csv").read_bytes()).hexdigest()
+        argv = ["sweep", "--mode", "qftd", "--function", function, "--qubits", "4",
+                "--output-dir", output_dir or str(tmp_path / "sw")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: field 'output-dir'") and "input CSV" in err
+        assert len(err.splitlines()) == 1
+        assert hashlib.sha256((tmp_path / "sw" / "sweep_summary.csv").read_bytes()).hexdigest() == digest
+        assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*")) == [
+            Path("sw"), Path("sw", "sweep_summary.csv")
+        ]
+
+    def test_input_named_like_the_run_default_output_sweeps(self, tmp_path, monkeypatch):
+        # A sweep's base config holds no output, so the run default result.csv never meets the input.
+        monkeypatch.chdir(tmp_path)
+        f = sample_catalog("poly", 4)
+        write_csv(tmp_path / "result.csv", f.x, f.samples)
+        before = (tmp_path / "result.csv").read_bytes()
+        argv = ["sweep", "--mode", "qftd", "--function", "result.csv", "--qubits", "4", "--output-dir", "sw"]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "result.csv").read_bytes() == before
+        assert sorted(path.name for path in (tmp_path / "sw").iterdir()) == [
+            "qftd_result_n4.csv", "qftd_result_n4.metrics.json", "sweep_summary.csv"
+        ]
+
 
 class TestValidateWiring:
     def test_exit_codes(self, monkeypatch, capsys):
@@ -779,9 +816,9 @@ def test_traced_function_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
-def test_tracer_installs_after_cli_import():
-    # A traced CLI run installs the tracer right after ``import qftcalc.cli``:
-    # every TRACED module must then be loaded and hold its function.
+def run_with_tracer(probe, cwd=None):
+    # Runs ``probe`` in a fresh interpreter that imports perfbench/tracer.py
+    # the way a traced benchmark op does, and writes no bytecode there.
     root = Path(__file__).resolve().parents[1]
     src = str(Path(qftcalc.__file__).resolve().parents[1])
     env = dict(
@@ -789,11 +826,49 @@ def test_tracer_installs_after_cli_import():
         PYTHONPATH=os.pathsep.join([src, str(root / "perfbench"), os.environ.get("PYTHONPATH", "")]),
         PYTHONDONTWRITEBYTECODE="1",
     )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_tracer_installs_after_cli_import():
+    # A traced CLI run installs the tracer right after ``import qftcalc.cli``:
+    # every TRACED module must then be loaded and hold its function.
     probe = (
         "import sys, qftcalc.cli; from tracer import TRACED, Tracer; "
         "print([f'{m}.{a}' for m, a in TRACED if not callable(getattr(sys.modules.get(m), a, None))]); "
         "tracer = Tracer(); tracer.install(); tracer.uninstall()"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert run_with_tracer(probe) == "[]"
+
+
+# Spans behind the benchmark's per-layer rows of the figures and qfti_trend
+# workloads. A name that records no span reads 0 in its row, which looks
+# like a fast layer rather than a lost one. Both QFTs of a run are
+# controlled on the ancilla, so the tracer names every spectral.qft span
+# spectral.qft_controlled.
+SPANS_OF_A_PLOTTED_RUN_AND_A_SWEEP = (
+    "cli.main", "experiments.run_experiment", "experiments.write_series_csv",
+    "plots.emit_plot", "oracles.r_squared", "oracles.mean_absolute_error",
+    "pipelines.qfti_run", "spectral.qft_controlled", "spectral.wavenumber_rotation",
+    "psmpo.build_block_encoding", "psmpo.apply_partial_sum", "state.amplitude_encode", "state.exact_probabilities",
+)
+
+
+def test_traced_rows_record_spans(tmp_path):
+    argvs = [
+        ["run", "--preset", "fig10", "--plot", "fig10.svg"],
+        ["sweep", "--mode", "qfti", "--function", "cos2pix", "--domain", "-1", "1", "--qubits", "3", "4",
+         "--shots", "exact", "--output-dir", "sw"],
+    ]
+    probe = (
+        "import json, qftcalc.cli; from tracer import Tracer; "
+        "tracer = Tracer(); tracer.install(); "
+        f"codes = [qftcalc.cli.main(argv) for argv in {argvs!r}]; "
+        "tracer.uninstall(); "
+        "print(json.dumps([codes, sorted({span['name'] for span in tracer.spans})]))"
+    )
+    codes, names = json.loads(run_with_tracer(probe, cwd=tmp_path))
+    assert codes == [0, 0]
+    assert [name for name in SPANS_OF_A_PLOTTED_RUN_AND_A_SWEEP if name not in names] == []

@@ -11,14 +11,17 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qftcalc import checks, cli, psmpo, spectral
+from qftcalc.experiments import RUN_PRESETS, SWEEP_PRESETS, ConfigError, ExperimentConfig
 from qftcalc.oracles import CATALOG, central_difference_periodic, trapezoid_partial_sums
 from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL, SampledFunction, qftd_run, qfti_run
 from qftcalc.reference import pauli_x
@@ -123,6 +126,55 @@ CONFIG_FIELDS = {
     "plot": (st.just("o.svg"), FILE_NAMES),
     "scale": (st.sampled_from(["linear", "semilog"]), FUZZ_TEXT),
 }
+
+
+# The record's own fields, valid and probe values as above, in the types
+# the record declares: a domain is a pair of floats and a shot count an
+# integer, where a config file writes a list and shot strings. Optional
+# fields also take None.
+RECORD_FIELDS = {
+    "mode": CONFIG_FIELDS["mode"],
+    "function": CONFIG_FIELDS["function"],
+    "n_qubits": CONFIG_FIELDS["qubits"],
+    "domain": (CONFIG_FIELDS["domain"][0].map(tuple), st.tuples(st.floats(), st.floats())),
+    "shots": (st.integers(1, 10**5), st.sampled_from([0, -1, 2**63])),
+    "seed": CONFIG_FIELDS["seed"],
+    "output": CONFIG_FIELDS["output"],
+    "plot": CONFIG_FIELDS["plot"],
+    "scale": CONFIG_FIELDS["scale"],
+}
+OPTIONAL_FIELDS = ("n_qubits", "domain", "shots", "output", "plot")
+
+
+@st.composite
+def records(draw):
+    # As config_files draws: a valid record with up to three fields swapped
+    # for a probe or, where the field is optional, for None.
+    fields = {key: draw(valid) for key, (valid, _) in RECORD_FIELDS.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(RECORD_FIELDS)), max_size=3, unique=True)):
+        probe = RECORD_FIELDS[key][1]
+        fields[key] = draw(probe | st.none() if key in OPTIONAL_FIELDS else probe)
+    return fields
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(records())
+def test_config_builds_or_raises_config_error(fields):
+    # The record checks itself when it is built, so no caller can hold an unchecked one.
+    try:
+        ExperimentConfig(**fields)
+    except ConfigError:
+        pass
+
+
+PRESETS = {**RUN_PRESETS, **{name: base for name, (base, _) in SWEEP_PRESETS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_past_the_cap_raises(name):
+    # replace builds a new record, so it checks the new count too.
+    with pytest.raises(ConfigError, match="field 'qubits'"):
+        replace(PRESETS[name], n_qubits=17)
 
 
 # A sweep takes a list of qubit counts, and the run-only keys only as probes.

@@ -248,7 +248,7 @@ class TestMatrixFree:
             amps[(index >> layout.offset(name)) & 1 == 1] = 0.0
         state = Statevector(amps.copy(), layout)
         control = (layout.qubits("g")[0], 1)
-        operand = (*layout.qubits("b"), *layout.qubits("c"), *layout.qubits("k")[::-1])
+        operand = (*layout.qubits("k"), *layout.qubits("c"), *layout.qubits("b"))
         before = _operand(state, operand, (control,))
         enc = build_block_encoding(n_k)
         expected = enc.apply(before.reshape(*before.shape[: -len(operand)], 2, 2, enc.dimension))
