@@ -26,7 +26,6 @@ __all__ = [
     "write_series_csv",
     "write_summary_csv",
     "run_sweep",
-    "write_atomic",
     "staged_writes",
     "metrics_path_for",
 ]
@@ -255,7 +254,7 @@ def run_experiment(
             write_series_csv(series, reference_sq, config.output, staged)
             _write_json(metrics, metrics_path_for(config.output), staged)
         if config.plot is not None:
-            plots.emit_plot(series, reference_sq, config.plot, scale=config.scale, staged=staged)
+            plots.emit_plot(series, reference_sq, config.plot, staged, scale=config.scale)
     return series, metrics
 
 
@@ -265,19 +264,20 @@ def metrics_path_for(output: str | Path) -> Path:
 
 
 def write_series_csv(
-    series: pipelines.RecoveredSeries, reference_sq: np.ndarray, path: str | Path, staged: dict | None = None
+    series: pipelines.RecoveredSeries, reference_sq: np.ndarray, path: str | Path, staged: dict
 ) -> None:
+    """Stage the run's result CSV in a :func:`staged_writes` block."""
     # Python floats format faster than numpy scalars, to the same text.
     rows = zip(series.x.tolist(), series.value_sq.tolist(), reference_sq.tolist(), series.retained.tolist())
     lines = ["x,quantum_sq,analytical_sq,retained", *("%.17g,%.17g,%.17g,%d" % row for row in rows)]
-    write_atomic("\n".join(lines) + "\n", path, staged)
+    staged[Path(path)] = "\n".join(lines) + "\n"
 
 
-def write_summary_csv(rows: list[dict], path: str | Path, staged: dict | None = None) -> None:
-    """One line per sweep run; an empty cell is a null metric."""
+def write_summary_csv(rows: list[dict], path: str | Path, staged: dict) -> None:
+    """Stage a sweep's summary: one line per run; an empty cell is a null metric."""
     columns = list(rows[0])
     lines = [",".join(columns)] + [",".join(_format_cell(row[c]) for c in columns) for row in rows]
-    write_atomic("\n".join(lines) + "\n", path, staged)
+    staged[Path(path)] = "\n".join(lines) + "\n"
 
 
 def _format_cell(value) -> str:
@@ -286,23 +286,23 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_json(payload: dict, path: str | Path, staged: dict | None = None) -> None:
+def _write_json(payload: dict, path: str | Path, staged: dict) -> None:
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    write_atomic(text + "\n", path, staged)
+    staged[Path(path)] = text + "\n"
 
 
 @contextlib.contextmanager
 def staged_writes():
-    """Write every file that :func:`write_atomic` stages in the block, together.
+    """Write every result file that the block stages, together.
 
-    The block stages each destination ``Path`` with its text. Nothing is
-    written unless the block ends without an error and no destination is a
-    directory. Then each text goes to a temporary file beside its
-    destination, and all of them are renamed into place. No temporary file
-    is left behind.
+    The block's writers stage each destination ``Path`` with its text.
+    Nothing is written unless the block ends without an error and no
+    destination is a directory. Then each text goes to a temporary file
+    beside its destination, and all of them are renamed into place. No
+    temporary file is left behind, and an error names the destination.
     """
     staged: dict[Path, str] = {}
     yield staged
@@ -316,21 +316,12 @@ def staged_writes():
             written[-1].write_text(text, encoding="utf-8")
         for tmp, destination in zip(written, staged):
             os.replace(tmp, destination)
-    except OSError as exc:
-        raise DataError(f"cannot write {destination}: {exc}") from exc
+    except OSError as exc:  # name the destination, not its temporary file
+        raise DataError(f"cannot write {destination}: {exc.strerror}") from exc
     finally:
         for tmp in written:
             with contextlib.suppress(OSError):  # a renamed file is gone already
                 tmp.unlink()
-
-
-def write_atomic(text: str, path: str | Path, staged: dict | None = None) -> None:
-    """Stage a result file's text; the :func:`staged_writes` block writes it.
-
-    Without ``staged``, the file is written in a block of its own.
-    """
-    with staged_writes() if staged is None else contextlib.nullcontext(staged) as staged:
-        staged[Path(path)] = text
 
 
 def run_sweep(base: ExperimentConfig, qubit_counts: tuple[int, ...], output_dir: str | Path) -> Path:
@@ -359,5 +350,8 @@ def run_sweep(base: ExperimentConfig, qubit_counts: tuple[int, ...], output_dir:
             rows.append(dict(mode=config.mode, function=config.function, n_qubits=config.n_qubits, shots=shots,
                              seed=config.seed, gate_count=series.gate_count, **metrics))
         write_summary_csv(rows, summary, staged)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
     return summary

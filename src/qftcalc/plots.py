@@ -26,12 +26,12 @@ def emit_plot(
     series: RecoveredSeries,
     reference: np.ndarray,
     path: str | Path,
+    staged: dict,
     scale: str = "linear",
-    staged: dict | None = None,
 ) -> None:
-    """Write the series/reference comparison as a standalone SVG file.
+    """Stage the series/reference comparison as a standalone SVG file.
 
-    Given ``staged``, it is written with the other result files of that
+    It is written with the other result files of the caller's
     :func:`qftcalc.experiments.staged_writes` block.
     """
     if scale not in ("linear", "semilog"):
@@ -122,10 +122,7 @@ def emit_plot(
         )
     parts.extend(_legend(series))
     parts.append("</svg>")
-
-    from .experiments import write_atomic  # experiments imports this module
-
-    write_atomic("\n".join(parts) + "\n", path, staged)
+    staged[Path(path)] = "\n".join(parts) + "\n"
 
 
 def _curve_path(xs, ys, px, py, scale) -> str:

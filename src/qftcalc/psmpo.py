@@ -46,9 +46,9 @@ sum. The c = 1 blocks need no map of their own. With ``J`` the k reversal
 :meth:`BlockEncoding.apply` sends the c = 0 blocks and the reversed c = 1
 blocks through one stacked ``half`` call. :func:`apply_partial_sum` calls
 ``half`` on the b = c = 0 block alone, the only one a pipeline populates.
-One apply costs O(N log N) and holds O(N) weights. numpy's FFT, not
-scipy's, keeps scipy out of ``import qftcalc.cli``, and the build's chirp
-probe keeps ``numpy.random`` out of an exact run.
+One apply costs O(N log N) through numpy's FFT (numpy is the package's
+only runtime dependency) and holds O(N) weights. The build's chirp probe
+keeps ``numpy.random`` out of an exact run.
 
 Encodings are built for k registers of up to ``spectral.MAX_QUBITS`` (16)
 qubits, the cap QFTD has too. The length 2M is not a power of two, and at

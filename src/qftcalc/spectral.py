@@ -13,9 +13,9 @@ register's qubits, taken as the last axes of the controlled branch by
 ``2^m``, still a view of the state, and the transform writes its result
 back into that view (``out=``), so no ``2^m`` result array is allocated or
 copied. The forward QFT is numpy's ``ifft`` and the inverse its ``fft``,
-both with ``norm="ortho"``; it is numpy's FFT, not scipy's, so that
-importing the CLI loads no scipy. ``gate_count`` still advances by the
-circuit's gate count, ``m(m+1)/2 + m//2``.
+both with ``norm="ortho"``; numpy is the package's only runtime
+dependency. ``gate_count`` still advances by the circuit's gate count,
+``m(m+1)/2 + m//2``.
 
 The rotation cascade scales the spectrum element-wise: with the ancilla in
 ``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)`` (the derivative);

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import importlib
 import json
@@ -204,7 +205,8 @@ class TestRunExperiment:
             success_probability=0.5, gate_count=1,
         )
         reference_sq = values * 7.0
-        experiments.write_series_csv(series, reference_sq, tmp_path / "s.csv")
+        with experiments.staged_writes() as staged:
+            experiments.write_series_csv(series, reference_sq, tmp_path / "s.csv", staged)
         rows = zip(series.x, series.value_sq, reference_sq, series.retained)
         expected = ["x,quantum_sq,analytical_sq,retained"] + [
             f"{x:.17g},{q:.17g},{a:.17g},{1 if kept else 0}" for x, q, a, kept in rows
@@ -435,7 +437,17 @@ class TestCliExitCodes:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("I/O error: cannot write") and len(err.splitlines()) == 1
+        assert ".tmp" not in err
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("flag", ["--output", "--plot"])
+    def test_missing_parent_directory_is_two_and_names_the_destination(self, flag, tmp_path, capsys):
+        destination = tmp_path / "none" / "r"
+        argv = ["run", "--mode", "qftd", "--function", "cos2pix", "--qubits", "4",
+                "--output", str(tmp_path / "o.csv"), flag, str(destination)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"I/O error: cannot write {destination}: {os.strerror(errno.ENOENT)}\n"
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("plot", ["d", "nodir/p.svg"])
     def test_failed_plot_write_leaves_no_result_files(self, plot, tmp_path, monkeypatch):
@@ -449,8 +461,8 @@ class TestCliExitCodes:
 
     def test_metrics_json_rejects_nan(self, tmp_path):
         path = tmp_path / "m.json"
-        with pytest.raises(DataError, match="cannot write"):
-            experiments._write_json({"r_squared": float("nan")}, path)
+        with pytest.raises(DataError, match="cannot write"), experiments.staged_writes() as staged:
+            experiments._write_json({"r_squared": float("nan")}, path, staged)
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -630,6 +642,18 @@ class TestSweep:
             Path("sw"), Path("sw", "sweep_summary.csv")
         ]
 
+    @pytest.mark.parametrize("output_dir, code", [("a.csv", errno.EEXIST), ("a.csv/sub", errno.ENOTDIR)],
+                             ids=["file", "below-a-file"])
+    def test_output_dir_over_a_file_is_two_and_writes_nothing(self, output_dir, code, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.csv").write_text("earlier\n")
+        argv = ["sweep", "--mode", "qfti", "--function", "poly", "--qubits", "3", "4", "--shots", "exact",
+                "--output-dir", output_dir]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"I/O error: cannot make output directory {output_dir}: {os.strerror(code)}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["a.csv"]
+        assert (tmp_path / "a.csv").read_text() == "earlier\n"
+
     def test_failed_sweep_leaves_earlier_files_unchanged(self, tmp_path):
         out_dir = tmp_path / "sw"
         out_dir.mkdir()
@@ -696,6 +720,27 @@ class TestValidateWiring:
         assert "[FAIL] stub: boom" in out
         assert "[PASS] stub: fine" in out
 
+    def test_chi2_tail_matches_scipy(self):
+        from scipy import stats
+
+        for dof in [*range(1, 81), 127, 255, 1000, 4095, 32767, 65535]:
+            assert checks._chi2_sf(0.0, dof) == 1.0
+            for tail in (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.95, 0.999, 0.999999):
+                x = float(stats.chi2.isf(tail, dof))
+                expected = float(stats.chi2.sf(x, dof))
+                assert checks._chi2_sf(x, dof) == pytest.approx(expected, rel=1e-10, abs=0.0), (dof, tail)
+
+    def test_validate_runs_without_scipy(self):
+        src = str(Path(qftcalc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # A None entry makes every import of scipy fail, as if it were not installed.
+        probe = 'import sys; sys.modules["scipy"] = None; from qftcalc import cli; sys.exit(cli.main(["validate", "fast"]))'
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert sum(line.startswith("[PASS] ") for line in result.stdout.splitlines()) == 80
+
     def test_tampered_schedule_fails_invariant(self):
         angles = reference.rotation_angles(3)
         assert checks.check_wavenumber_schedule(angles).passed
@@ -704,6 +749,11 @@ class TestValidateWiring:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             checks.run_suite("leisurely")
+
+
+def emit_plot_to_file(series, reference, path, scale):
+    with experiments.staged_writes() as staged:
+        emit_plot(series, reference, path, staged, scale=scale)
 
 
 class TestEmitPlot:
@@ -720,7 +770,7 @@ class TestEmitPlot:
         series = self.make_series()
         reference = (1.0 / series.x**2) ** 2
         path = tmp_path / "plot.svg"
-        emit_plot(series, reference, path, scale="linear")
+        emit_plot_to_file(series, reference, path, scale="linear")
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         assert root.findall(".//svg:circle", ns)
@@ -730,7 +780,7 @@ class TestEmitPlot:
         series = self.make_series(epsilon=260.0)
         reference = (1.0 / series.x**2) ** 2
         path = tmp_path / "plot.svg"
-        emit_plot(series, reference, path, scale="semilog")
+        emit_plot_to_file(series, reference, path, scale="semilog")
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         (rule,) = root.findall(".//svg:line[@id='resolution-rule']", ns)
@@ -745,7 +795,7 @@ class TestEmitPlot:
     def test_no_rule_in_linear_or_exact_mode(self, tmp_path):
         series = self.make_series(epsilon=0.0)
         reference = np.ones(series.n_points)
-        emit_plot(series, reference, tmp_path / "lin.svg", scale="semilog")
+        emit_plot_to_file(series, reference, tmp_path / "lin.svg", scale="semilog")
         root = ET.parse(tmp_path / "lin.svg").getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         assert not root.findall(".//svg:line[@id='resolution-rule']", ns)
@@ -754,7 +804,7 @@ class TestEmitPlot:
         series = self.make_series(retained_all=False)
         reference = (1.0 / series.x**2) ** 2
         path = tmp_path / "empty.svg"
-        emit_plot(series, reference, path, scale="linear")
+        emit_plot_to_file(series, reference, path, scale="linear")
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         circles = root.findall(".//svg:circle", ns)
@@ -764,7 +814,7 @@ class TestEmitPlot:
     def test_rejects_unknown_scale(self, tmp_path):
         series = self.make_series()
         with pytest.raises(ValueError):
-            emit_plot(series, np.ones(series.n_points), tmp_path / "x.svg", scale="loglog")
+            emit_plot_to_file(series, np.ones(series.n_points), tmp_path / "x.svg", scale="loglog")
 
 
 def readme_cli_commands():
@@ -798,6 +848,32 @@ def test_every_export_resolves(module):
     # A stale name in __all__ shows only at ``from module import *``.
     exported = importlib.import_module(module)
     assert [name for name in exported.__all__ if not hasattr(exported, name)] == []
+
+
+def test_modules_import_without_a_cycle():
+    # Every intra-package import, function-level ones included, read from the source.
+    package = Path(qftcalc.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        graph[path.stem] = imported - {"__init__"}
+    assert "experiments" not in graph["plots"]
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, f"import cycle {' -> '.join(path[path.index(module):] + [module])}"
+        if module not in done:
+            path.append(module)
+            for target in graph[module]:
+                visit(target)
+            path.pop()
+            done.add(module)
+
+    for module in graph:
+        visit(module)
 
 
 def traced_functions():
