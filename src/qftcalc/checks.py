@@ -5,7 +5,8 @@
 the rotation cascade, rotation branch bookkeeping, sampling soundness,
 reproducibility) in well under a minute. ``full`` adds the sampled
 reproduction targets, the error-order regressions, both oracles and each
-sampled pipeline against its exact twin at the qubit cap, the matrix-free
+sampled pipeline against its exact twin at the qubit cap, the readout's
+categorical completion against the multinomial pmf, the matrix-free
 block encoding against its dense oracle, the run path's summation against
 the four-block map and against its closed-form eigenpairs, and reports gate
 counts. The oracles come from :mod:`qftcalc.reference`.
@@ -22,7 +23,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import experiments, oracles, pipelines, psmpo, reference, spectral
-from .state import RegisterLayout, Statevector, amplitude_encode, apply_gate, exact_probabilities, sample_counts
+from .state import (
+    POISSON_MARGIN,
+    RegisterLayout,
+    Statevector,
+    amplitude_encode,
+    apply_gate,
+    exact_probabilities,
+    sample_counts,
+)
 
 __all__ = ["CheckResult", "fast_suite", "full_suite", "run_suite"]
 
@@ -323,14 +332,17 @@ def _chisquare_p_value(observed: np.ndarray, expected: np.ndarray) -> tuple[floa
 
 
 def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> CheckResult:
-    """Multinomial sampling is consistent with the Born-rule distribution.
+    """Shot sampling is consistent with the Born-rule distribution.
 
     Draws every outcome, then the upper half of the register alone through
-    the ``outcomes`` path of :func:`sample_counts`. Each draw passes while its
-    chi-square p-value stays above 1e-6, outcomes with expected count below
-    10 lumped into one bin; the half draw's shots that miss the half form one
-    more outcome. The number of shots landing in the half must lie within 6
-    sigma of its binomial mean.
+    the ``outcomes`` path of :func:`sample_counts`. Both spread their shots
+    by Poissonization, whose law is exactly multinomial; at 1e6 shots over
+    64 outcomes nearly every shot comes from the Poisson level (see
+    :func:`check_sampling_small_counts` for the completion). Each draw
+    passes while its chi-square p-value stays above 1e-6, outcomes with
+    expected count below 10 lumped into one bin; the half draw's shots that
+    miss the half form one more outcome. The number of shots landing in the
+    half must lie within 6 sigma of its binomial mean.
     """
     f = oracles.sample_catalog(function, n)
     layout = RegisterLayout((("k", n),))
@@ -352,6 +364,42 @@ def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> C
         p_value >= 1e-6 and block_p_value >= 1e-6 and hits_ok,
         f"p-value {p_value:.3g} over {bins} bins; upper half: p-value {block_p_value:.3g} over "
         f"{block_bins} bins, {hits} hits against {shots * share:.1f} +- {sigma:.1f}",
+    )
+
+
+def check_sampling_small_counts(shots: int = int(4 * POISSON_MARGIN**2) + 4, seeds: int = 10_000) -> CheckResult:
+    """The Poissonized readout's completion keeps the draw exactly multinomial.
+
+    ``shots`` (``4 c^2 + 4`` with ``c = state.POISSON_MARGIN``) are drawn over
+    the outcomes p = (0.2, 0.3, 0.5, 0) of a 2-qubit state, once per seed in
+    ``range(seeds)``: one Poisson level, then the categorical completion of
+    about ``c sqrt(shots)`` shots. At the qubit cap the completion carries
+    about 0.1% of the hits, so the sampled-vs-exact twins cannot see it;
+    here it carries about half. Every draw must sum to ``shots`` and leave
+    the zero-probability last outcome at 0, and the joint counts of the
+    first two outcomes pass while their chi-square p-value against the
+    ``Multinomial(shots, p)`` pmf stays above 1e-6, lumped as in
+    :func:`check_sampling_chisquare`.
+    """
+    state = Statevector(np.sqrt([0.2, 0.3, 0.5, 0.0]), RegisterLayout((("k", 2),)))
+    probs = exact_probabilities(state)
+    draws = np.array([sample_counts(state, shots, seed) for seed in range(seeds)])
+    exact = bool(np.all(draws.sum(axis=1) == shots) and np.all(draws[:, 3] == 0))
+    # Bin x0 * (shots + 1) + x1 holds the draws with counts (x0, x1, shots - x0 - x1, 0).
+    grid = (shots + 1) ** 2
+    x0, x1 = np.divmod(np.arange(grid), shots + 1)
+    x = np.stack([x0, x1, shots - x0 - x1])
+    inside = x[2] >= 0
+    x = x[:, inside]
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, shots + 1)))))
+    log_pmf = log_fact[shots] - log_fact[x].sum(axis=0) + np.log(probs[:3] / probs.sum()) @ x
+    observed = np.bincount(draws[:, 0] * (shots + 1) + draws[:, 1], minlength=grid)[:grid][inside]
+    p_value, bins = _chisquare_p_value(observed, seeds * np.exp(log_pmf))
+    return _result(
+        f"sampling completion pmf ({shots} shots, {seeds} seeds)",
+        exact and p_value >= 1e-6,
+        f"p-value {p_value:.3g} over {bins} bins of the joint pmf; "
+        f"{'every draw sums to the shots with 0 at p = 0' if exact else 'a draw misses the shots or counts p = 0'}",
     )
 
 
@@ -531,6 +579,8 @@ def full_suite() -> list[CheckResult]:
         results.append(check_sampled_matches_exact("qftd", "noise", n))
         for function in ("poly", "harmonics"):
             results.append(check_sampled_matches_exact("qfti", function, n))
+    # The completion the twins cannot see: a few dozen shots, about half of them categorical.
+    results.append(check_sampling_small_counts())
     results.append(check_gate_count_report())
     return results
 

@@ -30,7 +30,8 @@ __all__ = [
     "metrics_path_for",
 ]
 
-# numpy's multinomial draws an int64 shot count.
+# The readout's binomial hit count and its Poisson levels draw int64 counts
+# (state.sample_counts caps a level's mean at 2**62).
 MAX_SHOTS = 2**63 - 1
 
 

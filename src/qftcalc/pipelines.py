@@ -18,10 +18,14 @@ as the encoding is built). A run has one norm, ``f.l2_norm``: the encoding,
 the scale and a sampled run's ``resolution_epsilon`` (the scale divided by
 ``shots``) all use it.
 
-Readout touches only the success block, one contiguous index range; sampled
-mode draws how many shots succeed and then spreads them over the block (see
-:func:`qftcalc.state.sample_counts`). No norm in a run is a BLAS dot (see
-:mod:`qftcalc.state` for why).
+Readout touches only the success block, one contiguous index range. Sampled
+mode draws how many shots succeed, ``hits ~ Binomial(shots, p_success)``,
+and then spreads them over the block by Poissonization: one Poisson variate
+per outcome plus a short categorical completion. Given the totals, Poisson
+counts are multinomial, so the spread is exactly
+``Multinomial(hits, psi^2 / p_success)`` in law, but it does not reproduce
+numpy's ``multinomial`` stream (see :func:`qftcalc.state.sample_counts`).
+No norm in a run is a BLAS dot (see :mod:`qftcalc.state` for why).
 """
 
 from __future__ import annotations

@@ -28,7 +28,11 @@ calls the gate kernel.
 
 Readout takes one ``outcomes`` slice of basis indices: exact probabilities
 square only those amplitudes, and shot sampling draws only the counts of
-that slice (see :func:`sample_counts`). Norms on a pipeline run are numpy
+that slice (see :func:`sample_counts`). It draws the slice's hit count as a
+binomial and spreads the hits by Poissonization: one Poisson variate per
+outcome and a short categorical completion, whose law is exactly
+multinomial (a full-range draw does not reproduce numpy's
+``multinomial`` stream). Norms on a pipeline run are numpy
 sums, not BLAS dots: a BLAS dot over 2^17 samples wakes the BLAS thread
 pool, whose idle workers then compete for the cores with the
 single-threaded FFT and random-number work.
@@ -36,12 +40,14 @@ single-threaded FFT and random-number work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "POISSON_MARGIN",
     "UNITARY_TOL",
     "RegisterLayout",
     "Statevector",
@@ -54,6 +60,12 @@ __all__ = [
 
 # Tolerance for max |U†U − I| when accepting a gate payload.
 UNITARY_TOL = 1e-10
+
+# Margin c of the Poissonized readout (see sample_counts): a level's Poisson
+# total overshoots the shots left with probability about P(Z > c).
+POISSON_MARGIN = 3.0
+# Cap on a level's mean total, inside numpy's Poisson range (about 9.2e18).
+POISSON_MEAN_MAX = float(2**62)
 
 
 @dataclass(frozen=True)
@@ -271,12 +283,25 @@ def sample_counts(state: Statevector, shots: int, seed: int, outcomes: slice = s
     distributed exactly as that slice of a multinomial draw over every index.
     A proper slice first draws how many shots land in it,
     ``hits ~ Binomial(shots, p_block / p_total)``, then spreads them as
-    ``Multinomial(hits, p_block_j / p_block)``, so no draw is spent on
-    outcomes nobody reads. When the slice holds all the probability (the full
-    range) ``hits = shots`` without a binomial draw, so a full-range call is
-    one multinomial draw with the first numbers of the generator. Uses numpy's
-    default generator (PCG64) seeded with ``seed``, so counts are reproducible
-    across runs and platforms for a fixed numpy version.
+    ``Multinomial(hits, p_j)`` with ``p_j = p_block_j / p_block``, so no draw
+    is spent on outcomes nobody reads. When the slice holds all the
+    probability (the full range) ``hits = shots`` without a binomial draw.
+
+    The hits are spread by Poissonization (Devroye 1986, ch. XI), which
+    draws one Poisson variate per outcome where numpy's ``multinomial`` draws
+    one binomial. While more than ``max(block size, 4 c^2)`` shots are left
+    (``c = POISSON_MARGIN``), a level draws ``X_j ~ Poisson(lam * p_j)`` with
+    ``lam = min(left - c sqrt(left), 2^62)`` and keeps ``X`` if its total is
+    at most ``left``, else draws again; the last ``left`` shots are spread as
+    categorical draws by inverse CDF. Given its total ``t``, a Poisson vector
+    with means ``lam * p`` is ``Multinomial(t, p)``; a rejection depends on
+    ``t`` alone, and an independent ``Multinomial(left - t, p)`` added to it
+    makes ``Multinomial(left, p)``. So the law is exactly multinomial, but a
+    full-range call does not reproduce numpy's ``multinomial`` stream. Each
+    level leaves about ``c sqrt(left)`` shots, so the draw holds O(block
+    size) memory at any shot count. Uses numpy's default generator (PCG64)
+    seeded with ``seed``, so counts are reproducible across runs and
+    platforms for a fixed numpy version.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -286,9 +311,27 @@ def sample_counts(state: Statevector, shots: int, seed: int, outcomes: slice = s
     share = p_block / probs.sum()
     rng = np.random.default_rng(seed)
     hits = shots if share >= 1.0 else int(rng.binomial(shots, share))
-    if hits == 0:
-        return np.zeros(block.size, dtype=np.int64)
-    return rng.multinomial(hits, block / p_block)
+    counts = np.zeros(block.size, dtype=np.int64)
+    work = np.empty(block.size)
+    left = hits
+    while left > max(block.size, 4 * POISSON_MARGIN**2):
+        lam = min(left - POISSON_MARGIN * math.sqrt(left), POISSON_MEAN_MAX)
+        draw = rng.poisson(np.multiply(block, lam / p_block, out=work))
+        total = int(draw.sum())
+        if total <= left:
+            counts += draw
+            left -= total
+        del draw  # a redraw then holds one draw, not two
+    if left:
+        cdf = np.cumsum(block, out=work)
+        # Normalised partial sums of left + 1 exponentials are left sorted uniforms (Devroye
+        # ch. V), and sorted keys make the search about three times faster than random ones.
+        arrivals = np.cumsum(rng.standard_exponential(left + 1))
+        picks = np.searchsorted(cdf, arrivals[:-1] * (cdf[-1] / arrivals[-1]), side="right")
+        # A key can round up to cdf[-1]; its pick goes to the last outcome of non-zero probability.
+        np.minimum(picks, np.searchsorted(cdf, cdf[-1]), out=picks)
+        np.add.at(counts, picks, 1)
+    return counts
 
 
 # Bound for perfbench/tracer.py (see apply_register_unitary); the counts

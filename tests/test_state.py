@@ -1,9 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import qftcalc
+from qftcalc import checks, state as state_module
+from qftcalc.experiments import MAX_SHOTS
 from qftcalc.reference import pauli_x, phase_gate, rx_gate, swap_gate
 from qftcalc.state import (
     RegisterLayout,
@@ -371,11 +381,9 @@ class TestBlockSampling:
             hits = int(sample_counts(state, self.SHOTS, seed, self.BLOCK).sum())
             assert abs(hits - self.SHOTS * share) < 5.0 * sigma
 
-    def test_full_range_is_one_multinomial_draw(self, state):
-        probs = exact_probabilities(state)
-        expected = np.random.default_rng(8).multinomial(self.SHOTS, probs / probs.sum())
-        assert np.array_equal(sample_counts(state, self.SHOTS, 8), expected)
-        assert np.array_equal(sample_counts(state, self.SHOTS, 8, slice(0, 64)), expected)
+    def test_full_slice_is_the_full_range(self, state):
+        # A slice holding all the probability draws no binomial, so it spends the stream as a full-range call does.
+        assert np.array_equal(sample_counts(state, self.SHOTS, 8), sample_counts(state, self.SHOTS, 8, slice(0, 64)))
 
     def test_zero_probability_block_gives_zeros(self):
         state = Statevector([0.6, 0.8, 0, 0], two_qubit_layout())
@@ -386,3 +394,117 @@ class TestBlockSampling:
         state = Statevector([0, 0, 0, 0, 0.6, 0, 0.8, 0], RegisterLayout((("k", 3),)))
         counts = sample_counts(state, 1000, 5, slice(4, 8))
         assert counts.dtype == np.int64 and counts.sum() == 1000 and counts[[1, 3]].tolist() == [0, 0]
+
+
+class TestPoissonizedReadout:
+    """``sample_counts`` spreads its hits by Poisson levels and a categorical completion: the law is
+    ``Multinomial(hits, p)`` in each regime, the draw returns at every shot count, and it never counts
+    an outcome of zero probability."""
+
+    P = np.array([0.2, 0.3, 0.5, 0.0])
+
+    @pytest.fixture
+    def three_outcomes(self):
+        # The full range of two qubits, so hits == shots; the zero-probability outcome is the last.
+        return Statevector(np.sqrt(self.P), two_qubit_layout())
+
+    def test_level_and_completion_follow_the_pmf(self):
+        # 4c^2 + 4 shots: one Poisson level, then about c sqrt(shots) categorical shots.
+        result = checks.check_sampling_small_counts(seeds=20_000)
+        assert result.passed, result.detail
+
+    def test_covariance_is_multinomial(self, three_outcomes):
+        # Independent Poisson counts would have covariance 0; the multinomial's is -hits p_i p_j.
+        shots, seeds = 10**4, 1000
+        draws = np.array([sample_counts(three_outcomes, shots, seed)[:3] for seed in range(seeds)], dtype=float)
+        assert np.all(draws.sum(axis=1) == shots)
+        p = self.P[:3]
+        expected = shots * (np.diag(p) - np.outer(p, p))
+        observed = np.cov(draws, rowvar=False)
+        # Standard error of a sample covariance of near-normal counts.
+        sigma = np.sqrt((np.outer(np.diag(expected), np.diag(expected)) + expected**2) / (seeds - 1))
+        assert np.all(np.abs(observed - expected) < 5.0 * sigma)
+        # The bound excludes a covariance of 0: each one lies more than 8 standard errors below it.
+        assert np.all(expected[np.triu_indices(3, 1)] < -8.0 * sigma[np.triu_indices(3, 1)])
+
+    def test_rejected_levels_keep_the_law(self, monkeypatch):
+        # A negative margin sets each level's mean above the shots left, so most Poisson totals overshoot
+        # and are drawn again; the sums stay exact and the pmf holds.
+        levels = []
+        real_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng, self.totals = real_rng(seed), []
+                levels.append(self.totals)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def poisson(self, lam):
+                draw = self.rng.poisson(lam)
+                self.totals.append(int(draw.sum()))
+                return draw
+
+        monkeypatch.setattr(state_module, "POISSON_MARGIN", -1.0)
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        shots = 40
+        result = checks.check_sampling_small_counts(shots)
+        assert result.passed, result.detail
+        accepted = rejected = 0
+        for totals in levels:
+            left = shots  # every call of the check is a full-range draw
+            for total in totals:
+                if total <= left:
+                    left, accepted = left - total, accepted + 1
+                else:
+                    rejected += 1
+        assert rejected > accepted > 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=8).filter(any),
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([0.3, 0.7], 9, 0)  # a loop that ran while left > block size would draw level means of 9 - 3 sqrt(9) = 0
+    @example([0.3, 0.7, 0.0], 200, 1)
+    @example([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 37, 2)
+    def test_every_draw_returns_with_exact_sums(self, weights, shots, seed):
+        # A block of 1-8 outcomes at the bottom of a 3-qubit state that holds all the probability.
+        amplitudes = np.zeros(8)
+        amplitudes[: len(weights)] = np.sqrt(np.array(weights) / sum(weights))
+        state = Statevector(amplitudes, RegisterLayout((("k", 3),)))
+        counts = sample_counts(state, shots, seed, slice(0, len(weights)))
+        assert counts.dtype == np.int64 and counts.shape == (len(weights),)
+        assert counts.sum() == shots and np.all(counts >= 0)
+        assert np.all(counts[np.array(weights) == 0.0] == 0)
+
+    def test_max_shots_is_exact_in_bounded_memory(self):
+        # 2^63 - 1 shots take a handful of Poisson levels; a single completion would need ~c 2^31.5 uniforms.
+        # On [0, 1] the level mean is the whole of lam, which numpy's Poisson range admits only below ~9.2e18.
+        src = str(Path(qftcalc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import json, resource, sys, numpy as np; "
+            "from qftcalc.state import RegisterLayout, Statevector, exact_probabilities, sample_counts; "
+            "shots = int(sys.argv[1]); out = []\n"
+            "for amps in ([0.6, 0.8], [0.0, 1.0], np.sqrt([0.1, 0.2, 0.3, 0.4])):\n"
+            "    state = Statevector(amps, RegisterLayout((('k', len(amps).bit_length() - 1),)))\n"
+            "    sample_counts(state, 10**6, 0)  # loads numpy.random and pages in its code\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    counts = sample_counts(state, shots, 7)\n"
+            "    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "    out.append([[int(c) for c in counts], exact_probabilities(state).tolist(), grown])\n"
+            "print(json.dumps(out))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(MAX_SHOTS)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        for counts, probs, grown_kib in json.loads(result.stdout):
+            p = np.array(probs) / sum(probs)
+            assert sum(counts) == MAX_SHOTS
+            sigma = np.sqrt(MAX_SHOTS * p * (1.0 - p))
+            assert np.all(np.abs(np.array(counts, dtype=float) - MAX_SHOTS * p) <= 6.0 * sigma)
+            assert grown_kib < 5 * 1024
