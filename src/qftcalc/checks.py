@@ -86,17 +86,17 @@ def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
     """The FFT-based QFT on a register between two free qubits equals the gate-by-gate replay.
 
     Runs uncontrolled and controlled from the free qubit above and the one
-    below, so the register's merged axis is a strided view of the state.
+    below, so the register's axis is a middle axis of the state's view.
     """
     layout = RegisterLayout((("y", 1), ("k", n), ("x", 1)))
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << (n + 2)) + 1j * rng.normal(size=1 << (n + 2))
     amps /= np.linalg.norm(amps)
     err = 0.0
-    for control in (None, (layout.qubits("y")[0], 1), (layout.qubits("x")[0], 0)):
+    for control in (None, ("y", 1), ("x", 0)):
         fft = spectral.qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
         replay = Statevector(amps.copy(), layout)
-        outer = (control,) if control else ()
+        outer = ((layout.offset(control[0]), control[1]),) if control else ()
         for payload, targets, controls in reference.qft_gate_sequence(layout.qubits("k"), inverse):
             apply_gate(replay, payload, targets, controls + outer)
         err = max(err, float(np.max(np.abs(fft.amplitudes - replay.amplitudes))))
@@ -194,7 +194,12 @@ def check_success_branch_law(n: int, mode: str, seed: int = 13) -> CheckResult:
 
 
 def check_oracle(mode: str, function: str, n: int) -> CheckResult:
-    """Exact-mode pipeline equals the squared periodic central difference (qftd) or cumulative trapezoid (qfti)."""
+    """Exact-mode pipeline equals the squared periodic central difference (qftd) or cumulative trapezoid (qfti).
+
+    ``1e-9 scale^2`` alone passes an all-zero output at the cap, where it
+    outgrows ``max oracle^2``; ``1e-9 scale max|oracle|`` fails it wherever
+    the oracle is not zero (real outputs reach 4.4e-7 of it at n = 3..16).
+    """
     f = oracles.sample_catalog(function, n)
     if mode == "qftd":
         series, name = pipelines.qftd_run(f, shots=None), "QFTD exact == central difference"
@@ -204,8 +209,10 @@ def check_oracle(mode: str, function: str, n: int) -> CheckResult:
         eta = psmpo.build_block_encoding(n).eta
         oracle, scale = oracles.trapezoid_partial_sums(f.samples, f.dx), f.l2_norm * eta * f.dx
     tol = 1e-9 * scale**2
+    relative_tol = 1e-9 * scale * float(np.max(np.abs(oracle)))
     err = float(np.max(np.abs(series.value_sq - oracle**2)))
-    return _result(f"{name} ({function}, n={n})", err <= tol, f"max |diff| {err:.2e} (tol {tol:.2e})")
+    detail = f"max |diff| {err:.2e} (tol {tol:.2e}; by scale * max|oracle| {relative_tol:.2e})"
+    return _result(f"{name} ({function}, n={n})", err <= tol and err <= relative_tol, detail)
 
 
 def check_block_encoding(n_k: int) -> CheckResult:
@@ -255,7 +262,7 @@ def check_partial_sum_half_map(n_k: int, seed: int = 29) -> CheckResult:
     before /= np.linalg.norm(before)
     state = Statevector(before.reshape(-1).copy(), layout)
     on = spectral.SUCCESS_BIT
-    psmpo.apply_partial_sum(state, control=(layout.qubits("a")[0], on))
+    psmpo.apply_partial_sum(state, control=("a", on))
     after = state.amplitudes.reshape(2, 4 * N)
     bitwise = bool(np.array_equal(after[on], enc.apply(before[on].reshape(2, 2, N)).reshape(-1)))
     untouched = bool(np.array_equal(after[1 - on], before[1 - on]))

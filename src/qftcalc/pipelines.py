@@ -144,17 +144,16 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
     init = int(integral)
     state = amplitude_encode(f.samples, f.l2_norm, layout, block=init << (len(ancillas) - 1))
     state.gate_count += init
-    (a_qubit,) = layout.qubits("a")
     # Only the ancilla's initial branch holds amplitude; the other is all zeros.
-    spectral.qft(state, control=(a_qubit, init))
+    spectral.qft(state, control=("a", init))
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
-    prefix = {"a": spectral.SUCCESS_BIT}
+    spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
     if integral:
-        psmpo.apply_partial_sum(state, control=(a_qubit, spectral.SUCCESS_BIT))
-        prefix = dict(zip("abc", psmpo.SUCCESS_PREFIX))
+        psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT))
 
-    start = layout.index_for({**prefix, "k": 0})
+    # The success block is the k axis at the ancillas' success prefix, one contiguous index range.
+    prefix = psmpo.SUCCESS_PREFIX if integral else (spectral.SUCCESS_BIT,)
+    start = int(np.ravel_multi_index((*prefix, 0), layout.shape))
     success = slice(start, start + f.n_points)
     if shots is None:
         psi_sq = exact_probabilities(state, success)

@@ -45,7 +45,8 @@ sum. The c = 1 blocks need no map of their own. With ``J`` the k reversal
 ``J C_U J = C_V``; hence ``(S^T x / eta, C_U x) = J half(J x)``.
 :meth:`BlockEncoding.apply` sends the c = 0 blocks and the reversed c = 1
 blocks through one stacked ``half`` call. :func:`apply_partial_sum` calls
-``half`` on the b = c = 0 block alone, the only one a pipeline populates.
+``half`` on the b = c = 0 block alone, the only one a pipeline populates,
+each block a view of the state with k last (:func:`qftcalc.state._branch`).
 One apply costs O(N log N) through numpy's FFT (numpy is the package's
 only runtime dependency) and holds O(N) weights. The build's chirp probe
 keeps ``numpy.random`` out of an exact run.
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import MAX_QUBITS, SUCCESS_BIT
-from .state import Statevector, _operand
+from .state import Statevector, _branch
 
 __all__ = [
     "BLOCK_TOL",
@@ -220,10 +221,11 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     return enc
 
 
-def apply_partial_sum(state: Statevector, control: tuple[int, int]) -> Statevector:
-    """Apply the encoded summation to the (b, c, k) registers under a control.
+def apply_partial_sum(state: Statevector, control: tuple[str, int]) -> Statevector:
+    """Apply the encoded summation to the (b, c, k) registers under a ``(register, value)`` control.
 
     The encoding is :func:`build_block_encoding` for the width of the k
+    register; b and c must be one qubit wide and the control on another
     register. The b and c registers must still be in |0>: unless every
     amplitude off the b = c = 0 block is exactly zero, ``ValueError`` is
     raised and the state is left untouched. ``U_H`` then sends the
@@ -233,23 +235,22 @@ def apply_partial_sum(state: Statevector, control: tuple[int, int]) -> Statevect
     untouched. One gate.
     """
     layout = state.layout
-    k_qubits = layout.qubits("k")
-    enc = build_block_encoding(len(k_qubits))
-    (b_qubit,) = layout.qubits("b")
-    (c_qubit,) = layout.qubits("c")
-    if control[1] != SUCCESS_PREFIX[0]:
-        raise ValueError("control polarity does not match the success prefix")
+    register, on = control
+    if register in ("b", "c", "k"):
+        raise ValueError(f"control register {register!r} is an operand of the summation")
+    if layout.width("b") != 1 or layout.width("c") != 1:
+        raise ValueError("registers b and c must be one qubit wide")
+    if on != SUCCESS_PREFIX[0]:
+        raise ValueError("control value does not match the success prefix")
 
-    def block(b: int, c: int) -> np.ndarray:  # a (b, c) block of the controlled branch, k on its last axes
-        return _operand(state, k_qubits, (control, (b_qubit, b), (c_qubit, c)))
+    def block(b: int, c: int) -> np.ndarray:  # a (b, c) block of the controlled branch, k on its last axis
+        return _branch(state, {register: on, "b": b, "c": c}, "k")
 
     x00 = block(0, 0)
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
-    off_block = (((b_qubit, 1),), ((b_qubit, 0), (c_qubit, 1)))
-    if any(_operand(state, (), fixed).any() for fixed in off_block):
+    if _branch(state, {"b": 1}).any() or _branch(state, {"b": 0, "c": 1}).any():
         raise ValueError("registers b/c are not in |0>: amplitude off the b = c = 0 block is non-zero")
-    s, cv = enc.half(x00.reshape(*x00.shape[: -len(k_qubits)], enc.dimension))
-    block(0, 1)[...], block(1, 0)[...] = s.reshape(x00.shape), cv.reshape(x00.shape)
+    block(0, 1)[...], block(1, 0)[...] = build_block_encoding(layout.width("k")).half(x00)
     x00[...] = 0.0
     state.gate_count += 1
     return state

@@ -7,20 +7,16 @@ least significant bit). Registers are declared most-significant first, so the
 first register in a layout occupies the top bits of the index and an ancilla
 register named ``a`` always sits in the most significant position.
 
-One private helper, :func:`_operand`, maps qubits to axes of a view of the
-amplitudes and is the only place that checks qubit range, control polarity
-and control/operand collisions. It takes a register's qubits in the order
-:meth:`RegisterLayout.qubits` lists them, least significant first, and
-reverses them into axes once. Every view of the state by qubit comes from
-it. Each layer that acts on a register works on such views: the gate
-kernel :func:`apply_gate`, which takes its matrix, targets and controls as
-arguments, the QFT (:func:`qftcalc.spectral.qft`), the rotation cascade
-(:func:`qftcalc.spectral.wavenumber_rotation`) and the block-encoded partial
-sum (:func:`qftcalc.psmpo.apply_partial_sum`). The partial sum's operand is
-the k register alone: it reads the b = c = 0 block of the controlled branch
-and writes two other (b, c) blocks, each fixed by b and c as extra controls,
-and its b/c check reads whole branches with no operand qubits. No
-``2^n x 2^n`` matrix is built.
+The run path views the amplitudes with one axis per register, of length
+``2**width``, most significant first (:attr:`RegisterLayout.shape`); a
+control is a ``(register, value)`` pair that indexes its axis away. One
+private helper, :func:`_branch`, makes every such view and checks register
+names and values. The QFT and the rotation cascade
+(:mod:`qftcalc.spectral`) act on the k axis of a branch, and the partial
+sum (:func:`qftcalc.psmpo.apply_partial_sum`) reads one (b, c) block of k
+and writes two others. No ``2^n x 2^n`` matrix is built. Only the gate
+kernel :func:`apply_gate` maps qubits to axes, so the oracles' gate replays
+index the state through code the run path does not share.
 
 :func:`amplitude_encode` writes the samples into one block of a zeroed
 state, so a pipeline starts in its ancilla branch without a gate; no run
@@ -114,17 +110,10 @@ class RegisterLayout:
         off = self.offset(name)
         return tuple(range(off, off + self.width(name)))
 
-    def index_for(self, values: Mapping[str, int]) -> int:
-        """Basis index for an assignment of every register."""
-        if set(values) != set(self.names):
-            raise ValueError(f"expected values for registers {self.names}, got {tuple(values)}")
-        index = 0
-        for name, value in values.items():
-            width = self.width(name)
-            if not 0 <= value < (1 << width):
-                raise ValueError(f"value {value} out of range for {width}-qubit register {name!r}")
-            index |= value << self.offset(name)
-        return index
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Axis lengths of the amplitudes viewed with one axis per register, ``2**width`` each."""
+        return tuple(1 << width for _, width in self.registers)
 
 
 @dataclass
@@ -207,7 +196,8 @@ def apply_gate(
 
     ``targets`` are ordered least significant first with respect to the
     matrix index; ``controls`` are (qubit, polarity) pairs. Wherever a
-    control fails the state is untouched.
+    control fails the state is untouched. Qubit q is axis n-1-q of the
+    amplitudes viewed as a ``(2,) * n`` tensor.
     """
     matrix = np.asarray(matrix, dtype=complex)
     targets = tuple(targets)
@@ -217,8 +207,25 @@ def apply_gate(
     defect = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
     if defect > UNITARY_TOL:
         raise ValueError(f"payload is not unitary: max|U†U - I| = {defect:.3e}")
+    n = state.n_qubits
+    control_qubits = [q for q, _ in controls]
+    index = [slice(None)] * n
+    for q, bit in controls:
+        if bit not in (0, 1):
+            raise ValueError(f"control polarity must be 0 or 1, got {bit}")
+        if not 0 <= q < n:
+            raise ValueError(f"control qubit {q} out of range for {n} qubits")
+        index[n - 1 - q] = bit
+    for q in targets:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    touched = [*targets, *control_qubits]
+    if len(set(touched)) < len(touched):
+        raise ValueError(f"control qubit collides with the operand (lies inside it) or a qubit repeats: {touched}")
+    free = [q for q in range(n - 1, -1, -1) if q not in control_qubits]
+    branch = state.amplitudes.reshape((2,) * n)[(*index, ...)]
     # The matrix's least significant target is its fastest-varying index: the last axis.
-    view = _operand(state, targets, controls)
+    view = np.moveaxis(branch, [free.index(q) for q in targets[::-1]], range(-len(targets), 0))
     view[...] = (view.reshape(-1, dim) @ matrix.T).reshape(view.shape)
     state.gate_count += 1
     return state
@@ -237,38 +244,28 @@ def apply_register_unitary(
     return apply_gate(state, matrix, qubits, (control,) if control else ())
 
 
-def _operand(state: Statevector, qubits: Sequence[int], controls: tuple[tuple[int, int], ...] = ()) -> np.ndarray:
-    """View of the branch where every control holds, with ``qubits`` as its last axes.
+def _branch(state: Statevector, fixed: Mapping[str, int], register: str | None = None) -> np.ndarray:
+    """View of the amplitudes with one axis per register, ``fixed`` indexed away and ``register`` last.
 
-    The amplitudes are viewed as a ``(2,) * n`` tensor whose axes run most
-    significant first (qubit q is axis n-1-q). ``qubits`` are listed least
-    significant first, as :meth:`RegisterLayout.qubits` lists a register and
-    :func:`apply_gate` takes its targets; their axes come last, most
-    significant first, so they read as one index once the last axes are
-    merged. The leading axes are the other free qubits.
-    Fixing the control axes by integer index keeps the result a view (the
-    trailing ellipsis keeps it a 0-d view when every axis is fixed).
+    The trailing ellipsis keeps the result a view even when every axis is
+    fixed. Raises ``KeyError`` for an unknown register and ``ValueError``
+    for a value out of range (numpy would wrap a negative one) or an
+    operand register that is also fixed.
     """
-    n = state.n_qubits
-    control_qubits = [q for q, _ in controls]
-    index = [slice(None)] * n
-    for q, bit in controls:
-        if bit not in (0, 1):
-            raise ValueError(f"control polarity must be 0 or 1, got {bit}")
-        if not 0 <= q < n:
-            raise ValueError(f"control qubit {q} out of range for {n} qubits")
-        index[n - 1 - q] = bit
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    touched = [*qubits, *control_qubits]
-    if len(set(touched)) < len(touched):
-        raise ValueError(f"control qubit collides with the operand (lies inside it) or a qubit repeats: {touched}")
-    branch = state.amplitudes.reshape((2,) * n)[(*index, ...)]
-    if not qubits:  # a branch check: no axes to move, so no second view to allocate
-        return branch
-    free = [q for q in range(n - 1, -1, -1) if q not in control_qubits]
-    return np.moveaxis(branch, [free.index(q) for q in qubits[::-1]], range(-len(qubits), 0))
+    layout = state.layout
+    index = [slice(None)] * len(layout.registers)
+    for name, value in fixed.items():
+        size = 1 << layout.width(name)
+        if not 0 <= value < size:
+            raise ValueError(f"value {value} out of range for register {name!r} of {size} values")
+        index[layout.names.index(name)] = value
+    free = [name for name in layout.names if name not in fixed]
+    if register is not None and register not in free:
+        if register in fixed:
+            raise ValueError(f"register {register!r} is both the operand and fixed")
+        raise KeyError(f"no register named {register!r}")
+    view = state.amplitudes.reshape(layout.shape)[(*index, ...)]
+    return view if register is None else np.moveaxis(view, free.index(register), -1)
 
 
 def exact_probabilities(state: Statevector, outcomes: slice = slice(None)) -> np.ndarray:

@@ -1,11 +1,12 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from qftcalc import pipelines
+from qftcalc import checks, pipelines
 from qftcalc.oracles import (
     CATALOG,
     central_difference_periodic,
@@ -213,3 +214,21 @@ class TestCatalog:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="wider than float range"):
                 sample_catalog("poly", 4, (-1e308, 1e308))
+
+
+class TestCheckOracle:
+    # Where the oracle is zero or below round-off, an all-zero output is right.
+    ZERO_ORACLE = {("qftd", "cos2pix", 3), ("qfti", "cos2pix", 4)}
+
+    @pytest.mark.parametrize("mode", ["qftd", "qfti"])
+    @pytest.mark.parametrize("function", sorted(CATALOG))
+    def test_all_zero_output_fails_at_every_width(self, mode, function, monkeypatch):
+        # At n = 16 the 1e-9 scale^2 bound alone passed this output for
+        # cos2pix and harmonics; the bound by scale * max|oracle| fails it.
+        def zeros(f, shots=None, seed=0):
+            return SimpleNamespace(value_sq=np.zeros(f.n_points))
+
+        monkeypatch.setattr(pipelines, f"{mode}_run", zeros)
+        for n in range(3, 17):
+            result = checks.check_oracle(mode, function, n)
+            assert result.passed == ((mode, function, n) in self.ZERO_ORACLE), result.detail

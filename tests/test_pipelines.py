@@ -170,16 +170,15 @@ def unfused_exact_run(f, mode):
         apply_gate(state, pauli_x(), (a_qubit,))
     spectral.qft(state)
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, inverse=True, control=(a_qubit, spectral.SUCCESS_BIT))
+    spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
     if mode == MODE_DERIVATIVE:
-        prefix, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
+        prefix, scale_sq = (1,), (l2 / f.dx) ** 2
     else:
         dense, eta = block_encode_dimension(f.n_points)
         operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
         apply_register_unitary(state, dense, operand, control=(a_qubit, 1))
-        prefix, scale_sq = {"a": 1, "b": 0, "c": 1}, (l2 * eta * f.dx) ** 2
-    start = layout.index_for({**prefix, "k": 0})
-    psi_sq = exact_probabilities(state)[start : start + f.n_points]
+        prefix, scale_sq = (1, 0, 1), (l2 * eta * f.dx) ** 2
+    psi_sq = exact_probabilities(state).reshape(layout.shape)[prefix]
     return scale_sq * np.where(psi_sq > 1e-24, psi_sq, 0.0), state.gate_count
 
 

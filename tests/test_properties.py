@@ -75,15 +75,14 @@ def test_norm_preserved_after_each_stage(f, mode):
     registers = (("a", 1), ("b", 1), ("c", 1), ("k", n)) if integral else (("a", 1), ("k", n))
     layout = RegisterLayout(registers)
     state = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), f.l2_norm, layout)
-    (a_qubit,) = layout.qubits("a")
     stages = [
         lambda: spectral.qft(state),
         lambda: spectral.wavenumber_rotation(state),
-        lambda: spectral.qft(state, inverse=True, control=(a_qubit, spectral.SUCCESS_BIT)),
+        lambda: spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT)),
     ]
     if integral:
-        stages.insert(0, lambda: apply_gate(state, pauli_x(), (a_qubit,)))
-        stages.append(lambda: psmpo.apply_partial_sum(state, control=(a_qubit, spectral.SUCCESS_BIT)))
+        stages.insert(0, lambda: apply_gate(state, pauli_x(), layout.qubits("a")))
+        stages.append(lambda: psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT)))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= NORM_TOL
     for stage in stages:
         stage()

@@ -10,7 +10,7 @@ from qftcalc.psmpo import SUCCESS_PREFIX, BlockEncoding, apply_partial_sum, buil
 from qftcalc.oracles import sample_catalog
 from qftcalc.reference import block_encode_dimension, materialise, summation_eigenpairs, summation_svd
 from qftcalc.pipelines import qfti_run
-from qftcalc.state import RegisterLayout, Statevector, _operand, apply_register_unitary
+from qftcalc.state import RegisterLayout, Statevector, apply_register_unitary
 
 from conftest import random_state_vector
 
@@ -23,8 +23,7 @@ def hermitian_embedding(N):
 def qfti_state(n_k, k_amplitudes, ancilla_bit=1):
     layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n_k)))
     amps = np.zeros(1 << (n_k + 3), dtype=complex)
-    base = layout.index_for({"a": ancilla_bit, "b": 0, "c": 0, "k": 0})
-    amps[base : base + (1 << n_k)] = k_amplitudes
+    amps.reshape(layout.shape)[ancilla_bit, 0, 0] = k_amplitudes
     return Statevector(amps, layout), layout
 
 
@@ -133,7 +132,7 @@ class TestMatrixFree:
         ids=["free-above-control", "scrambled"],
     )
     def test_partial_sum_equals_dense_gate(self, n_k, registers, rng):
-        # "g" is the control qubit, "f" a free qubit; b = c = 0 everywhere.
+        # "g" is the one-qubit control register, "f" a free one; b = c = 0 everywhere.
         layout = RegisterLayout(tuple((name, n_k if name == "k" else 1) for name in registers))
         n = n_k + 4
         amps = random_state_vector(n, rng)
@@ -142,11 +141,10 @@ class TestMatrixFree:
             amps[(index >> layout.offset(name)) & 1 == 1] = 0.0
         state = Statevector(amps.copy(), layout)
         expected = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
-        (g_qubit,) = layout.qubits("g")
-        control = (g_qubit, 1)
-        apply_partial_sum(state, control=control)
+        apply_partial_sum(state, control=("g", 1))
         operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
-        apply_register_unitary(expected, block_encode_dimension(1 << n_k)[0], operand, control=control)
+        dense = block_encode_dimension(1 << n_k)[0]
+        apply_register_unitary(expected, dense, operand, control=(layout.offset("g"), 1))
         assert np.max(np.abs(state.amplitudes - expected.amplitudes)) <= 1e-12
         assert state.gate_count == expected.gate_count == 1
         off = (index >> layout.offset("g")) & 1 == 0
@@ -247,14 +245,12 @@ class TestMatrixFree:
         for name in ("b", "c"):
             amps[(index >> layout.offset(name)) & 1 == 1] = 0.0
         state = Statevector(amps.copy(), layout)
-        control = (layout.qubits("g")[0], 1)
-        operand = (*layout.qubits("k"), *layout.qubits("c"), *layout.qubits("b"))
-        before = _operand(state, operand, (control,))
-        enc = build_block_encoding(n_k)
-        expected = enc.apply(before.reshape(*before.shape[: -len(operand)], 2, 2, enc.dimension))
-        apply_partial_sum(state, control=control)
-        after = _operand(state, operand, (control,))
-        assert np.array_equal(after.reshape(expected.shape), expected)
+        # The g = 1 branch as [free registers..., b, c, k], by moving the register axes.
+        shaped = state.amplitudes.reshape(layout.shape)
+        operand = np.moveaxis(shaped, [registers.index(name) for name in "gbck"], [0, -3, -2, -1])[1]
+        expected = build_block_encoding(n_k).apply(operand)
+        apply_partial_sum(state, control=("g", 1))
+        assert np.array_equal(operand, expected)
         off = (index >> layout.offset("g")) & 1 == 0
         assert np.array_equal(state.amplitudes[off], amps[off])
 
@@ -279,11 +275,11 @@ class TestMatrixFree:
             materialise(dataclasses.replace(enc, weights=enc.weights * (1 + 1e-6j)))
 
     def test_control_inside_operand_rejected(self, rng):
-        state, layout = qfti_state(2, random_state_vector(2, rng))
+        state, _ = qfti_state(2, random_state_vector(2, rng))
         before = state.amplitudes.copy()
-        for qubit in (layout.qubits("b")[0], layout.qubits("k")[0], state.n_qubits):
-            with pytest.raises(ValueError, match="control qubit"):
-                apply_partial_sum(state, control=(qubit, 1))
+        for register in ("b", "c", "k"):
+            with pytest.raises(ValueError, match="control register"):
+                apply_partial_sum(state, control=(register, 1))
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -345,11 +341,8 @@ class TestApplyPartialSum:
         amplitudes = np.zeros(N)
         amplitudes[0] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
-        apply_partial_sum(state, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = SUCCESS_PREFIX
-        got = np.array(
-            [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
-        )
+        apply_partial_sum(state, control=("a", 1))
+        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
         assert_allclose(got, np.ones(N) / enc.eta, atol=1e-10)
 
     def test_uniform_input_gives_ramp(self):
@@ -357,11 +350,8 @@ class TestApplyPartialSum:
         N = 1 << n_k
         enc = build_block_encoding(n_k)
         state, layout = qfti_state(n_k, np.full(N, 1.0 / math.sqrt(N)))
-        apply_partial_sum(state, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = SUCCESS_PREFIX
-        got = np.array(
-            [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
-        )
+        apply_partial_sum(state, control=("a", 1))
+        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
         expected = np.cumsum(np.full(N, 1.0 / math.sqrt(N))) / enc.eta
         assert_allclose(got, expected, atol=1e-10)
 
@@ -373,11 +363,8 @@ class TestApplyPartialSum:
         amplitudes = np.zeros(N)
         amplitudes[basis] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
-        apply_partial_sum(state, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = SUCCESS_PREFIX
-        got = np.array(
-            [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
-        )
+        apply_partial_sum(state, control=("a", 1))
+        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
         assert_allclose(got, np.tril(np.ones((N, N)))[:, basis] / enc.eta, atol=1e-10)
 
     def test_zero_controlled_branch_stays_zero(self, rng):
@@ -385,13 +372,9 @@ class TestApplyPartialSum:
         n_k = 2
         state, layout = qfti_state(n_k, random_state_vector(n_k, rng), ancilla_bit=0)
         before = state.amplitudes.copy()
-        apply_partial_sum(state, control=(layout.qubits("a")[0], 1))
+        apply_partial_sum(state, control=("a", 1))
         assert np.array_equal(state.amplitudes, before)
-        pa, pb, pc = SUCCESS_PREFIX
-        success = [
-            state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})]
-            for j in range(1 << n_k)
-        ]
+        success = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
         assert np.max(np.abs(success)) == 0.0
 
     def test_success_probability_conservation(self, rng):
@@ -401,11 +384,8 @@ class TestApplyPartialSum:
         amplitudes = random_state_vector(n_k, rng).real
         amplitudes /= np.linalg.norm(amplitudes)
         state, layout = qfti_state(n_k, amplitudes)
-        apply_partial_sum(state, control=(layout.qubits("a")[0], 1))
-        pa, pb, pc = SUCCESS_PREFIX
-        got = np.array(
-            [state.amplitudes[layout.index_for({"a": pa, "b": pb, "c": pc, "k": j})] for j in range(N)]
-        )
+        apply_partial_sum(state, control=("a", 1))
+        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
         expected = np.linalg.norm(np.cumsum(amplitudes)) ** 2 / enc.eta**2
         assert abs(np.sum(np.abs(got) ** 2) - expected) <= 1e-10
 
@@ -415,16 +395,16 @@ class TestApplyPartialSum:
         n_k = 2
         layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n_k)))
         occupied = np.zeros(1 << (n_k + 3), dtype=complex)
-        occupied[layout.index_for({"a": 1, "b": 1, "c": 0, "k": 0})] = 1.0
+        occupied.reshape(layout.shape)[1, 1, 0, 0] = 1.0
         stray = qfti_state(n_k, random_state_vector(n_k, rng))[0].amplitudes
-        stray[layout.index_for({"a": 1, "b": 1, "c": 0, "k": 1})] = 1e-20
+        stray.reshape(layout.shape)[1, 1, 0, 1] = 1e-20
         for amps in (occupied, stray):
             state = Statevector(amps.copy(), layout)
             with pytest.raises(ValueError, match="b/c"):
-                apply_partial_sum(state, control=(layout.qubits("a")[0], 1))
+                apply_partial_sum(state, control=("a", 1))
             assert np.array_equal(state.amplitudes, amps)
 
     def test_rejects_polarity_mismatch(self, rng):
-        state, layout = qfti_state(2, random_state_vector(2, rng))
-        with pytest.raises(ValueError, match="polarity"):
-            apply_partial_sum(state, control=(layout.qubits("a")[0], 0))
+        state, _ = qfti_state(2, random_state_vector(2, rng))
+        with pytest.raises(ValueError, match="success prefix"):
+            apply_partial_sum(state, control=("a", 0))

@@ -11,7 +11,7 @@ from qftcalc import spectral
 from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL
 from qftcalc.reference import qft_gate_sequence, reconstructed_rotation, rotation_angles, rx_gate
 from qftcalc.spectral import SUCCESS_BIT, _rotation_factors, _rotation_turns, qft, wavenumber_rotation
-from qftcalc.state import RegisterLayout, Statevector, apply_gate, apply_register_unitary
+from qftcalc.state import RegisterLayout, Statevector, apply_gate
 
 from conftest import embed_full, random_state_vector
 
@@ -86,7 +86,7 @@ class TestQft:
         amps[: 1 << n] = spectrum / np.sqrt(2.0)
         amps[1 << n :] = spectrum / np.sqrt(2.0)
         state = Statevector(amps.copy(), layout)
-        qft(state, control=(layout.qubits("a")[0], 1))
+        qft(state, control=("a", 1))
         assert np.array_equal(state.amplitudes[: 1 << n], amps[: 1 << n])
         assert_allclose(state.amplitudes[1 << n :], dft_matrix(n) @ amps[1 << n :], atol=1e-12)
 
@@ -94,11 +94,11 @@ class TestQft:
         # perfbench/tracer.py reads a controlled call's control from its keywords.
         layout = RegisterLayout((("a", 1), ("k", 2)))
         with pytest.raises(TypeError):
-            qft(Statevector(np.eye(8)[0], layout), False, (2, 1))
+            qft(Statevector(np.eye(8)[0], layout), False, ("a", 1))
 
     def test_control_inside_register_rejected(self):
-        with pytest.raises(ValueError, match="inside"):
-            qft(k_state(3), control=(1, 1))
+        with pytest.raises(ValueError, match="operand"):
+            qft(k_state(3), control=("k", 1))
 
     @pytest.mark.parametrize("registers", [(("a", 1), ("k", 5)), (("a", 1), ("b", 1), ("c", 1), ("k", 5))])
     def test_pipeline_layout_keeps_the_amplitude_array(self, registers, rng):
@@ -106,28 +106,32 @@ class TestQft:
         layout = RegisterLayout(registers)
         state = Statevector(random_state_vector(layout.n_qubits, rng), layout)
         amplitudes = state.amplitudes
-        (a_qubit,) = layout.qubits("a")
-        qft(state, control=(a_qubit, 0))
-        qft(state, inverse=True, control=(a_qubit, 1))
+        qft(state, control=("a", 0))
+        qft(state, inverse=True, control=("a", 1))
         assert state.amplitudes is amplitudes
 
 
-# Widths of the free registers y (above k) and x (below k), and the control
-# as (register, polarity) on that register's lowest qubit.
-FREE_QUBIT_LAYOUTS = {
-    "control-above": (1, 1, ("y", 1)),
-    "control-below": (2, 2, ("x", 0)),
-    "no-control": (1, 1, None),
+# The registers above k and below it, and the control as (register, value)
+# on a one-qubit register. "control-below" keeps a free register on each side
+# of k: its qubits are those of a control on the lowest qubit of a 2-qubit x.
+FREE_REGISTER_LAYOUTS = {
+    "control-above": ((("y", 1),), (("x", 1),), ("y", 1)),
+    "control-below": ((("y", 2),), (("x", 1), ("w", 1)), ("w", 0)),
+    "no-control": ((("y", 1),), (("x", 1),), None),
 }
 
 
 def check_against_replay(layout, inverse, control, rng):
-    """``qft`` on register k within 1e-13 of a gate-by-gate replay, with equal gate counts."""
+    """``qft`` on register k within 1e-13 of a gate-by-gate replay, with equal gate counts.
+
+    ``control`` is a (register, value) pair on a one-qubit register; the
+    replay puts it on that register's qubit.
+    """
     width, n = layout.n_qubits, layout.width("k")
     amps = random_state_vector(width, rng)
     transformed = qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
     replay = Statevector(amps.copy(), layout)
-    outer = (control,) if control else ()
+    outer = ((layout.offset(control[0]), control[1]),) if control else ()
     for payload, targets, controls in qft_gate_sequence(layout.qubits("k"), inverse):
         apply_gate(replay, payload, targets, controls + outer)
     assert np.max(np.abs(transformed.amplitudes - replay.amplitudes)) <= 1e-13
@@ -137,36 +141,34 @@ def check_against_replay(layout, inverse, control, rng):
 class TestFusedQft:
     """The FFT-based QFT against a gate-by-gate replay of ``qft_gate_sequence``."""
 
-    @pytest.mark.parametrize("control", [None, (0, 1), (0, 0)])
+    @pytest.mark.parametrize("control", [None, ("x", 1), ("x", 0)])
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_gate_replay(self, n, inverse, control, rng):
-        # The k register sits above a spare qubit 0 that carries the control.
+        # The k register sits above a spare one-qubit register x that carries the control.
         check_against_replay(RegisterLayout((("k", n), ("x", 1))), inverse, control, rng)
 
     @pytest.mark.parametrize(
         "n, layout",
-        [(n, layout) for n in range(1, 7) for layout in FREE_QUBIT_LAYOUTS] + [(10, "control-above")],
+        [(n, layout) for n in range(1, 7) for layout in FREE_REGISTER_LAYOUTS] + [(10, "control-above")],
     )
     @pytest.mark.parametrize("inverse", [False, True])
     def test_register_between_free_qubits(self, n, layout, inverse, rng):
-        above, below, control = FREE_QUBIT_LAYOUTS[layout]
-        layout = RegisterLayout((("y", above), ("k", n), ("x", below)))
-        if control is not None:
-            control = (layout.qubits(control[0])[0], control[1])
-        check_against_replay(layout, inverse, control, rng)
+        # k is a middle axis of the register view.
+        above, below, control = FREE_REGISTER_LAYOUTS[layout]
+        check_against_replay(RegisterLayout((*above, ("k", n), *below)), inverse, control, rng)
 
-    @pytest.mark.parametrize("control", [(0, 2), (7, 1), (-1, 1), (0, 5)])
+    @pytest.mark.parametrize("control", [("x", 2), ("x", 1 << 40), ("x", -1), ("k", 0)])
     def test_bad_control_rejected(self, control, rng):
-        # The QFT and a register unitary on the same qubits share one control check.
+        # A value outside the register's range (a negative one, which numpy
+        # would wrap, included) or a control on k itself.
         layout = RegisterLayout((("k", 3), ("x", 1)))
         state = Statevector(random_state_vector(4, rng), layout)
         before = state.amplitudes.copy()
         with pytest.raises(ValueError):
             qft(state, control=control)
-        with pytest.raises(ValueError):
-            apply_register_unitary(state, np.eye(8), layout.qubits("k"), control=control)
         assert np.array_equal(state.amplitudes, before)
+        assert state.gate_count == 0
 
 
 class TestAngleSchedule:
@@ -239,11 +241,11 @@ def start_branch_state(registers, mode, rng):
 
 class TestRotationFactors:
     def test_factors_are_read_only(self):
+        # Flat arrays indexed by k that own their data: no writable base stands behind them.
         for factor in _rotation_factors(4):
+            assert factor.shape == (16,) and factor.base is None
             with pytest.raises(ValueError, match="read-only"):
-                factor[0, 0, 0, 0] = 2.0
-            with pytest.raises(ValueError, match="read-only"):
-                factor.base[0] = 2.0
+                factor[0] = 2.0
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_one_entry_per_register_width(self, n, rng):
@@ -275,7 +277,7 @@ class TestWavenumberRotation:
         spectrum[0] = 1.0
         state, layout = ak_state(n, spectrum, ancilla_bit=0)
         wavenumber_rotation(state)
-        success = state.amplitudes[layout.index_for({"a": 1, "k": 0})]
+        success = state.amplitudes.reshape(layout.shape)[1, 0]
         assert abs(success) <= 1e-15
 
     def test_k0_integral_success_amplitude_unchanged(self):
@@ -284,7 +286,7 @@ class TestWavenumberRotation:
         spectrum[0] = 1.0
         state, layout = ak_state(n, spectrum, ancilla_bit=1)
         wavenumber_rotation(state)
-        success = state.amplitudes[layout.index_for({"a": 1, "k": 0})]
+        success = state.amplitudes.reshape(layout.shape)[1, 0]
         assert_allclose(success, 1.0, atol=1e-15)
 
     def test_success_amplitudes_match_dense_cascade(self, rng):
@@ -378,7 +380,7 @@ class TestWavenumberRotation:
         for populated in (0, 1):
             stray = np.zeros(2 << n, dtype=complex)
             stray[populated << n :][: 1 << n] = random_state_vector(n, rng)
-            stray[layout.index_for({"a": 1 - populated, "k": 3})] = 1e-20
+            stray.reshape(layout.shape)[1 - populated, 3] = 1e-20
             cases.append(stray)
         for amps in cases:
             state = Statevector(amps.copy(), layout)
@@ -393,18 +395,18 @@ class TestWavenumberRotation:
         # starting in |1> (QFTI) scans its |1> branch, then the empty |0> branch.
         state, _ = ak_state(3, random_state_vector(3, rng), ancilla_bit=populated)
         scans = []
-        real_operand = spectral._operand
+        real_branch = spectral._branch
 
         class Branch(np.ndarray):
             def any(self, *args, **kwargs):
                 scans.append(self.bit)
                 return np.asarray(self).any(*args, **kwargs)
 
-        def operand(state, qubits, controls=()):
-            view = real_operand(state, qubits, controls).view(Branch)
-            view.bit = controls[0][1]
+        def branch(state, fixed, register=None):
+            view = real_branch(state, fixed, register).view(Branch)
+            view.bit = fixed["a"]
             return view
 
-        monkeypatch.setattr(spectral, "_operand", operand)
+        monkeypatch.setattr(spectral, "_branch", branch)
         wavenumber_rotation(state)
         assert scans == ([1] if populated == 0 else [1, 0])

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qftcalc
-from qftcalc import checks, state as state_module
+from qftcalc import checks, psmpo, spectral, state as state_module
 from qftcalc.experiments import MAX_SHOTS
 from qftcalc.reference import pauli_x, phase_gate, rx_gate, swap_gate
 from qftcalc.state import (
     RegisterLayout,
     Statevector,
+    _branch,
     amplitude_encode,
     apply_gate,
     apply_register_unitary,
@@ -48,10 +49,13 @@ class TestRegisterLayout:
         assert layout.qubits("a") == (5,)
 
     def test_index_roundtrip(self):
+        # One axis per register, most significant first: the flat index of
+        # (a, k) in the register shape carries a and k at their offsets.
         layout = RegisterLayout((("a", 1), ("k", 3)))
+        assert layout.shape == (2, 8)
         for a in (0, 1):
             for k in range(8):
-                index = layout.index_for({"a": a, "k": k})
+                index = int(np.ravel_multi_index((a, k), layout.shape))
                 assert (index >> layout.offset("a")) & 1 == a
                 assert (index >> layout.offset("k")) & 7 == k
 
@@ -162,6 +166,16 @@ class TestApplyGate:
         state = Statevector([1, 0, 0, 0], two_qubit_layout())
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(state, pauli_x(), (5,))
+
+    @pytest.mark.parametrize("control", [(0, 2), (7, 1), (-1, 1), (0, 5)])
+    def test_rejects_bad_control(self, control, rng):
+        # A polarity other than 0 or 1, or a control qubit out of range.
+        layout = RegisterLayout((("k", 3), ("x", 1)))
+        state = Statevector(random_state_vector(4, rng), layout)
+        before = state.amplitudes.copy()
+        with pytest.raises(ValueError):
+            apply_register_unitary(state, np.eye(8), layout.qubits("k"), control=control)
+        assert np.array_equal(state.amplitudes, before)
 
 
 class TestRegisterUnitary:
@@ -281,6 +295,87 @@ class TestReverseQubits:
                 expected[(mirrored << 1) | (index & 1)] = amps[index]
         assert np.array_equal(swaps.amplitudes, expected)
         assert swaps.gate_count == width // 2
+
+
+class TestRegisterViews:
+    """The run path's one-axis-per-register views and their refusals."""
+
+    def test_views_write_through_with_k_in_the_middle(self):
+        # Bit arithmetic, not a reshape, locates each amplitude: index = y << 5 | k << 2 | x.
+        layout = RegisterLayout((("y", 1), ("k", 3), ("x", 2)))
+        state = Statevector(np.zeros(64), layout)
+        amplitudes = state.amplitudes
+        view = _branch(state, {"x": 2}, "k")
+        assert view.shape == (2, 8) and np.shares_memory(view, amplitudes)
+        view[...] = np.arange(16).reshape(2, 8) + 1
+        expected = np.zeros(64, dtype=complex)
+        for y in range(2):
+            for k in range(8):
+                expected[y << 5 | k << 2 | 2] = 8 * y + k + 1
+        assert np.array_equal(state.amplitudes, expected)
+        # A transform through the controlled view lands in the same entries.
+        spectral.qft(state, control=("x", 2))
+        assert state.amplitudes is amplitudes
+        touched = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
+        assert set(touched) <= {y << 5 | k << 2 | 2 for y in range(2) for k in range(8)}
+        assert_allclose(_branch(state, {"y": 1, "x": 2})[...], np.fft.ifft(np.arange(9, 17), norm="ortho"))
+
+    @staticmethod
+    def refused(state, call, error):
+        """``call`` raises ``error`` and leaves the amplitudes and the gate count bitwise as they were."""
+        before = state.amplitudes.copy()
+        with pytest.raises(error):
+            call()
+        assert np.array_equal(state.amplitudes, before) and state.gate_count == 0
+
+    @pytest.mark.parametrize(
+        "control, error",
+        [(("a", -1), ValueError), (("a", 2), ValueError), (("z", 1), KeyError), (("k", 0), ValueError)],
+        ids=["negative", "too-large", "unknown", "on-k"],
+    )
+    def test_qft_refuses_a_bad_control(self, control, error, rng):
+        layout = RegisterLayout((("a", 1), ("k", 3)))
+        state = Statevector(random_state_vector(4, rng), layout)
+        for inverse in (False, True):
+            self.refused(state, lambda: spectral.qft(state, inverse, control=control), error)
+
+    @pytest.mark.parametrize(
+        "control, error",
+        [
+            (("a", -1), ValueError),
+            (("a", 2), ValueError),
+            (("z", 1), KeyError),
+            (("b", 1), ValueError),
+            (("c", 1), ValueError),
+            (("k", 1), ValueError),
+        ],
+        ids=["negative", "too-large", "unknown", "on-b", "on-c", "on-k"],
+    )
+    def test_partial_sum_refuses_a_bad_control(self, control, error):
+        layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", 2)))
+        amps = np.zeros(32, dtype=complex)
+        amps.reshape(layout.shape)[1, 0, 0] = 0.5  # the populated a = 1, b = c = 0 block
+        state = Statevector(amps, layout)
+        self.refused(state, lambda: psmpo.apply_partial_sum(state, control=control), error)
+
+    def test_rotation_refuses_a_two_qubit_ancilla(self):
+        # Amplitude at a = 2 lies in neither the a = 0 nor the a = 1 branch,
+        # so without the width check the rotation would be a silent no-op.
+        layout = RegisterLayout((("a", 2), ("k", 3)))
+        amps = np.zeros(32, dtype=complex)
+        amps.reshape(layout.shape)[2] = 1 / math.sqrt(8)
+        state = Statevector(amps, layout)
+        self.refused(state, lambda: spectral.wavenumber_rotation(state), ValueError)
+
+    @pytest.mark.parametrize("wide", ["b", "c"])
+    def test_partial_sum_refuses_a_two_qubit_block_register(self, wide):
+        layout = RegisterLayout(tuple((name, 2 if name == wide else 1) for name in "abc") + (("k", 2),))
+        amps = np.zeros(1 << layout.n_qubits, dtype=complex)
+        amps.reshape(layout.shape)[1, 0, 0] = 0.5
+        # b = 2 (or c = 2) lies off every block the b/c check reads.
+        amps.reshape(layout.shape)[(1, 2, 0) if wide == "b" else (1, 0, 2)] = 0.5
+        state = Statevector(amps, layout)
+        self.refused(state, lambda: psmpo.apply_partial_sum(state, control=("a", 1)), ValueError)
 
 
 class TestSampleL2Norm:
