@@ -9,7 +9,9 @@ which keeps the paper's circuits and matrices:
 - :func:`summation_svd`, :func:`block_encode_dimension` and
   :func:`materialise`, the dense ``U_H`` of ``psmpo.BlockEncoding``, and
   :func:`summation_eigenpairs`, which holds ``BlockEncoding.half`` to Yueh's
-  closed forms at any width.
+  closed forms at any width;
+- :func:`exact_stencils`, both pipelines' stencils computed exactly and
+  rounded once, the reference of the accuracy ledger.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "block_encode_dimension",
     "materialise",
     "summation_eigenpairs",
+    "exact_stencils",
 ]
 
 
@@ -188,3 +191,35 @@ def summation_eigenpairs(N: int, ks: Sequence[int]) -> tuple[np.ndarray, np.ndar
     u = 2 / math.sqrt(M) * np.sin((j + 1) * theta)
     v = 2 / math.sqrt(M) * np.cos((j + 0.5) * theta)
     return u, v, _singular_values(N)[k - 1], _factored_weights(N)[k - 1]
+
+
+def exact_stencils(samples: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """The periodic central difference and the cumulative trapezoid of float samples, each correctly rounded.
+
+    The exact twins of :func:`qftcalc.oracles.central_difference_periodic`
+    and :func:`qftcalc.oracles.trapezoid_partial_sums`, computed in dyadic
+    integers rather than one ``Fraction`` per element: sample j is
+    ``I_j 2^E`` with one exponent ``E`` and a Python integer ``I_j``, and
+    ``dx`` is ``D 2^e``. The differences ``I_{j+1} - I_{j-1}`` and the
+    running sums of ``I_{j+1} + I_{j-1}`` are exact, and each output is
+    rounded to float once, by Python's correctly rounded integer division.
+    """
+    samples = np.asarray(samples, dtype=float)
+    mantissas, exponents = np.frexp(samples)
+    low = int(exponents.min())
+    ints = np.ldexp(mantissas, 53).astype(np.int64).astype(object) << (exponents - low).astype(object)
+    scale = low - 53  # sample j is ints[j] * 2^scale
+    d_mantissa, d_exponent = math.frexp(dx)
+    d_int, d_scale = int(math.ldexp(d_mantissa, 53)), d_exponent - 53  # dx = d_int * 2^d_scale
+    ahead, behind = np.roll(ints, -1), np.roll(ints, 1)
+    # (f_{j+1} - f_{j-1}) / (2 dx) and dx * sum_{i<=j} (f_{i+1} + f_{i-1}) / 2.
+    central = _rounded(ahead - behind, d_int, scale - 1 - d_scale)
+    trapezoid = _rounded(np.cumsum(ahead + behind) * d_int, 1, scale - 1 + d_scale)
+    return central, trapezoid
+
+
+def _rounded(numerators: np.ndarray, denominator: int, exponent: int) -> np.ndarray:
+    """``numerators * 2^exponent / denominator`` over an object array of integers, each rounded to float once."""
+    if exponent >= 0:
+        return ((numerators << exponent) / denominator).astype(float)
+    return (numerators / (denominator << -exponent)).astype(float)

@@ -76,3 +76,16 @@ def random_state_vector(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def fft_calls(monkeypatch) -> list[str]:
+    """Record, by name, every call of numpy's four one-dimensional FFTs from here on."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -232,3 +232,24 @@ class TestCheckOracle:
         for n in range(3, 17):
             result = checks.check_oracle(mode, function, n)
             assert result.passed == ((mode, function, n) in self.ZERO_ORACLE), result.detail
+
+    @pytest.mark.parametrize("mode", ["qftd", "qfti"])
+    @pytest.mark.parametrize("function", sorted(CATALOG))
+    def test_output_scaled_by_a_millionth_fails_at_every_width(self, mode, function, monkeypatch):
+        # The two older bounds passed the real output times 1 + 1e-6 at 21
+        # cases (QFTD cos2pix n >= 11 and harmonics n >= 10, QFTI cos2pix
+        # and invx n >= 13); the bound by max oracle^2 fails it. The real
+        # output passes, at 1/20 of that bound or less.
+        real_run = getattr(pipelines, f"{mode}_run")
+        stencil = central_difference_periodic if mode == "qftd" else trapezoid_partial_sums
+        for n in range(3, 17):
+            f = sample_catalog(function, n)
+            value_sq = real_run(f, shots=None).value_sq
+            oracle_sq = stencil(f.samples, f.dx) ** 2
+            zero_oracle = (mode, function, n) in self.ZERO_ORACLE
+            assert zero_oracle or np.max(np.abs(value_sq - oracle_sq)) <= checks.ORACLE_REL_TOL / 20 * np.max(oracle_sq)
+            for factor, should_pass in ((1.0, True), (1.0 + 1e-6, zero_oracle)):
+                output = SimpleNamespace(value_sq=value_sq * factor)
+                monkeypatch.setattr(pipelines, f"{mode}_run", lambda f, shots=None, seed=0: output)
+                result = checks.check_oracle(mode, function, n)
+                assert result.passed == should_pass, (n, factor, result.detail)

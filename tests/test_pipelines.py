@@ -28,7 +28,7 @@ from qftcalc.state import (
     exact_probabilities,
 )
 
-from conftest import dft_derivative
+from conftest import dft_derivative, fft_calls
 
 
 def qft_gate_total(n):
@@ -339,6 +339,30 @@ def test_runs_call_no_blas(monkeypatch, shots):
     assert built.misses == built.currsize == 1  # the n=10 build ran under the ban
     for series in (derivative, integral):
         assert np.all(np.isfinite(series.value_sq)) and series.success_probability > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 10, 16])
+@pytest.mark.parametrize("shots", [None, 10**6])
+def test_spectral_stage_takes_one_real_fft_each_way(monkeypatch, shots, n):
+    # Both pipelines transform a real input branch and a Hermitian success
+    # branch: one half-length rfft and one irfft, and no complex FFT. QFTI's
+    # summation runs its own FFTs, so only calls made inside spectral.qft count.
+    calls, inside = fft_calls(monkeypatch), []
+    real_qft = spectral.qft
+
+    def qft(*args, **kwargs):
+        start = len(calls)
+        result = real_qft(*args, **kwargs)
+        inside.extend(calls[start:])
+        return result
+
+    monkeypatch.setattr(spectral, "qft", qft)
+    f = SampledFunction(np.random.default_rng(n).standard_normal(1 << n), 0.0, 2.0**-n)
+    qftd_run(f, shots, seed=1)
+    assert calls == inside == ["rfft", "irfft"]
+    inside.clear()
+    qfti_run(f, shots, seed=1)
+    assert inside == ["rfft", "irfft"]
 
 
 @pytest.mark.parametrize("shots", [None, 10**6])

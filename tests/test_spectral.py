@@ -8,12 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qftcalc import spectral
+from qftcalc.checks import QFT_INPUT_KINDS, qft_input
 from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL
 from qftcalc.reference import qft_gate_sequence, reconstructed_rotation, rotation_angles, rx_gate
 from qftcalc.spectral import SUCCESS_BIT, _rotation_factors, _rotation_turns, qft, wavenumber_rotation
 from qftcalc.state import RegisterLayout, Statevector, apply_gate
 
-from conftest import embed_full, random_state_vector
+from conftest import embed_full, fft_calls, random_state_vector
 
 
 def k_state(n, amplitudes=None):
@@ -121,14 +122,15 @@ FREE_REGISTER_LAYOUTS = {
 }
 
 
-def check_against_replay(layout, inverse, control, rng):
+def check_against_replay(layout, inverse, control, rng, kind=None):
     """``qft`` on register k within 1e-13 of a gate-by-gate replay, with equal gate counts.
 
     ``control`` is a (register, value) pair on a one-qubit register; the
-    replay puts it on that register's qubit.
+    replay puts it on that register's qubit. The input is a random state, or
+    one whose rows along k are all of ``kind``.
     """
     width, n = layout.n_qubits, layout.width("k")
-    amps = random_state_vector(width, rng)
+    amps = random_state_vector(width, rng) if kind is None else qft_input(rng, layout, kind)
     transformed = qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
     replay = Statevector(amps.copy(), layout)
     outer = ((layout.offset(control[0]), control[1]),) if control else ()
@@ -158,6 +160,22 @@ class TestFusedQft:
         above, below, control = FREE_REGISTER_LAYOUTS[layout]
         check_against_replay(RegisterLayout((*above, ("k", n), *below)), inverse, control, rng)
 
+    @pytest.mark.parametrize("kind", QFT_INPUT_KINDS)
+    @pytest.mark.parametrize("n, layout", [(n, layout) for n in (1, 2, 5) for layout in FREE_REGISTER_LAYOUTS])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_every_input_kind_between_free_qubits(self, n, layout, inverse, kind, rng):
+        # Each FFT that qft chooses, on branches of two or four rows with k a middle axis, N = 2 included.
+        above, below, control = FREE_REGISTER_LAYOUTS[layout]
+        check_against_replay(RegisterLayout((*above, ("k", n), *below)), inverse, control, rng, kind)
+
+    @pytest.mark.parametrize("kind", QFT_INPUT_KINDS)
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_every_input_kind_on_the_qfti_branch(self, n, inverse, kind, rng):
+        # QFTI transforms its a = 1 branch, a (b, c, k) block of shape (2, 2, N).
+        layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n)))
+        check_against_replay(layout, inverse, ("a", 1), rng, kind)
+
     @pytest.mark.parametrize("control", [("x", 2), ("x", 1 << 40), ("x", -1), ("k", 0)])
     def test_bad_control_rejected(self, control, rng):
         # A value outside the register's range (a negative one, which numpy
@@ -169,6 +187,55 @@ class TestFusedQft:
             qft(state, control=control)
         assert np.array_equal(state.amplitudes, before)
         assert state.gate_count == 0
+
+
+class TestTransformChoice:
+    """``qft`` picks its FFT from the branch's exact symmetry, and only that FFT runs."""
+
+    @staticmethod
+    def expected(kind, inverse, n):
+        if kind == "real" or (n == 1 and kind in ("hermitian", "mixed")):  # at N = 2 those rows are real
+            return ["rfft"]
+        if kind == "hermitian":
+            return ["irfft"]
+        return ["fft" if inverse else "ifft"]
+
+    @pytest.mark.parametrize("kind", QFT_INPUT_KINDS)
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("control", [None, ("y", 1)])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_one_fft_of_the_branch_kind(self, kind, n, control, inverse, monkeypatch, rng):
+        layout = RegisterLayout((("y", 1), ("k", n), ("x", 1)))
+        state = Statevector(qft_input(rng, layout, kind), layout)
+        calls = fft_calls(monkeypatch)
+        qft(state, inverse=inverse, control=control)
+        assert calls == self.expected(kind, inverse, n)
+        assert state.gate_count == n * (n + 1) // 2 + n // 2
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_one_stray_entry_leaves_the_hermitian_path(self, part, monkeypatch, rng):
+        # One row of four off by one ulp in one part of one entry above N/2.
+        layout = RegisterLayout((("y", 1), ("k", 4), ("x", 1)))
+        amps = qft_input(rng, layout, "hermitian")
+        view = amps.reshape(layout.shape)
+        entry = getattr(view[1, 11, 0:1], part)
+        entry[...] = np.nextafter(entry, np.inf)
+        state = Statevector(amps, layout)
+        calls = fft_calls(monkeypatch)
+        qft(state)
+        assert calls == ["ifft"]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_real_and_hermitian_paths_write_the_symmetric_halves(self, n, rng):
+        # The forward QFT of a real row is Hermitian bit for bit, and that of a Hermitian row real.
+        layout = RegisterLayout((("k", n),))
+        half = 1 << (n - 1)
+        state = qft(Statevector(qft_input(rng, layout, "real"), layout))
+        v = state.amplitudes
+        assert v[0].imag == v[half].imag == 0.0
+        assert np.array_equal(v[1:half], v[: half : -1].conj())
+        state = qft(Statevector(qft_input(rng, layout, "hermitian"), layout))
+        assert not state.amplitudes.imag.any()
 
 
 class TestAngleSchedule:
@@ -194,8 +261,9 @@ class TestAngleSchedule:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_closed_form_turns_are_the_oracle_bytes(self, n):
-        # Bit for bit, the sign of zero at k = 0 included: the factors built
-        # from these turns must not move in the last place. The oracle sums
+        # Bit for bit, the sign of zero at k = 0 included: the factors take
+        # their lower half, k < N/2, from these turns and keep its bytes, and
+        # mirror it above (test_factors_are_even_and_odd_in_k). The oracle sums
         # the exact angles over the set bits of every k, one bit at a time
         # (the indices with bit p set are those below 2^p, plus angle p).
         sums = [Fraction(0)]
@@ -246,6 +314,21 @@ class TestRotationFactors:
             assert factor.shape == (16,) and factor.base is None
             with pytest.raises(ValueError, match="read-only"):
                 factor[0] = 2.0
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_factors_are_even_and_odd_in_k(self, n):
+        # c[N-k] = c[k] and s[N-k] = -s[k] bit for bit, s = 0 at k = 0 and N/2,
+        # and below N/2 the bytes of cos and sin of the closed-form turns.
+        c, s = _rotation_factors(n)
+        N, half = 1 << n, 1 << (n - 1)
+        k = np.arange(1, half)
+        assert c[N - k].tobytes() == c[k].tobytes()
+        assert s[N - k].tobytes() == (-s[k]).tobytes()
+        assert s[0] == s[half] == 0.0
+        phi = _rotation_turns(n) * math.pi
+        assert c[:half].tobytes() == np.cos(phi / 2.0)[:half].tobytes()
+        assert s[:half].tobytes() == np.sin(phi / 2.0)[:half].tobytes()
+        assert c[half] == -1.0
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_one_entry_per_register_width(self, n, rng):
