@@ -428,8 +428,8 @@ def _chisquare_p_value(observed: np.ndarray, expected: np.ndarray) -> tuple[floa
 def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> CheckResult:
     """Shot sampling is consistent with the Born-rule distribution.
 
-    Draws every outcome, then the upper half of the register alone through
-    the ``outcomes`` path of :func:`sample_counts`. Both spread their shots
+    Draws every outcome, then the upper half alone: the branch h = 1 of the
+    same amplitudes viewed as registers (h, k). Both spread their shots
     by Poissonization, whose law is exactly multinomial; at 1e6 shots over
     64 outcomes nearly every shot comes from the Poisson level (see
     :func:`check_sampling_small_counts` for the completion). Each draw
@@ -444,12 +444,12 @@ def check_sampling_chisquare(function: str, n: int = 6, shots: int = 10**6) -> C
     probs = exact_probabilities(state)
     p_value, bins = _chisquare_p_value(sample_counts(state, shots, seed=2024), probs * shots)
 
-    upper = slice(1 << (n - 1), None)
-    counts = sample_counts(state, shots, seed=2024, outcomes=upper)
-    hits = int(counts.sum())
-    share = float(np.sum(probs[upper]))
+    upper = probs[1 << (n - 1) :]
+    halves = Statevector(state.amplitudes, RegisterLayout((("h", 1), ("k", n - 1))))
+    counts = sample_counts(halves, shots, seed=2024, branch={"h": 1})
+    hits, share = int(counts.sum()), float(np.sum(upper))
     block_p_value, block_bins = _chisquare_p_value(
-        np.append(counts, shots - hits), np.append(probs[upper], 1.0 - share) * shots
+        np.append(counts, shots - hits), np.append(upper, 1.0 - share) * shots
     )
     sigma = float(np.sqrt(shots * share * (1.0 - share)))
     hits_ok = abs(hits - shots * share) <= 6.0 * sigma

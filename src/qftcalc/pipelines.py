@@ -1,11 +1,12 @@
 """End-to-end derivative (QFTD) and integral (QFTI) pipeline runs.
 
-Both run one spectral circuit: encode normalized samples straight into the
-start branch, move to the spectrum, apply the trigonometric wavenumber factor
+Both run one spectral circuit on branches named by register, never by flat
+index: encode normalized samples straight into the k axis of the start
+branch, move to the spectrum, apply the trigonometric wavenumber factor
 through the ancilla rotation and transform back under ancilla control; the
-integral starts the ancilla in |1> (its X is counted, not applied) and adds
-the cumulative-sum block encoding. The post-selected branch is read out as
-squared physical values:
+integral starts in (a, b, c) = (1, 0, 0) (the X on a is counted, not
+applied) and adds the cumulative-sum block encoding. The post-selected
+branch is read out as squared physical values:
 
     derivative:  value_sq_j = (|f| / dx)^2        * psi_j^2
     integral:    value_sq_j = (|f| * eta * dx)^2  * psi_j^2
@@ -18,14 +19,15 @@ as the encoding is built). A run has one norm, ``f.l2_norm``: the encoding,
 the scale and a sampled run's ``resolution_epsilon`` (the scale divided by
 ``shots``) all use it.
 
-Readout touches only the success block, one contiguous index range. Sampled
-mode draws how many shots succeed, ``hits ~ Binomial(shots, p_success)``,
-and then spreads them over the block by Poissonization: one Poisson variate
-per outcome plus a short categorical completion. Given the totals, Poisson
-counts are multinomial, so the spread is exactly
-``Multinomial(hits, psi^2 / p_success)`` in law, but it does not reproduce
-numpy's ``multinomial`` stream (see :func:`qftcalc.state.sample_counts`).
-No norm in a run is a BLAS dot (see :mod:`qftcalc.state` for why).
+Readout touches only the success branch, ``a = 1`` (``psmpo.SUCCESS_PREFIX``
+for the integral). Sampled mode draws how many shots succeed,
+``hits ~ Binomial(shots, p_success)``, and then spreads them over the
+branch by Poissonization: one Poisson variate per outcome plus a short
+categorical completion. Given the totals, Poisson counts are multinomial,
+so the spread is exactly ``Multinomial(hits, psi^2 / p_success)`` in law,
+but it does not reproduce numpy's ``multinomial`` stream (see
+:func:`qftcalc.state.sample_counts`). No norm in a run is a BLAS dot (see
+:mod:`qftcalc.state` for why).
 """
 
 from __future__ import annotations
@@ -119,10 +121,8 @@ def _squared_scale(f: SampledFunction, mode: str) -> float:
         scale, formula = f.l2_norm * psmpo.spectral_norm(f.n_points) * f.dx, "(|f|*eta*dx)^2"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    try:
-        scale_sq = float(scale) ** 2
-    except OverflowError:
-        scale_sq = math.inf
+    scale = float(scale)  # numpy scalars would warn where a float product over- or underflows silently
+    scale_sq = scale * scale
     if not 0.0 < scale_sq < math.inf:
         raise ValueError(
             f"recovery scale {formula} = {scale_sq!r} is not a positive finite number; "
@@ -132,29 +132,27 @@ def _squared_scale(f: SampledFunction, mode: str) -> float:
 
 
 def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> RecoveredSeries:
-    """Run the spectral circuit of ``mode`` on ``f`` and read out only its success block."""
+    """Run the spectral circuit of ``mode`` on ``f`` and read out only its success branch."""
     n = f.n_points.bit_length() - 1
     if f.n_points != (1 << n) or n < 2:
         raise ValueError(f"need 2^n samples with n >= 2, got {f.n_points}")
     integral = mode == MODE_INTEGRAL
-    ancillas = (("a", 1), ("b", 1), ("c", 1)) if integral else (("a", 1),)
-    layout = RegisterLayout((*ancillas, ("k", n)))
+    # The integral starts in a = 1 (its X is counted, not applied) and b = c = 0.
+    if integral:
+        start, success = {"a": 1, "b": 0, "c": 0}, psmpo.SUCCESS_PREFIX
+    else:
+        start, success = {"a": 0}, {"a": spectral.SUCCESS_BIT}
+    layout = RegisterLayout((*((name, 1) for name in start), ("k", n)))
     scale_sq = _squared_scale(f, mode)
-    # Encode straight into the start branch: a = 1 for the integral (its X), else 0; b = c = 0.
-    init = int(integral)
-    state = amplitude_encode(f.samples, f.l2_norm, layout, block=init << (len(ancillas) - 1))
-    state.gate_count += init
-    # Only the ancilla's initial branch holds amplitude; the other is all zeros.
-    spectral.qft(state, control=("a", init))
+    state = amplitude_encode(f.samples, f.l2_norm, layout, start)
+    state.gate_count += start["a"]
+    # Only the ancilla's start branch holds amplitude; the other is all zeros.
+    spectral.qft(state, control=("a", start["a"]))
     spectral.wavenumber_rotation(state)
     spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
     if integral:
         psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT))
 
-    # The success block is the k axis at the ancillas' success prefix, one contiguous index range.
-    prefix = psmpo.SUCCESS_PREFIX if integral else (spectral.SUCCESS_BIT,)
-    start = int(np.ravel_multi_index((*prefix, 0), layout.shape))
-    success = slice(start, start + f.n_points)
     if shots is None:
         psi_sq = exact_probabilities(state, success)
         success_probability = float(np.sum(psi_sq))
@@ -182,7 +180,7 @@ def qftd_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
     """Run the quantum spectral-derivative pipeline on sampled data.
 
     ``shots=None`` selects exact mode (probabilities read directly from the
-    statevector); otherwise outcomes are drawn once with the given seed.
+    statevector); otherwise the shots are drawn once with the given seed.
     """
     return _run(f, MODE_DERIVATIVE, shots, seed)
 
@@ -192,7 +190,7 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
 
     Adds the two block-encoding registers (b, c) and the encoded summation
     operator after the controlled inverse transform; post-selection happens on
-    the three-bit ``psmpo.SUCCESS_PREFIX``.
+    the branch ``psmpo.SUCCESS_PREFIX``.
     """
     return _run(f, MODE_INTEGRAL, shots, seed)
 

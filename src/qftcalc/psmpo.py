@@ -22,7 +22,8 @@ With ``A = H/eta`` and ``C = sqrt(I - A^2) = blockdiag(C_V, C_U)``,
 and ``C`` commute, so the Hermitian dilation ``U_H = [[A, C], [C, -A]]`` is a
 symmetric orthogonal involution (Gilyen, Su, Low & Wiebe, "Quantum singular
 value transformation and beyond", STOC 2019). ``S/eta`` is the lower-left
-block of ``A``, which fixes ``SUCCESS_PREFIX``.
+block of ``A``, which fixes ``SUCCESS_PREFIX``, the branch
+``{"a": 1, "b": 0, "c": 1}`` that a QFTI run reads out by register.
 
 ``U_H`` is never built as a matrix. On an operand of shape
 ``(..., 2, 2, N)`` whose index is ``k + N c + 2N b`` it maps the four
@@ -54,11 +55,8 @@ keeps ``numpy.random`` out of an exact run.
 Encodings are built for k registers of up to ``spectral.MAX_QUBITS`` (16)
 qubits, the cap QFTD has too. The length 2M is not a power of two, and at
 some widths numpy's FFT falls back to Bluestein's algorithm (2M = 2*3*2731
-at n_k = 12), so the cap rests on measurement: at n_k = 13..16 the cold
-build took 0.04-0.05, 0.18-0.28, 0.31-0.55 and 0.68-0.76 s, an exact QFTI
-run with the build memoized 0.006-0.008, 0.04-0.06, 0.06-0.10 and
-0.13-0.15 s (a 1e7-shot run 0.01-0.03 s more), and the process peaked at
-40, 56-58, 82-83 and 133-136 MiB (five fresh processes per width, 2 vCPUs).
+at n_k = 12), so the cap rests on measurement: the README tabulates the
+cold build, QFTI run times and peak memory at n_k = 13..16.
 """
 
 from __future__ import annotations
@@ -66,6 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,11 +85,11 @@ __all__ = [
 BLOCK_TOL = 1e-10
 # Largest |g - g_factored| a build accepts; the two closed forms agree to 2 ulps at n_k = 1..16.
 WEIGHT_TOL = 1e-13
-# The (a, b, c) bits of the output block that carries ``S @ A / eta``: S/eta
-# is the lower-left block of H/eta, row block (b, c) = (0, 1) of the first
-# block column, on the ancilla branch where the rotation cascade leaves the
-# result.
-SUCCESS_PREFIX = (SUCCESS_BIT, 0, 1)
+# The (a, b, c) values of the output branch that carries ``S @ A / eta``:
+# S/eta is the lower-left block of H/eta, row block (b, c) = (0, 1) of the
+# first block column, on the ancilla branch where the rotation cascade
+# leaves the result.
+SUCCESS_PREFIX = MappingProxyType({"a": SUCCESS_BIT, "b": 0, "c": 1})
 
 
 def _sine_sum(x: np.ndarray, slots: np.ndarray, bins: np.ndarray, length: int) -> np.ndarray:
@@ -240,7 +239,7 @@ def apply_partial_sum(state: Statevector, control: tuple[str, int]) -> Statevect
         raise ValueError(f"control register {register!r} is an operand of the summation")
     if layout.width("b") != 1 or layout.width("c") != 1:
         raise ValueError("registers b and c must be one qubit wide")
-    if on != SUCCESS_PREFIX[0]:
+    if on != SUCCESS_PREFIX["a"]:
         raise ValueError("control value does not match the success prefix")
 
     def block(b: int, c: int) -> np.ndarray:  # a (b, c) block of the controlled branch, k on its last axis

@@ -3,35 +3,30 @@
 Conventions
 -----------
 Qubit ``q`` carries bit significance ``q`` of the basis index (qubit 0 is the
-least significant bit). Registers are declared most-significant first, so the
-first register in a layout occupies the top bits of the index and an ancilla
-register named ``a`` always sits in the most significant position.
+least significant bit). Registers are declared most-significant first, in
+any order.
 
 The run path views the amplitudes with one axis per register, of length
-``2**width``, most significant first (:attr:`RegisterLayout.shape`); a
-control is a ``(register, value)`` pair that indexes its axis away. One
-private helper, :func:`_branch`, makes every such view and checks register
-names and values. The QFT and the rotation cascade
-(:mod:`qftcalc.spectral`) act on the k axis of a branch, and the partial
-sum (:func:`qftcalc.psmpo.apply_partial_sum`) reads one (b, c) block of k
-and writes two others. No ``2^n x 2^n`` matrix is built. Only the gate
-kernel :func:`apply_gate` maps qubits to axes, so the oracles' gate replays
-index the state through code the run path does not share.
+``2**width``, most significant first (:attr:`RegisterLayout.shape`), and
+names a branch by register values: a mapping such as ``{"a": 1, "b": 0}``,
+or one ``(register, value)`` control. One private helper, :func:`_branch`,
+makes every such view and checks its names and values, so register order
+matters nowhere on the run path. :func:`amplitude_encode` writes the
+samples into the k axis of one branch of a zeroed state, the QFT and the
+rotation cascade (:mod:`qftcalc.spectral`) act on the k axis of a branch,
+the partial sum (:func:`qftcalc.psmpo.apply_partial_sum`) reads one (b, c)
+block of k and writes two others, and the readout reads one branch, in
+index order. No ``2^n x 2^n`` matrix is built. Only the gate kernel
+:func:`apply_gate`, which no run calls, maps qubits to axes, so the
+oracles' gate replays index the state through code the run path does not
+share.
 
-:func:`amplitude_encode` writes the samples into one block of a zeroed
-state, so a pipeline starts in its ancilla branch without a gate; no run
-calls the gate kernel.
-
-Readout takes one ``outcomes`` slice of basis indices: exact probabilities
-square only those amplitudes, and shot sampling draws only the counts of
-that slice (see :func:`sample_counts`). It draws the slice's hit count as a
-binomial and spreads the hits by Poissonization: one Poisson variate per
-outcome and a short categorical completion, whose law is exactly
-multinomial (a full-range draw does not reproduce numpy's
-``multinomial`` stream). Norms on a pipeline run are numpy
-sums, not BLAS dots: a BLAS dot over 2^17 samples wakes the BLAS thread
-pool, whose idle workers then compete for the cores with the
-single-threaded FFT and random-number work.
+Sampling draws a branch's hit count as a binomial and spreads the hits by
+Poissonization, whose law is exactly multinomial (see
+:func:`sample_counts`). Norms on a pipeline run are numpy sums, not BLAS
+dots: a BLAS dot over 2^17 samples wakes the BLAS thread pool, whose idle
+workers then compete for the cores with the single-threaded FFT and
+random-number work.
 """
 
 from __future__ import annotations
@@ -79,8 +74,6 @@ class RegisterLayout:
             raise ValueError(f"duplicate register names in {names}")
         if any(width < 1 for _, width in self.registers):
             raise ValueError("register widths must be >= 1")
-        if "a" in names and names[0] != "a":
-            raise ValueError("ancilla register 'a' must occupy the most significant position")
 
     @property
     def n_qubits(self) -> int:
@@ -161,29 +154,29 @@ def sample_l2_norm(samples: np.ndarray) -> float:
     return norm
 
 
-def amplitude_encode(samples: Sequence[float], l2: float, layout: RegisterLayout, block: int = 0) -> Statevector:
-    """Write real samples divided by their L2 norm ``l2`` into one block of a zeroed statevector.
+def amplitude_encode(
+    samples: Sequence[float], l2: float, layout: RegisterLayout, branch: Mapping[str, int] = {}
+) -> Statevector:
+    """Write real samples divided by their L2 norm ``l2`` into one branch of a zeroed statevector.
 
     The caller holds the norm (:func:`sample_l2_norm` of the samples), which
-    also scales the measured values back, so it is taken once per run. The
-    blocks are the ``2^layout.n_qubits / len(samples)`` consecutive index
-    ranges of the sample count's size; amplitude ``block * len(samples) + j``
-    becomes ``samples[j] / l2``, and every other amplitude is zero.
+    also scales the measured values back, so it is taken once per run.
+    ``branch`` maps every register but k to its value; the k axis of that
+    branch becomes ``samples / l2``, and every other amplitude is zero.
+    Raises ``ValueError`` when ``branch`` leaves a register other than k
+    free or when the samples do not fill k.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1:
-        raise ValueError("samples must be one-dimensional")
-    n = samples.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"sample count {n} is not a power of two")
-    dim = 1 << layout.n_qubits
-    if not 0 <= block < dim // n:
-        raise ValueError(f"{n} samples do not fit block {block} of a {layout.n_qubits}-qubit layout")
     if not 0.0 < l2 < np.inf:
         raise ValueError(f"L2 norm {l2!r} is not positive and finite: an all-zero input has no amplitude encoding")
-    amplitudes = np.zeros(dim, dtype=complex)
-    np.divide(samples, l2, out=amplitudes.real[block * n : (block + 1) * n])
-    return Statevector(amplitudes, layout)
+    state = Statevector(np.zeros(1 << layout.n_qubits, dtype=complex), layout)
+    target = _branch(state, branch, "k")
+    if target.ndim != 1:
+        raise ValueError(f"branch {dict(branch)} leaves a register other than 'k' free")
+    if samples.shape != target.shape:
+        raise ValueError(f"samples of shape {samples.shape} do not fill register 'k' of {target.size} values")
+    np.divide(samples, l2, out=target.real)
+    return state
 
 
 def apply_gate(
@@ -244,13 +237,17 @@ def apply_register_unitary(
     return apply_gate(state, matrix, qubits, (control,) if control else ())
 
 
-def _branch(state: Statevector, fixed: Mapping[str, int], register: str | None = None) -> np.ndarray:
+def _branch(
+    state: Statevector, fixed: Mapping[str, int], register: str | None = None, values: np.ndarray | None = None
+) -> np.ndarray:
     """View of the amplitudes with one axis per register, ``fixed`` indexed away and ``register`` last.
 
-    The trailing ellipsis keeps the result a view even when every axis is
-    fixed. Raises ``KeyError`` for an unknown register and ``ValueError``
-    for a value out of range (numpy would wrap a negative one) or an
-    operand register that is also fixed.
+    ``values`` replaces the amplitudes by another array of one entry per
+    basis state. Free axes keep their order, so without ``register`` the
+    view runs in index order; the trailing ellipsis keeps it a view even
+    when every axis is fixed. Raises ``KeyError`` for an unknown register
+    and ``ValueError`` for a value out of range (numpy would wrap a
+    negative one) or an operand register that is also fixed.
     """
     layout = state.layout
     index = [slice(None)] * len(layout.registers)
@@ -264,25 +261,27 @@ def _branch(state: Statevector, fixed: Mapping[str, int], register: str | None =
         if register in fixed:
             raise ValueError(f"register {register!r} is both the operand and fixed")
         raise KeyError(f"no register named {register!r}")
-    view = state.amplitudes.reshape(layout.shape)[(*index, ...)]
+    values = state.amplitudes if values is None else values
+    view = values.reshape(layout.shape)[(*index, ...)]
     return view if register is None else np.moveaxis(view, free.index(register), -1)
 
 
-def exact_probabilities(state: Statevector, outcomes: slice = slice(None)) -> np.ndarray:
-    """Born-rule probabilities |amplitude_j|² for the basis indices in ``outcomes`` (all by default)."""
-    return np.abs(state.amplitudes[outcomes]) ** 2
+def exact_probabilities(state: Statevector, branch: Mapping[str, int] = {}) -> np.ndarray:
+    """Born-rule probabilities |amplitude_j|² of the basis states in ``branch`` (all by default), in index order."""
+    return np.abs(_branch(state, branch).reshape(-1)) ** 2
 
 
-def sample_counts(state: Statevector, shots: int, seed: int, outcomes: slice = slice(None)) -> np.ndarray:
-    """Draw ``shots`` measurement outcomes and count those in ``outcomes``.
+def sample_counts(state: Statevector, shots: int, seed: int, branch: Mapping[str, int] = {}) -> np.ndarray:
+    """Draw ``shots`` measurements and count those that land in ``branch``.
 
-    Returns one int64 count per basis index in ``outcomes`` (all by default),
-    distributed exactly as that slice of a multinomial draw over every index.
-    A proper slice first draws how many shots land in it,
-    ``hits ~ Binomial(shots, p_block / p_total)``, then spreads them as
+    Returns one int64 count per basis state of ``branch`` (all by default),
+    in index order, distributed exactly as the branch's marginal of a
+    multinomial draw. A proper branch first draws how many shots land in
+    it, ``hits ~ Binomial(shots, p_block / p_total)``, then spreads them as
     ``Multinomial(hits, p_j)`` with ``p_j = p_block_j / p_block``, so no draw
-    is spent on outcomes nobody reads. When the slice holds all the
-    probability (the full range) ``hits = shots`` without a binomial draw.
+    is spent on basis states nobody reads; one that holds all the probability
+    (the full range) takes ``hits = shots`` without a binomial draw. The
+    block is a view of the probabilities squared for ``p_total``.
 
     The hits are spread by Poissonization (Devroye 1986, ch. XI), which
     draws one Poisson variate per outcome where numpy's ``multinomial`` draws
@@ -303,7 +302,7 @@ def sample_counts(state: Statevector, shots: int, seed: int, outcomes: slice = s
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = exact_probabilities(state)
-    block = probs[outcomes]
+    block = _branch(state, branch, values=probs).reshape(-1)
     p_block = block.sum()
     share = p_block / probs.sum()
     rng = np.random.default_rng(seed)

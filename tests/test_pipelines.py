@@ -22,10 +22,12 @@ from qftcalc.pipelines import (
 from qftcalc.reference import block_encode_dimension, pauli_x
 from qftcalc.state import (
     RegisterLayout,
+    _branch,
     amplitude_encode,
     apply_gate,
     apply_register_unitary,
     exact_probabilities,
+    sample_counts,
 )
 
 from conftest import dft_derivative, fft_calls
@@ -164,7 +166,7 @@ def unfused_exact_run(f, mode):
     names = ("a", "k") if mode == MODE_DERIVATIVE else ("a", "b", "c", "k")
     layout = RegisterLayout(tuple((name, n if name == "k" else 1) for name in names))
     l2 = f.l2_norm
-    state = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), l2, layout)
+    state = amplitude_encode(f.samples, l2, layout, {name: 0 for name in names if name != "k"})
     (a_qubit,) = layout.qubits("a")
     if mode == MODE_INTEGRAL:
         apply_gate(state, pauli_x(), (a_qubit,))
@@ -172,13 +174,13 @@ def unfused_exact_run(f, mode):
     spectral.wavenumber_rotation(state)
     spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
     if mode == MODE_DERIVATIVE:
-        prefix, scale_sq = (1,), (l2 / f.dx) ** 2
+        success, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
     else:
         dense, eta = block_encode_dimension(f.n_points)
         operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
         apply_register_unitary(state, dense, operand, control=(a_qubit, 1))
-        prefix, scale_sq = (1, 0, 1), (l2 * eta * f.dx) ** 2
-    psi_sq = exact_probabilities(state).reshape(layout.shape)[prefix]
+        success, scale_sq = {"a": 1, "b": 0, "c": 1}, (l2 * eta * f.dx) ** 2
+    psi_sq = exact_probabilities(state, success)
     return scale_sq * np.where(psi_sq > 1e-24, psi_sq, 0.0), state.gate_count
 
 
@@ -193,6 +195,60 @@ class TestOneBranchForwardQft:
         value_sq, gate_count = unfused_exact_run(f, mode)
         assert np.max(np.abs(series.value_sq - value_sq)) <= 1e-12 * np.max(value_sq)
         assert series.gate_count == gate_count
+
+
+def permuted_run_state(f, mode):
+    """The run path of ``pipelines`` on a layout in another register order, up to its readout.
+
+    k sits on top and a at the bottom; for the integral a free one-qubit
+    register x sits between b and c, and both branches fix it at 0. Returns
+    the state and its success branch.
+    """
+    n = f.n_points.bit_length() - 1
+    if mode == MODE_DERIVATIVE:
+        registers, start, success = (("k", n), ("a", 1)), {"a": 0}, {"a": spectral.SUCCESS_BIT}
+    else:
+        registers = (("k", n), ("b", 1), ("x", 1), ("c", 1), ("a", 1))
+        start, success = {"a": 1, "b": 0, "c": 0, "x": 0}, {**psmpo.SUCCESS_PREFIX, "x": 0}
+    state = amplitude_encode(f.samples, f.l2_norm, RegisterLayout(registers), start)
+    state.gate_count += start["a"]
+    spectral.qft(state, control=("a", start["a"]))
+    spectral.wavenumber_rotation(state)
+    spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
+    if mode == MODE_INTEGRAL:
+        psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT))
+    return state, success
+
+
+class TestRunPathIsOrderFree:
+    """Register order matters nowhere on the run path: a permuted layout reads out what the pipelines do."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
+    def test_exact_readout_is_bitwise_the_run(self, name, n, mode):
+        f = sample_catalog(name, n)
+        series = (qftd_run if mode == MODE_DERIVATIVE else qfti_run)(f, shots=None)
+        state, success = permuted_run_state(f, mode)
+        psi_sq = exact_probabilities(state, success)
+        kept = np.where(psi_sq > pipelines.EXACT_PSI_SQ_FLOOR, psi_sq, 0.0)
+        assert np.array_equal(series.value_sq, pipelines._squared_scale(f, mode) * kept)
+        assert series.success_probability == float(np.sum(psi_sq))
+        assert series.gate_count == state.gate_count
+
+    @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
+    def test_sampled_counts_follow_the_block_law(self, mode):
+        # The whole state's probabilities sum in another order, so the hit count's binomial, and every
+        # draw after it, may differ from the run's by round-off; the law is the same.
+        f = SampledFunction(np.random.default_rng(5).normal(size=64), 0.0, 1.0 / 64)
+        exact = (qftd_run if mode == MODE_DERIVATIVE else qfti_run)(f, shots=None)
+        psi_sq = exact.value_sq / pipelines._squared_scale(f, mode)
+        state, success = permuted_run_state(f, mode)
+        shots = 10**6
+        counts = sample_counts(state, shots, 13, success)
+        expected = shots * np.append(psi_sq, 1.0 - exact.success_probability)
+        p_value, _ = checks._chisquare_p_value(np.append(counts, shots - counts.sum()), expected)
+        assert p_value >= 1e-6
 
 
 class TestSampledMode:
@@ -241,11 +297,11 @@ class TestSampledMode:
         assert checks.check_sampled_matches_exact(mode, function, 6).passed
         draw = pipelines.sample_counts
 
-        def perturbed(state, shots, seed, outcomes):
+        def perturbed(state, shots, seed, branch):
             # Raise the largest success-block weight by 10% before the draw.
-            block = state.amplitudes[outcomes]
+            block = _branch(state, branch, "k")
             block[np.argmax(np.abs(block))] *= np.sqrt(1.1)
-            return draw(state, shots, seed, outcomes)
+            return draw(state, shots, seed, branch)
 
         monkeypatch.setattr(pipelines, "sample_counts", perturbed)
         result = checks.check_sampled_matches_exact(mode, function, 6)

@@ -74,7 +74,7 @@ def test_norm_preserved_after_each_stage(f, mode):
     integral = mode == MODE_INTEGRAL
     registers = (("a", 1), ("b", 1), ("c", 1), ("k", n)) if integral else (("a", 1), ("k", n))
     layout = RegisterLayout(registers)
-    state = amplitude_encode(np.pad(f.samples, (0, (1 << layout.n_qubits) - f.n_points)), f.l2_norm, layout)
+    state = amplitude_encode(f.samples, f.l2_norm, layout, {name: 0 for name, _ in registers[:-1]})
     stages = [
         lambda: spectral.qft(state),
         lambda: spectral.wavenumber_rotation(state),

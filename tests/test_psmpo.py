@@ -27,6 +27,11 @@ def qfti_state(n_k, k_amplitudes, ancilla_bit=1):
     return Statevector(amps, layout), layout
 
 
+def success_block(state, layout):
+    """The k amplitudes at ``SUCCESS_PREFIX`` of a ``qfti_state`` layout, indexed in its (a, b, c) order."""
+    return state.amplitudes.reshape(layout.shape)[tuple(SUCCESS_PREFIX[name] for name in ("a", "b", "c"))]
+
+
 class TestSpectralNorm:
     def test_dimension_one(self):
         assert spectral_norm(1) == 1.0
@@ -97,7 +102,7 @@ class TestBlockEncoding:
             assert np.max(np.abs(c_v - np.linalg.inv(s) @ c_u @ s)) <= 1e-12, N
 
     def test_success_prefix(self):
-        assert SUCCESS_PREFIX == (1, 0, 1)
+        assert SUCCESS_PREFIX == {"a": 1, "b": 0, "c": 1}
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
@@ -342,7 +347,7 @@ class TestApplyPartialSum:
         amplitudes[0] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
         apply_partial_sum(state, control=("a", 1))
-        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
+        got = success_block(state, layout)
         assert_allclose(got, np.ones(N) / enc.eta, atol=1e-10)
 
     def test_uniform_input_gives_ramp(self):
@@ -351,7 +356,7 @@ class TestApplyPartialSum:
         enc = build_block_encoding(n_k)
         state, layout = qfti_state(n_k, np.full(N, 1.0 / math.sqrt(N)))
         apply_partial_sum(state, control=("a", 1))
-        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
+        got = success_block(state, layout)
         expected = np.cumsum(np.full(N, 1.0 / math.sqrt(N))) / enc.eta
         assert_allclose(got, expected, atol=1e-10)
 
@@ -364,7 +369,7 @@ class TestApplyPartialSum:
         amplitudes[basis] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
         apply_partial_sum(state, control=("a", 1))
-        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
+        got = success_block(state, layout)
         assert_allclose(got, np.tril(np.ones((N, N)))[:, basis] / enc.eta, atol=1e-10)
 
     def test_zero_controlled_branch_stays_zero(self, rng):
@@ -374,7 +379,7 @@ class TestApplyPartialSum:
         before = state.amplitudes.copy()
         apply_partial_sum(state, control=("a", 1))
         assert np.array_equal(state.amplitudes, before)
-        success = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
+        success = success_block(state, layout)
         assert np.max(np.abs(success)) == 0.0
 
     def test_success_probability_conservation(self, rng):
@@ -385,7 +390,7 @@ class TestApplyPartialSum:
         amplitudes /= np.linalg.norm(amplitudes)
         state, layout = qfti_state(n_k, amplitudes)
         apply_partial_sum(state, control=("a", 1))
-        got = state.amplitudes.reshape(layout.shape)[SUCCESS_PREFIX]
+        got = success_block(state, layout)
         expected = np.linalg.norm(np.cumsum(amplitudes)) ** 2 / enc.eta**2
         assert abs(np.sum(np.abs(got) ** 2) - expected) <= 1e-10
 

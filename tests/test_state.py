@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -34,9 +35,9 @@ def two_qubit_layout():
     return RegisterLayout((("k", 2),))
 
 
-def encode(samples, layout, block=0):
+def encode(samples, layout, branch={}):
     """``amplitude_encode`` with the norm its callers pass: the samples' ``sample_l2_norm``."""
-    return amplitude_encode(samples, sample_l2_norm(np.asarray(samples, dtype=float)), layout, block)
+    return amplitude_encode(samples, sample_l2_norm(np.asarray(samples, dtype=float)), layout, branch)
 
 
 class TestRegisterLayout:
@@ -59,9 +60,10 @@ class TestRegisterLayout:
                 assert (index >> layout.offset("a")) & 1 == a
                 assert (index >> layout.offset("k")) & 7 == k
 
-    def test_ancilla_must_be_most_significant(self):
-        with pytest.raises(ValueError):
-            RegisterLayout((("k", 2), ("a", 1)))
+    def test_any_register_order_is_accepted(self):
+        # The run path names registers, so no order is refused; k on top puts a at qubit 0.
+        layout = RegisterLayout((("k", 2), ("a", 1)))
+        assert layout.qubits("a") == (0,) and layout.qubits("k") == (1, 2)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -113,24 +115,44 @@ class TestAmplitudeEncode:
             amplitude_encode([1.0, 0.0, 0.0, 0.0], l2, two_qubit_layout())
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="do not fill"):
             encode([1.0, 2.0, 3.0], two_qubit_layout())
 
     def test_fills_one_block(self):
-        layout = RegisterLayout((("a", 1), ("k", 2)))
-        for block in (0, 1):
+        # Sample j lands at the basis index whose a bits hold the branch value and whose k bits hold j,
+        # with a on top and at the bottom.
+        for layout, a in itertools.product(
+            (RegisterLayout((("a", 1), ("k", 2))), RegisterLayout((("k", 2), ("a", 1)))), (0, 1)
+        ):
             norm = sample_l2_norm(np.array([3.0, 0.0, 0.0, 4.0]))
-            state = amplitude_encode([3.0, 0.0, 0.0, 4.0], norm, layout, block=block)
+            state = amplitude_encode([3.0, 0.0, 0.0, 4.0], norm, layout, {"a": a})
             expected = np.zeros(8, dtype=complex)
-            expected[4 * block : 4 * block + 4] = [0.6, 0.0, 0.0, 0.8]
+            for j, value in enumerate([0.6, 0.0, 0.0, 0.8]):
+                expected[(a << layout.offset("a")) | (j << layout.offset("k"))] = value
             assert np.array_equal(state.amplitudes, expected)
             assert norm == 5.0
 
     def test_rejects_layout_mismatch(self):
-        # Too many samples, then blocks outside the 2 (or 1) blocks the layout holds.
-        for samples, block in (([1.0] * 8, 0), ([1.0, 0.0], 2), ([1.0, 0.0], -1), ([1.0] * 4, 1)):
-            with pytest.raises(ValueError, match="do not fit"):
-                encode(samples, two_qubit_layout(), block=block)
+        # Samples that do not fill k, then branch values outside the register.
+        layout = RegisterLayout((("a", 1), ("k", 2)))
+        for samples, branch, message in (
+            ([1.0] * 8, {"a": 0}, "do not fill"),
+            ([1.0, 0.0], {"a": 0}, "do not fill"),
+            ([1.0] * 4, {"a": 2}, "out of range"),
+            ([1.0] * 4, {"a": -1}, "out of range"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                encode(samples, layout, branch)
+
+    def test_rejects_a_branch_that_leaves_another_register_free(self):
+        layout = RegisterLayout((("a", 1), ("k", 2), ("x", 1)))
+        for branch in ({}, {"a": 0}, {"x": 1}):
+            with pytest.raises(ValueError, match="leaves a register other than 'k' free"):
+                encode([1.0] * 4, layout, branch)
+        with pytest.raises(ValueError, match="both the operand and fixed"):
+            encode([1.0] * 4, layout, {"a": 0, "x": 0, "k": 1})
+        with pytest.raises(KeyError):
+            encode([1.0] * 4, layout, {"a": 0, "x": 0, "zz": 0})
 
 
 class TestApplyGate:
@@ -447,47 +469,70 @@ class TestProbabilitiesAndSampling:
             sample_counts(state, 0, seed=0)
 
 
+def branch_indices(layout, branch):
+    """Basis indices whose register bits hold the branch's values, ascending: a flat oracle for a branch."""
+    index = np.arange(1 << layout.n_qubits)
+    inside = np.ones(index.size, dtype=bool)
+    for name, value in branch.items():
+        inside &= (index >> layout.offset(name)) & ((1 << layout.width(name)) - 1) == value
+    return np.flatnonzero(inside)
+
+
 class TestBlockSampling:
-    """``sample_counts`` over a slice of outcomes: the slice's marginal of a full draw."""
+    """``sample_counts`` over one branch of registers: the branch's marginal of a full draw."""
 
     SHOTS = 10**6
-    BLOCK = slice(16, 48)
+    # h on top and l below k: {"h": 1} is one contiguous index range, the branches that fix l are not.
+    LAYOUT = RegisterLayout((("h", 1), ("k", 4), ("l", 1)))
+    BRANCHES = [{"h": 1}, {"l": 1}, {"h": 0, "l": 1}]
 
     @pytest.fixture
     def state(self, rng):
-        return Statevector(random_state_vector(6, rng), RegisterLayout((("k", 6),)))
+        return Statevector(random_state_vector(6, rng), self.LAYOUT)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_probabilities_are_the_branch_in_index_order(self, state, branch):
+        expected = exact_probabilities(state)[branch_indices(self.LAYOUT, branch)]
+        assert np.array_equal(exact_probabilities(state, branch), expected)
 
     def test_block_counts_pass_chi_square(self, state):
         from scipy import stats
 
-        probs = exact_probabilities(state)
-        counts = sample_counts(state, self.SHOTS, 3, self.BLOCK)
-        assert counts.shape == (32,)
-        # The shots that miss the block form one more outcome of the multinomial.
-        observed = np.append(counts, self.SHOTS - counts.sum())
-        expected = self.SHOTS * np.append(probs[self.BLOCK], 1.0 - probs[self.BLOCK].sum())
-        statistic = float(np.sum((observed - expected) ** 2 / expected))
-        assert stats.chi2.sf(statistic, df=observed.size - 1) > 1e-6
+        for branch in self.BRANCHES:
+            probs = exact_probabilities(state)[branch_indices(self.LAYOUT, branch)]
+            counts = sample_counts(state, self.SHOTS, 3, branch)
+            assert counts.shape == probs.shape
+            # The shots that miss the branch form one more outcome of the multinomial.
+            observed = np.append(counts, self.SHOTS - counts.sum())
+            expected = self.SHOTS * np.append(probs, 1.0 - probs.sum())
+            statistic = float(np.sum((observed - expected) ** 2 / expected))
+            assert stats.chi2.sf(statistic, df=observed.size - 1) > 1e-6, branch
 
     def test_hits_are_binomial(self, state):
-        share = float(exact_probabilities(state)[self.BLOCK].sum())
-        sigma = math.sqrt(self.SHOTS * share * (1.0 - share))
-        for seed in range(5):
-            hits = int(sample_counts(state, self.SHOTS, seed, self.BLOCK).sum())
-            assert abs(hits - self.SHOTS * share) < 5.0 * sigma
+        for branch in self.BRANCHES:
+            share = float(exact_probabilities(state, branch).sum())
+            sigma = math.sqrt(self.SHOTS * share * (1.0 - share))
+            for seed in range(5):
+                hits = int(sample_counts(state, self.SHOTS, seed, branch).sum())
+                assert abs(hits - self.SHOTS * share) < 5.0 * sigma, branch
 
-    def test_full_slice_is_the_full_range(self, state):
-        # A slice holding all the probability draws no binomial, so it spends the stream as a full-range call does.
-        assert np.array_equal(sample_counts(state, self.SHOTS, 8), sample_counts(state, self.SHOTS, 8, slice(0, 64)))
+    def test_branch_holding_all_mass_spends_the_stream_as_the_full_range(self, rng):
+        # All the probability at h = 1: the branch draws no binomial, so its counts are the full draw's upper
+        # half. Both blocks lie within 4c^2 outcomes, so their levels stop at the same shot count.
+        layout = RegisterLayout((("h", 1), ("k", 4)))
+        state = Statevector(np.concatenate((np.zeros(16), random_state_vector(4, rng))), layout)
+        full = sample_counts(state, self.SHOTS, 8)
+        assert not full[:16].any()
+        assert np.array_equal(sample_counts(state, self.SHOTS, 8, {"h": 1}), full[16:])
 
     def test_zero_probability_block_gives_zeros(self):
-        state = Statevector([0.6, 0.8, 0, 0], two_qubit_layout())
-        counts = sample_counts(state, 1000, 5, slice(2, 4))
+        state = Statevector([0.6, 0.8, 0, 0], RegisterLayout((("h", 1), ("k", 1))))
+        counts = sample_counts(state, 1000, 5, {"h": 1})
         assert counts.dtype == np.int64 and counts.tolist() == [0, 0]
 
     def test_block_holding_all_mass_gets_every_shot(self):
-        state = Statevector([0, 0, 0, 0, 0.6, 0, 0.8, 0], RegisterLayout((("k", 3),)))
-        counts = sample_counts(state, 1000, 5, slice(4, 8))
+        state = Statevector([0, 0, 0, 0, 0.6, 0, 0.8, 0], RegisterLayout((("h", 1), ("k", 2))))
+        counts = sample_counts(state, 1000, 5, {"h": 1})
         assert counts.dtype == np.int64 and counts.sum() == 1000 and counts[[1, 3]].tolist() == [0, 0]
 
 
@@ -566,14 +611,16 @@ class TestPoissonizedReadout:
     @example([0.3, 0.7, 0.0], 200, 1)
     @example([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 37, 2)
     def test_every_draw_returns_with_exact_sums(self, weights, shots, seed):
-        # A block of 1-8 outcomes at the bottom of a 3-qubit state that holds all the probability.
-        amplitudes = np.zeros(8)
-        amplitudes[: len(weights)] = np.sqrt(np.array(weights) / sum(weights))
-        state = Statevector(amplitudes, RegisterLayout((("k", 3),)))
-        counts = sample_counts(state, shots, seed, slice(0, len(weights)))
-        assert counts.dtype == np.int64 and counts.shape == (len(weights),)
+        # 1-8 weights padded with zeros to the 3-qubit k register of the branch h = 0, which holds all
+        # the probability. The levels run while more than max(block size, 4c^2) = 36 shots are left.
+        weights = np.pad(np.array(weights), (0, 8 - len(weights)))
+        amplitudes = np.zeros(16)
+        amplitudes[:8] = np.sqrt(weights / weights.sum())
+        state = Statevector(amplitudes, RegisterLayout((("h", 1), ("k", 3))))
+        counts = sample_counts(state, shots, seed, {"h": 0})
+        assert counts.dtype == np.int64 and counts.shape == (8,)
         assert counts.sum() == shots and np.all(counts >= 0)
-        assert np.all(counts[np.array(weights) == 0.0] == 0)
+        assert np.all(counts[weights == 0.0] == 0)
 
     def test_max_shots_is_exact_in_bounded_memory(self):
         # 2^63 - 1 shots take a handful of Poisson levels; a single completion would need ~c 2^31.5 uniforms.
