@@ -156,10 +156,11 @@ def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
     err = 0.0
     for kind in QFT_INPUT_KINDS:
         amps = qft_input(rng, layout, kind)
-        for control in (None, ("y", 1), ("x", 0)):
+        for control in (None, {"y": 1}, {"x": 0}):
             fft = spectral.qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
             replay = Statevector(amps.copy(), layout)
-            outer = ((layout.offset(control[0]), control[1]),) if control else ()
+            # One (qubit, bit) control per qubit of each register the control fixes.
+            outer = tuple((q, v >> i & 1) for r, v in (control or {}).items() for i, q in enumerate(layout.qubits(r)))
             for payload, targets, controls in reference.qft_gate_sequence(layout.qubits("k"), inverse):
                 apply_gate(replay, payload, targets, controls + outer)
             err = max(err, float(np.max(np.abs(fft.amplitudes - replay.amplitudes))))
@@ -349,7 +350,7 @@ def check_partial_sum_half_map(n_k: int, seed: int = 29) -> CheckResult:
     before /= np.linalg.norm(before)
     state = Statevector(before.reshape(-1).copy(), layout)
     on = spectral.SUCCESS_BIT
-    psmpo.apply_partial_sum(state, control=("a", on))
+    psmpo.apply_partial_sum(state, control={"a": on})
     after = state.amplitudes.reshape(2, 4 * N)
     bitwise = bool(np.array_equal(after[on], enc.apply(before[on].reshape(2, 2, N)).reshape(-1)))
     untouched = bool(np.array_equal(after[1 - on], before[1 - on]))

@@ -20,13 +20,13 @@ from pathlib import Path
 
 from . import experiments
 from .experiments import (
-    MAX_SHOTS,
     ConfigError,
     DataError,
     ExperimentConfig,
     RUN_PRESETS,
     SWEEP_PRESETS,
 )
+from .state import MAX_SHOTS
 
 __all__ = ["main"]
 

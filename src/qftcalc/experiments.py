@@ -12,6 +12,7 @@ import numpy as np
 
 from . import oracles, pipelines, plots
 from .spectral import MAX_QUBITS
+from .state import MAX_SHOTS
 
 __all__ = [
     "ConfigError",
@@ -29,10 +30,6 @@ __all__ = [
     "staged_writes",
     "metrics_path_for",
 ]
-
-# The readout's binomial hit count and its Poisson levels draw int64 counts
-# (state.sample_counts caps a level's mean at 2**62).
-MAX_SHOTS = 2**63 - 1
 
 
 class ConfigError(Exception):

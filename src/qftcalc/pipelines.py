@@ -19,13 +19,13 @@ as the encoding is built). A run has one norm, ``f.l2_norm``: the encoding,
 the scale and a sampled run's ``resolution_epsilon`` (the scale divided by
 ``shots``) all use it.
 
-Readout touches only the success branch, ``a = 1`` (``psmpo.SUCCESS_PREFIX``
-for the integral). Sampled mode draws how many shots succeed,
-``hits ~ Binomial(shots, p_success)``, and then spreads them over the
-branch by Poissonization: one Poisson variate per outcome plus a short
-categorical completion. Given the totals, Poisson counts are multinomial,
-so the spread is exactly ``Multinomial(hits, psi^2 / p_success)`` in law,
-but it does not reproduce numpy's ``multinomial`` stream (see
+Readout touches only the success branch, ``a = 1`` (in the (b, c) block
+``psmpo.SUCCESS_BLOCK`` for the integral). Sampled mode draws how many shots
+succeed, ``hits ~ Binomial(shots, p_success)``, and then spreads them over
+the branch by Poissonization: one Poisson variate per outcome plus a short
+categorical completion. Given the totals, Poisson counts are multinomial, so
+the spread is exactly ``Multinomial(hits, psi^2 / p_success)`` in law, but
+it does not reproduce numpy's ``multinomial`` stream (see
 :func:`qftcalc.state.sample_counts`). No norm in a run is a BLAS dot (see
 :mod:`qftcalc.state` for why).
 """
@@ -138,20 +138,21 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
         raise ValueError(f"need 2^n samples with n >= 2, got {f.n_points}")
     integral = mode == MODE_INTEGRAL
     # The integral starts in a = 1 (its X is counted, not applied) and b = c = 0.
+    result = {"a": spectral.SUCCESS_BIT}  # where the rotation leaves the result
     if integral:
-        start, success = {"a": 1, "b": 0, "c": 0}, psmpo.SUCCESS_PREFIX
+        start, success = {"a": 1, "b": 0, "c": 0}, {**result, **psmpo.SUCCESS_BLOCK}
     else:
-        start, success = {"a": 0}, {"a": spectral.SUCCESS_BIT}
+        start, success = {"a": 0}, result
     layout = RegisterLayout((*((name, 1) for name in start), ("k", n)))
     scale_sq = _squared_scale(f, mode)
     state = amplitude_encode(f.samples, f.l2_norm, layout, start)
     state.gate_count += start["a"]
-    # Only the ancilla's start branch holds amplitude; the other is all zeros.
-    spectral.qft(state, control=("a", start["a"]))
+    # Only the start branch holds amplitude; every other is all zeros.
+    spectral.qft(state, control=start)
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
+    spectral.qft(state, inverse=True, control=result)
     if integral:
-        psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT))
+        psmpo.apply_partial_sum(state, control=result)
 
     if shots is None:
         psi_sq = exact_probabilities(state, success)
@@ -190,7 +191,7 @@ def qfti_run(f: SampledFunction, shots: int | None, seed: int = 0) -> RecoveredS
 
     Adds the two block-encoding registers (b, c) and the encoded summation
     operator after the controlled inverse transform; post-selection happens on
-    the branch ``psmpo.SUCCESS_PREFIX``.
+    the branch a = 1 and (b, c) = ``psmpo.SUCCESS_BLOCK``, (1, 0, 1).
     """
     return _run(f, MODE_INTEGRAL, shots, seed)
 

@@ -22,8 +22,8 @@ With ``A = H/eta`` and ``C = sqrt(I - A^2) = blockdiag(C_V, C_U)``,
 and ``C`` commute, so the Hermitian dilation ``U_H = [[A, C], [C, -A]]`` is a
 symmetric orthogonal involution (Gilyen, Su, Low & Wiebe, "Quantum singular
 value transformation and beyond", STOC 2019). ``S/eta`` is the lower-left
-block of ``A``, which fixes ``SUCCESS_PREFIX``, the branch
-``{"a": 1, "b": 0, "c": 1}`` that a QFTI run reads out by register.
+block of ``A``, which fixes ``SUCCESS_BLOCK``, the (b, c) block
+``{"b": 0, "c": 1}`` where ``U_H`` puts ``S x / eta``.
 
 ``U_H`` is never built as a matrix. On an operand of shape
 ``(..., 2, 2, N)`` whose index is ``k + N c + 2N b`` it maps the four
@@ -65,16 +65,17 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .spectral import MAX_QUBITS, SUCCESS_BIT
+from .spectral import MAX_QUBITS
 from .state import Statevector, _branch
 
 __all__ = [
     "BLOCK_TOL",
     "WEIGHT_TOL",
-    "SUCCESS_PREFIX",
+    "SUCCESS_BLOCK",
     "BlockEncoding",
     "spectral_norm",
     "build_block_encoding",
@@ -85,11 +86,9 @@ __all__ = [
 BLOCK_TOL = 1e-10
 # Largest |g - g_factored| a build accepts; the two closed forms agree to 2 ulps at n_k = 1..16.
 WEIGHT_TOL = 1e-13
-# The (a, b, c) values of the output branch that carries ``S @ A / eta``:
-# S/eta is the lower-left block of H/eta, row block (b, c) = (0, 1) of the
-# first block column, on the ancilla branch where the rotation cascade
-# leaves the result.
-SUCCESS_PREFIX = MappingProxyType({"a": SUCCESS_BIT, "b": 0, "c": 1})
+# The (b, c) block where U_H puts ``S x / eta``: S/eta is the lower-left block
+# of H/eta, row block (b, c) = (0, 1) of the first block column.
+SUCCESS_BLOCK = MappingProxyType({"b": 0, "c": 1})
 
 
 def _sine_sum(x: np.ndarray, slots: np.ndarray, bins: np.ndarray, length: int) -> np.ndarray:
@@ -111,7 +110,7 @@ class BlockEncoding:
     ``weights`` holds ``g``, the N completion weights of ``C`` in the module
     docstring. They fix everything else: ``dimension`` is N and ``eta`` is
     ``spectral_norm(N)``. The output block that carries ``S @ A / eta`` is at
-    ``SUCCESS_PREFIX``.
+    ``SUCCESS_BLOCK``.
     """
 
     weights: np.ndarray
@@ -220,30 +219,27 @@ def build_block_encoding(n_k: int) -> BlockEncoding:
     return enc
 
 
-def apply_partial_sum(state: Statevector, control: tuple[str, int]) -> Statevector:
-    """Apply the encoded summation to the (b, c, k) registers under a ``(register, value)`` control.
+def apply_partial_sum(state: Statevector, control: Mapping[str, int]) -> Statevector:
+    """Apply the encoded summation to the (b, c, k) registers of the branch ``control``.
 
-    The encoding is :func:`build_block_encoding` for the width of the k
-    register; b and c must be one qubit wide and the control on another
-    register. The b and c registers must still be in |0>: unless every
-    amplitude off the b = c = 0 block is exactly zero, ``ValueError`` is
-    raised and the state is left untouched. ``U_H`` then sends the
-    controlled branch's k-register coefficients A, its only populated block,
-    to ``half(A)``: ``S @ A / eta`` at ``SUCCESS_PREFIX`` and ``C_V A`` at
-    (b, c) = (1, 0), leaving zeros at b = c = 0. Everything else is
-    untouched. One gate.
+    ``control`` maps any registers but b, c and k to values, such as
+    ``{"a": 1}``. The encoding is :func:`build_block_encoding` for the width
+    of the k register; b and c must be one qubit wide. The b and c registers
+    must still be in |0>: unless every amplitude off the b = c = 0 block is
+    exactly zero, ``ValueError`` is raised and the state is left untouched.
+    ``U_H`` then sends the controlled branch's k-register coefficients A,
+    its only populated block, to ``half(A)``: ``S @ A / eta`` at
+    ``SUCCESS_BLOCK`` and ``C_V A`` at (b, c) = (1, 0), leaving zeros at
+    b = c = 0. Everything else is untouched. One gate.
     """
     layout = state.layout
-    register, on = control
-    if register in ("b", "c", "k"):
-        raise ValueError(f"control register {register!r} is an operand of the summation")
+    if not {"b", "c", "k"}.isdisjoint(control):
+        raise ValueError(f"a control register of {dict(control)} is an operand of the summation")
     if layout.width("b") != 1 or layout.width("c") != 1:
         raise ValueError("registers b and c must be one qubit wide")
-    if on != SUCCESS_PREFIX["a"]:
-        raise ValueError("control value does not match the success prefix")
 
     def block(b: int, c: int) -> np.ndarray:  # a (b, c) block of the controlled branch, k on its last axis
-        return _branch(state, {register: on, "b": b, "c": c}, "k")
+        return _branch(state, {**control, "b": b, "c": c}, "k")
 
     x00 = block(0, 0)
     # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.

@@ -2,9 +2,9 @@
 
 The forward QFT maps basis amplitudes with weights ``e^{+2 pi i j k / N}``
 (so a lone ``|1>`` on two qubits transforms to ``(1, i, -1, -i)/2``); the
-inverse applies the conjugate gates in reverse order. A controlled QFT is the
-same gate sequence with one extra control on every gate, which is exactly the
-controlled version of the register unitary.
+inverse applies the conjugate gates in reverse order. A QFT controlled on a
+branch, a register mapping such as ``{"a": 1}``, is the same gate sequence
+with one control per qubit of each fixed register on every gate.
 
 On an ``m``-qubit register the whole circuit is the unitary DFT, so the
 simulator runs it as one FFT (Cooley & Tukey 1965) along the k axis of the
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -71,17 +72,17 @@ MAX_QUBITS = 16
 SUCCESS_BIT = 1
 
 
-def qft(state: Statevector, inverse: bool = False, *, control: tuple[str, int] | None = None) -> Statevector:
+def qft(state: Statevector, inverse: bool = False, *, control: Mapping[str, int] | None = None) -> Statevector:
     """Apply the (inverse) QFT to the ``k`` register, optionally controlled.
 
-    With ``control=(register, value)`` the transform acts only on the branch
-    where that register holds the value, which is the gate-level circuit
-    with the control added to every gate. The transform is one FFT over the
-    register's axis, a half-length real one when the branch is exactly real
-    or Hermitian; ``gate_count`` advances as for the gate-by-gate circuit.
+    With ``control``, a register mapping such as ``{"a": 1}``, the transform
+    acts only on that branch: the gate-level circuit with one control per
+    fixed qubit on every gate. The transform is one FFT over the register's
+    axis, a half-length real one when the branch is exactly real or
+    Hermitian; ``gate_count`` advances as for the gate-by-gate circuit.
     """
     m = state.layout.width("k")
-    view = _branch(state, {} if control is None else dict([control]), "k")
+    view = _branch(state, {} if control is None else control, "k")
     half = 1 << (m - 1)
     if not view.imag.any():
         # rfft is the inverse QFT on k <= N/2 and its conjugate the forward one; entry N - k

@@ -9,7 +9,7 @@ any order.
 The run path views the amplitudes with one axis per register, of length
 ``2**width``, most significant first (:attr:`RegisterLayout.shape`), and
 names a branch by register values: a mapping such as ``{"a": 1, "b": 0}``,
-or one ``(register, value)`` control. One private helper, :func:`_branch`,
+which is also a stage's control. One private helper, :func:`_branch`,
 makes every such view and checks its names and values, so register order
 matters nowhere on the run path. :func:`amplitude_encode` writes the
 samples into the k axis of one branch of a zeroed state, the QFT and the
@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_SHOTS",
     "POISSON_MARGIN",
     "UNITARY_TOL",
     "RegisterLayout",
@@ -57,6 +58,8 @@ UNITARY_TOL = 1e-10
 POISSON_MARGIN = 3.0
 # Cap on a level's mean total, inside numpy's Poisson range (about 9.2e18).
 POISSON_MEAN_MAX = float(2**62)
+# Largest shot count: the binomial hit count and the Poisson levels draw int64 counts.
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -297,10 +300,11 @@ def sample_counts(state: Statevector, shots: int, seed: int, branch: Mapping[str
     level leaves about ``c sqrt(left)`` shots, so the draw holds O(block
     size) memory at any shot count. Uses numpy's default generator (PCG64)
     seeded with ``seed``, so counts are reproducible across runs and
-    platforms for a fixed numpy version.
+    platforms for a fixed numpy version. Raises ``ValueError`` unless
+    ``1 <= shots <= MAX_SHOTS``.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in 1..{MAX_SHOTS}, got {shots}")
     probs = exact_probabilities(state)
     block = _branch(state, branch, values=probs).reshape(-1)
     p_block = block.sum()

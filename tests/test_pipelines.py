@@ -172,7 +172,7 @@ def unfused_exact_run(f, mode):
         apply_gate(state, pauli_x(), (a_qubit,))
     spectral.qft(state)
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
+    spectral.qft(state, inverse=True, control={"a": spectral.SUCCESS_BIT})
     if mode == MODE_DERIVATIVE:
         success, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
     else:
@@ -209,14 +209,14 @@ def permuted_run_state(f, mode):
         registers, start, success = (("k", n), ("a", 1)), {"a": 0}, {"a": spectral.SUCCESS_BIT}
     else:
         registers = (("k", n), ("b", 1), ("x", 1), ("c", 1), ("a", 1))
-        start, success = {"a": 1, "b": 0, "c": 0, "x": 0}, {**psmpo.SUCCESS_PREFIX, "x": 0}
+        start, success = {"a": 1, "b": 0, "c": 0, "x": 0}, {"a": spectral.SUCCESS_BIT, **psmpo.SUCCESS_BLOCK, "x": 0}
     state = amplitude_encode(f.samples, f.l2_norm, RegisterLayout(registers), start)
     state.gate_count += start["a"]
-    spectral.qft(state, control=("a", start["a"]))
+    spectral.qft(state, control=start)
     spectral.wavenumber_rotation(state)
-    spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT))
+    spectral.qft(state, inverse=True, control={"a": spectral.SUCCESS_BIT})
     if mode == MODE_INTEGRAL:
-        psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT))
+        psmpo.apply_partial_sum(state, control={"a": spectral.SUCCESS_BIT})
     return state, success
 
 
@@ -252,6 +252,11 @@ class TestRunPathIsOrderFree:
 
 
 class TestSampledMode:
+    @pytest.mark.parametrize("shots", [2**63, 2**64])
+    def test_shots_beyond_the_int64_cap_are_refused(self, shots):
+        with pytest.raises(ValueError, match=f"1[.][.]{state.MAX_SHOTS}, got {shots}"):
+            qftd_run(sample_catalog("poly", 3), shots=shots)
+
     def test_reproducible_for_seed(self):
         f = sample_catalog("cos2pix", 5)
         a = qftd_run(f, shots=10**4, seed=7)

@@ -78,11 +78,11 @@ def test_norm_preserved_after_each_stage(f, mode):
     stages = [
         lambda: spectral.qft(state),
         lambda: spectral.wavenumber_rotation(state),
-        lambda: spectral.qft(state, inverse=True, control=("a", spectral.SUCCESS_BIT)),
+        lambda: spectral.qft(state, inverse=True, control={"a": spectral.SUCCESS_BIT}),
     ]
     if integral:
         stages.insert(0, lambda: apply_gate(state, pauli_x(), layout.qubits("a")))
-        stages.append(lambda: psmpo.apply_partial_sum(state, control=("a", spectral.SUCCESS_BIT)))
+        stages.append(lambda: psmpo.apply_partial_sum(state, control={"a": spectral.SUCCESS_BIT}))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= NORM_TOL
     for stage in stages:
         stage()

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qftcalc import checks, psmpo
-from qftcalc.psmpo import SUCCESS_PREFIX, BlockEncoding, apply_partial_sum, build_block_encoding, spectral_norm
+from qftcalc.psmpo import SUCCESS_BLOCK, BlockEncoding, apply_partial_sum, build_block_encoding, spectral_norm
 from qftcalc.oracles import sample_catalog
 from qftcalc.reference import block_encode_dimension, materialise, summation_eigenpairs, summation_svd
 from qftcalc.pipelines import qfti_run
@@ -28,8 +28,8 @@ def qfti_state(n_k, k_amplitudes, ancilla_bit=1):
 
 
 def success_block(state, layout):
-    """The k amplitudes at ``SUCCESS_PREFIX`` of a ``qfti_state`` layout, indexed in its (a, b, c) order."""
-    return state.amplitudes.reshape(layout.shape)[tuple(SUCCESS_PREFIX[name] for name in ("a", "b", "c"))]
+    """The k amplitudes at a = 1 and ``SUCCESS_BLOCK`` of a ``qfti_state`` layout, indexed in its (a, b, c) order."""
+    return state.amplitudes.reshape(layout.shape)[(1, *(SUCCESS_BLOCK[name] for name in ("b", "c")))]
 
 
 class TestSpectralNorm:
@@ -101,8 +101,8 @@ class TestBlockEncoding:
             s = np.tril(np.ones((N, N)))
             assert np.max(np.abs(c_v - np.linalg.inv(s) @ c_u @ s)) <= 1e-12, N
 
-    def test_success_prefix(self):
-        assert SUCCESS_PREFIX == {"a": 1, "b": 0, "c": 1}
+    def test_success_block(self):
+        assert SUCCESS_BLOCK == {"b": 0, "c": 1}
 
     def test_rejects_out_of_budget(self):
         with pytest.raises(ValueError):
@@ -146,7 +146,7 @@ class TestMatrixFree:
             amps[(index >> layout.offset(name)) & 1 == 1] = 0.0
         state = Statevector(amps.copy(), layout)
         expected = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
-        apply_partial_sum(state, control=("g", 1))
+        apply_partial_sum(state, control={"g": 1})
         operand = layout.qubits("k") + layout.qubits("c") + layout.qubits("b")
         dense = block_encode_dimension(1 << n_k)[0]
         apply_register_unitary(expected, dense, operand, control=(layout.offset("g"), 1))
@@ -254,7 +254,7 @@ class TestMatrixFree:
         shaped = state.amplitudes.reshape(layout.shape)
         operand = np.moveaxis(shaped, [registers.index(name) for name in "gbck"], [0, -3, -2, -1])[1]
         expected = build_block_encoding(n_k).apply(operand)
-        apply_partial_sum(state, control=("g", 1))
+        apply_partial_sum(state, control={"g": 1})
         assert np.array_equal(operand, expected)
         off = (index >> layout.offset("g")) & 1 == 0
         assert np.array_equal(state.amplitudes[off], amps[off])
@@ -284,7 +284,7 @@ class TestMatrixFree:
         before = state.amplitudes.copy()
         for register in ("b", "c", "k"):
             with pytest.raises(ValueError, match="control register"):
-                apply_partial_sum(state, control=(register, 1))
+                apply_partial_sum(state, control={register: 1})
         assert np.array_equal(state.amplitudes, before)
 
 
@@ -346,7 +346,7 @@ class TestApplyPartialSum:
         amplitudes = np.zeros(N)
         amplitudes[0] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
-        apply_partial_sum(state, control=("a", 1))
+        apply_partial_sum(state, control={"a": 1})
         got = success_block(state, layout)
         assert_allclose(got, np.ones(N) / enc.eta, atol=1e-10)
 
@@ -355,7 +355,7 @@ class TestApplyPartialSum:
         N = 1 << n_k
         enc = build_block_encoding(n_k)
         state, layout = qfti_state(n_k, np.full(N, 1.0 / math.sqrt(N)))
-        apply_partial_sum(state, control=("a", 1))
+        apply_partial_sum(state, control={"a": 1})
         got = success_block(state, layout)
         expected = np.cumsum(np.full(N, 1.0 / math.sqrt(N))) / enc.eta
         assert_allclose(got, expected, atol=1e-10)
@@ -368,7 +368,7 @@ class TestApplyPartialSum:
         amplitudes = np.zeros(N)
         amplitudes[basis] = 1.0
         state, layout = qfti_state(n_k, amplitudes)
-        apply_partial_sum(state, control=("a", 1))
+        apply_partial_sum(state, control={"a": 1})
         got = success_block(state, layout)
         assert_allclose(got, np.tril(np.ones((N, N)))[:, basis] / enc.eta, atol=1e-10)
 
@@ -377,7 +377,7 @@ class TestApplyPartialSum:
         n_k = 2
         state, layout = qfti_state(n_k, random_state_vector(n_k, rng), ancilla_bit=0)
         before = state.amplitudes.copy()
-        apply_partial_sum(state, control=("a", 1))
+        apply_partial_sum(state, control={"a": 1})
         assert np.array_equal(state.amplitudes, before)
         success = success_block(state, layout)
         assert np.max(np.abs(success)) == 0.0
@@ -389,7 +389,7 @@ class TestApplyPartialSum:
         amplitudes = random_state_vector(n_k, rng).real
         amplitudes /= np.linalg.norm(amplitudes)
         state, layout = qfti_state(n_k, amplitudes)
-        apply_partial_sum(state, control=("a", 1))
+        apply_partial_sum(state, control={"a": 1})
         got = success_block(state, layout)
         expected = np.linalg.norm(np.cumsum(amplitudes)) ** 2 / enc.eta**2
         assert abs(np.sum(np.abs(got) ** 2) - expected) <= 1e-10
@@ -406,10 +406,21 @@ class TestApplyPartialSum:
         for amps in (occupied, stray):
             state = Statevector(amps.copy(), layout)
             with pytest.raises(ValueError, match="b/c"):
-                apply_partial_sum(state, control=("a", 1))
+                apply_partial_sum(state, control={"a": 1})
             assert np.array_equal(state.amplitudes, amps)
 
-    def test_rejects_polarity_mismatch(self, rng):
-        state, _ = qfti_state(2, random_state_vector(2, rng))
-        with pytest.raises(ValueError, match="success prefix"):
-            apply_partial_sum(state, control=("a", 0))
+    def test_summation_under_a_zero_control(self, rng):
+        # The summation is the same unitary under any control value: {"a": 0} writes half of
+        # the a = 0 block and leaves the a = 1 branch bitwise untouched.
+        n_k = 3
+        layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n_k)))
+        amps = np.zeros(layout.shape, dtype=complex)
+        amps[:, 0, 0] = random_state_vector(n_k + 1, rng).reshape(2, -1)
+        state = Statevector(amps.reshape(-1).copy(), layout)
+        apply_partial_sum(state, control={"a": 0})
+        got = state.amplitudes.reshape(layout.shape)
+        s, cv = build_block_encoding(n_k).half(amps[0, 0, 0])
+        assert np.array_equal(got[0, 0, 1], s) and np.array_equal(got[0, 1, 0], cv)
+        assert not got[0, 0, 0].any() and not got[0, 1, 1].any()
+        assert np.array_equal(got[1], amps[1])
+        assert state.gate_count == 1

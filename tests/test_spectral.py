@@ -87,7 +87,7 @@ class TestQft:
         amps[: 1 << n] = spectrum / np.sqrt(2.0)
         amps[1 << n :] = spectrum / np.sqrt(2.0)
         state = Statevector(amps.copy(), layout)
-        qft(state, control=("a", 1))
+        qft(state, control={"a": 1})
         assert np.array_equal(state.amplitudes[: 1 << n], amps[: 1 << n])
         assert_allclose(state.amplitudes[1 << n :], dft_matrix(n) @ amps[1 << n :], atol=1e-12)
 
@@ -95,11 +95,11 @@ class TestQft:
         # perfbench/tracer.py reads a controlled call's control from its keywords.
         layout = RegisterLayout((("a", 1), ("k", 2)))
         with pytest.raises(TypeError):
-            qft(Statevector(np.eye(8)[0], layout), False, ("a", 1))
+            qft(Statevector(np.eye(8)[0], layout), False, {"a": 1})
 
     def test_control_inside_register_rejected(self):
         with pytest.raises(ValueError, match="operand"):
-            qft(k_state(3), control=("k", 1))
+            qft(k_state(3), control={"k": 1})
 
     @pytest.mark.parametrize("registers", [(("a", 1), ("k", 5)), (("a", 1), ("b", 1), ("c", 1), ("k", 5))])
     def test_pipeline_layout_keeps_the_amplitude_array(self, registers, rng):
@@ -107,33 +107,38 @@ class TestQft:
         layout = RegisterLayout(registers)
         state = Statevector(random_state_vector(layout.n_qubits, rng), layout)
         amplitudes = state.amplitudes
-        qft(state, control=("a", 0))
-        qft(state, inverse=True, control=("a", 1))
+        qft(state, control={"a": 0})
+        qft(state, inverse=True, control={"a": 1})
         assert state.amplitudes is amplitudes
 
 
-# The registers above k and below it, and the control as (register, value)
-# on a one-qubit register. "control-below" keeps a free register on each side
-# of k: its qubits are those of a control on the lowest qubit of a 2-qubit x.
+# The registers above k and below it, and the control as a register mapping.
+# "control-below" keeps a free register on each side of k: its qubits are
+# those of a control on the lowest qubit of a 2-qubit x. "two-registers"
+# fixes both sides of k, and "two-qubit-value" one value of a 2-qubit y, so
+# the replay controls on both of its qubits with their bits.
 FREE_REGISTER_LAYOUTS = {
-    "control-above": ((("y", 1),), (("x", 1),), ("y", 1)),
-    "control-below": ((("y", 2),), (("x", 1), ("w", 1)), ("w", 0)),
+    "control-above": ((("y", 1),), (("x", 1),), {"y": 1}),
+    "control-below": ((("y", 2),), (("x", 1), ("w", 1)), {"w": 0}),
     "no-control": ((("y", 1),), (("x", 1),), None),
+    "two-registers": ((("y", 1),), (("x", 1),), {"y": 1, "x": 0}),
+    "two-qubit-value": ((("y", 2),), (("x", 1),), {"y": 2}),
 }
 
 
 def check_against_replay(layout, inverse, control, rng, kind=None):
     """``qft`` on register k within 1e-13 of a gate-by-gate replay, with equal gate counts.
 
-    ``control`` is a (register, value) pair on a one-qubit register; the
-    replay puts it on that register's qubit. The input is a random state, or
-    one whose rows along k are all of ``kind``.
+    ``control`` is a register mapping; the replay puts one control on each
+    qubit of every register it fixes, with that qubit's bit of the value.
+    The input is a random state, or one whose rows along k are all of
+    ``kind``.
     """
     width, n = layout.n_qubits, layout.width("k")
     amps = random_state_vector(width, rng) if kind is None else qft_input(rng, layout, kind)
     transformed = qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
     replay = Statevector(amps.copy(), layout)
-    outer = ((layout.offset(control[0]), control[1]),) if control else ()
+    outer = tuple((q, v >> i & 1) for r, v in (control or {}).items() for i, q in enumerate(layout.qubits(r)))
     for payload, targets, controls in qft_gate_sequence(layout.qubits("k"), inverse):
         apply_gate(replay, payload, targets, controls + outer)
     assert np.max(np.abs(transformed.amplitudes - replay.amplitudes)) <= 1e-13
@@ -143,7 +148,7 @@ def check_against_replay(layout, inverse, control, rng, kind=None):
 class TestFusedQft:
     """The FFT-based QFT against a gate-by-gate replay of ``qft_gate_sequence``."""
 
-    @pytest.mark.parametrize("control", [None, ("x", 1), ("x", 0)])
+    @pytest.mark.parametrize("control", [None, {"x": 1}, {"x": 0}])
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_gate_replay(self, n, inverse, control, rng):
@@ -174,9 +179,9 @@ class TestFusedQft:
     def test_every_input_kind_on_the_qfti_branch(self, n, inverse, kind, rng):
         # QFTI transforms its a = 1 branch, a (b, c, k) block of shape (2, 2, N).
         layout = RegisterLayout((("a", 1), ("b", 1), ("c", 1), ("k", n)))
-        check_against_replay(layout, inverse, ("a", 1), rng, kind)
+        check_against_replay(layout, inverse, {"a": 1}, rng, kind)
 
-    @pytest.mark.parametrize("control", [("x", 2), ("x", 1 << 40), ("x", -1), ("k", 0)])
+    @pytest.mark.parametrize("control", [{"x": 2}, {"x": 1 << 40}, {"x": -1}, {"k": 0}])
     def test_bad_control_rejected(self, control, rng):
         # A value outside the register's range (a negative one, which numpy
         # would wrap, included) or a control on k itself.
@@ -202,7 +207,7 @@ class TestTransformChoice:
 
     @pytest.mark.parametrize("kind", QFT_INPUT_KINDS)
     @pytest.mark.parametrize("n", [1, 4])
-    @pytest.mark.parametrize("control", [None, ("y", 1)])
+    @pytest.mark.parametrize("control", [None, {"y": 1}])
     @pytest.mark.parametrize("inverse", [False, True])
     def test_one_fft_of_the_branch_kind(self, kind, n, control, inverse, monkeypatch, rng):
         layout = RegisterLayout((("y", 1), ("k", n), ("x", 1)))
@@ -236,6 +241,24 @@ class TestTransformChoice:
         assert np.array_equal(v[1:half], v[: half : -1].conj())
         state = qft(Statevector(qft_input(rng, layout, "hermitian"), layout))
         assert not state.amplitudes.imag.any()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_fft_rows_are_independent_of_their_batch(self, n, rng):
+        # A row transformed alone has the same bits as inside a strided (2, 2, N) batch, for each FFT
+        # qft runs, as it calls them. A run's outputs stay bitwise whether qft transforms one row of a
+        # branch (QFTI's forward QFT on its start branch) or all of them only while this holds.
+        N, half = 1 << n, 1 << (n - 1)
+        base = rng.normal(size=(2, 3, 2, N)) + 1j * rng.normal(size=(2, 3, 2, N))
+        transforms = {
+            "rfft": lambda x: np.fft.rfft(x.real, axis=-1, norm="ortho"),
+            "irfft": lambda x: np.fft.irfft(x[..., : half + 1], n=N, axis=-1, norm="ortho", out=x.real),
+            "fft": lambda x: np.fft.fft(x, axis=-1, norm="ortho", out=x),
+            "ifft": lambda x: np.fft.ifft(x, axis=-1, norm="ortho", out=x),
+        }
+        for name, transform in transforms.items():
+            together = transform(base.copy()[:, 1])  # rows N apart within a pair and 6N apart between pairs
+            for row in np.ndindex(2, 2):
+                assert np.array_equal(transform(base.copy()[:, 1][row]), together[row]), (name, row)
 
 
 class TestAngleSchedule:

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qftcalc
-from qftcalc import checks, psmpo, spectral, state as state_module
-from qftcalc.experiments import MAX_SHOTS
+from qftcalc import checks, experiments, psmpo, spectral, state as state_module
 from qftcalc.reference import pauli_x, phase_gate, rx_gate, swap_gate
 from qftcalc.state import (
+    MAX_SHOTS,
     RegisterLayout,
     Statevector,
     _branch,
@@ -336,7 +336,7 @@ class TestRegisterViews:
                 expected[y << 5 | k << 2 | 2] = 8 * y + k + 1
         assert np.array_equal(state.amplitudes, expected)
         # A transform through the controlled view lands in the same entries.
-        spectral.qft(state, control=("x", 2))
+        spectral.qft(state, control={"x": 2})
         assert state.amplitudes is amplitudes
         touched = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
         assert set(touched) <= {y << 5 | k << 2 | 2 for y in range(2) for k in range(8)}
@@ -352,7 +352,7 @@ class TestRegisterViews:
 
     @pytest.mark.parametrize(
         "control, error",
-        [(("a", -1), ValueError), (("a", 2), ValueError), (("z", 1), KeyError), (("k", 0), ValueError)],
+        [({"a": -1}, ValueError), ({"a": 2}, ValueError), ({"z": 1}, KeyError), ({"k": 0}, ValueError)],
         ids=["negative", "too-large", "unknown", "on-k"],
     )
     def test_qft_refuses_a_bad_control(self, control, error, rng):
@@ -364,12 +364,12 @@ class TestRegisterViews:
     @pytest.mark.parametrize(
         "control, error",
         [
-            (("a", -1), ValueError),
-            (("a", 2), ValueError),
-            (("z", 1), KeyError),
-            (("b", 1), ValueError),
-            (("c", 1), ValueError),
-            (("k", 1), ValueError),
+            ({"a": -1}, ValueError),
+            ({"a": 2}, ValueError),
+            ({"z": 1}, KeyError),
+            ({"b": 1}, ValueError),
+            ({"c": 1}, ValueError),
+            ({"k": 1}, ValueError),
         ],
         ids=["negative", "too-large", "unknown", "on-b", "on-c", "on-k"],
     )
@@ -397,7 +397,7 @@ class TestRegisterViews:
         # b = 2 (or c = 2) lies off every block the b/c check reads.
         amps.reshape(layout.shape)[(1, 2, 0) if wide == "b" else (1, 0, 2)] = 0.5
         state = Statevector(amps, layout)
-        self.refused(state, lambda: psmpo.apply_partial_sum(state, control=("a", 1)), ValueError)
+        self.refused(state, lambda: psmpo.apply_partial_sum(state, control={"a": 1}), ValueError)
 
 
 class TestSampleL2Norm:
@@ -467,6 +467,16 @@ class TestProbabilitiesAndSampling:
         state = Statevector([1, 0], RegisterLayout((("k", 1),)))
         with pytest.raises(ValueError):
             sample_counts(state, 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [2**63, 2**64])
+    def test_sample_rejects_shots_beyond_the_int64_cap(self, shots):
+        # numpy's int64 draws would end in OverflowError; the sampler names its range.
+        state = Statevector([1, 0], RegisterLayout((("k", 1),)))
+        with pytest.raises(ValueError, match=f"1[.][.]{MAX_SHOTS}, got {shots}"):
+            sample_counts(state, shots, seed=0)
+
+    def test_experiments_reads_the_samplers_cap(self):
+        assert experiments.MAX_SHOTS is MAX_SHOTS == 2**63 - 1
 
 
 def branch_indices(layout, branch):
