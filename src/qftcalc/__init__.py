@@ -5,9 +5,9 @@ QFT and wavenumber-rotation kernels (`spectral`), the block-encoded
 cumulative-sum operator (`psmpo`), the end-to-end derivative/integral
 pipelines (`pipelines`), classical references and metrics (`oracles`), and an
 experiment runner with presets, plots and a validation suite (`experiments`,
-`plots`, `checks`, `cli`). `qft` and `wavenumber_rotation` find the k
-register in the state's layout. The gate-level circuits and
-dense matrices that the validation suite and the tests replay against those
+`plots`, `checks`, `cli`). `qft` and `wavenumber_rotation` act on the k
+register of the branch they are told. The gate-level circuits and dense
+matrices that the validation suite and the tests replay against those
 kernels live in `reference`, which this package import, like every run,
 leaves unloaded.
 """

@@ -159,8 +159,7 @@ def check_qft_replay(n: int, inverse: bool, seed: int = 5) -> CheckResult:
         for control in (None, {"y": 1}, {"x": 0}):
             fft = spectral.qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
             replay = Statevector(amps.copy(), layout)
-            # One (qubit, bit) control per qubit of each register the control fixes.
-            outer = tuple((q, v >> i & 1) for r, v in (control or {}).items() for i, q in enumerate(layout.qubits(r)))
+            outer = reference.branch_controls(layout, control or {})
             for payload, targets, controls in reference.qft_gate_sequence(layout.qubits("k"), inverse):
                 apply_gate(replay, payload, targets, controls + outer)
             err = max(err, float(np.max(np.abs(fft.amplitudes - replay.amplitudes))))
@@ -201,10 +200,9 @@ def check_branch_completeness(n: int, seed: int = 11) -> CheckResult:
     spectrum = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     spectrum /= np.linalg.norm(spectrum)
     layout = RegisterLayout((("a", 1), ("k", n)))
-    amps = np.zeros(2 << n, dtype=complex)
-    amps[: 1 << n] = spectrum
-    state = Statevector(amps, layout)
-    spectral.wavenumber_rotation(state)
+    state = Statevector(np.zeros(2 << n, dtype=complex), layout)
+    state.amplitudes[: 1 << n] = spectrum
+    spectral.wavenumber_rotation(state, {"a": 0})
     probs = exact_probabilities(state)
     total = probs[: 1 << n] + probs[1 << n :]
     err = float(np.max(np.abs(total - np.abs(spectrum) ** 2)))
@@ -213,32 +211,37 @@ def check_branch_completeness(n: int, seed: int = 11) -> CheckResult:
     )
 
 
-def check_rotation_replay(n: int, mode: str, ancillas: str = "a", seed: int = 17) -> CheckResult:
+def check_rotation_replay(n: int, mode: str, ancillas: str = "a", fixed: str = "", seed: int = 17) -> CheckResult:
     """The fused rotation equals the gate-by-gate controlled-Rx cascade, and a repeat call is bitwise equal.
 
     ``ancillas`` are the one-qubit registers above k (``"abc"`` is the QFTI
-    layout). The second of two calls on fresh copies reads the memoized
-    rotation factors, so it must reproduce the first bit for bit.
+    layout); the start also fixes ``fixed`` at 0, and the populated rows off
+    it and its partner come back bitwise. Repeat calls read memoized factors.
     """
     layout = RegisterLayout((*((name, 1) for name in ancillas), ("k", n)))
-    half = 1 << (layout.n_qubits - 1)
     rng = np.random.default_rng(seed)
-    amps = np.zeros(2 * half, dtype=complex)
-    init = int(mode == pipelines.MODE_INTEGRAL)  # the ancilla's start branch
-    amps[init * half :][:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
+    amps = np.zeros(layout.shape, dtype=complex)
+    start = {"a": int(mode == pipelines.MODE_INTEGRAL), **dict.fromkeys(fixed, 0)}
+    amps[start["a"]] = rng.normal(size=amps.shape[1:]) + 1j * rng.normal(size=amps.shape[1:])
+    off = np.ones(layout.shape, dtype=bool)  # the rows of neither the start nor its partner
+    off[tuple(0 if name in fixed else slice(None) for name in layout.names)] = False
+    amps[off] = rng.normal(size=np.count_nonzero(off))
     amps /= np.linalg.norm(amps)
-    first, second, replay = (Statevector(amps.copy(), layout) for _ in range(3))
-    spectral.wavenumber_rotation(first)
-    spectral.wavenumber_rotation(second)
+    first, second, replay = (Statevector(amps.reshape(-1).copy(), layout) for _ in range(3))
+    spectral.wavenumber_rotation(first, start)
+    spectral.wavenumber_rotation(second, start)
     (a_qubit,) = layout.qubits("a")
+    outer = reference.branch_controls(layout, dict.fromkeys(fixed, 0))
     for k_qubit, angle in zip(layout.qubits("k"), reference.rotation_angles(n)):
-        apply_gate(replay, reference.rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),))
+        apply_gate(replay, reference.rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1), *outer))
     err = float(np.max(np.abs(first.amplitudes - replay.amplitudes)))
     repeat = bool(np.array_equal(first.amplitudes, second.amplitudes))
+    untouched = np.array_equal(first.amplitudes.reshape(layout.shape)[off], amps[off])
     return _result(
-        f"rotation == controlled-Rx cascade ({mode}, {'-'.join(ancillas)}-k) n={n}",
-        err <= 1e-13 and repeat,
-        f"max deviation {err:.2e}, repeat call {'bitwise equal' if repeat else 'differs'}",
+        f"rotation == controlled-Rx cascade ({mode}, {'-'.join(ancillas)}-k{f' from {start}' if fixed else ''}) n={n}",
+        err <= 1e-13 and repeat and untouched and first.gate_count == replay.gate_count,
+        f"max deviation {err:.2e}, repeat call {'bitwise equal' if repeat else 'differs'}"
+        + (f", other rows {'bitwise untouched' if untouched else 'changed'}" if fixed else ""),
     )
 
 
@@ -248,11 +251,10 @@ def check_success_branch_law(n: int, mode: str, seed: int = 13) -> CheckResult:
     spectrum = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     spectrum /= np.linalg.norm(spectrum)
     layout = RegisterLayout((("a", 1), ("k", n)))
-    amps = np.zeros(2 << n, dtype=complex)
-    offset = int(mode == pipelines.MODE_INTEGRAL) << n
-    amps[offset : offset + (1 << n)] = spectrum
-    state = Statevector(amps, layout)
-    spectral.wavenumber_rotation(state)
+    start = {"a": int(mode == pipelines.MODE_INTEGRAL)}
+    state = Statevector(np.zeros(2 << n, dtype=complex), layout)
+    state.amplitudes.reshape(layout.shape)[start["a"]] = spectrum
+    spectral.wavenumber_rotation(state, start)
     success = state.amplitudes[(spectral.SUCCESS_BIT << n) :][: 1 << n]
     k = np.arange(1 << n)
     trig = np.sin if mode == pipelines.MODE_DERIVATIVE else np.cos
@@ -633,6 +635,7 @@ def fast_suite() -> list[CheckResult]:
         for mode in (pipelines.MODE_DERIVATIVE, pipelines.MODE_INTEGRAL):
             for ancillas in ("a", "abc"):
                 results.append(check_rotation_replay(n, mode, ancillas))
+        results.append(check_rotation_replay(n, pipelines.MODE_INTEGRAL, "abc", fixed="bc"))
     results.append(check_control_polarity())
     for n_k in (1, 2, 3, 4):
         results.append(check_block_encoding(n_k))

@@ -1,10 +1,10 @@
 """End-to-end derivative (QFTD) and integral (QFTI) pipeline runs.
 
-Both run one spectral circuit on branches named by register, never by flat
-index: encode normalized samples straight into the k axis of the start
-branch, move to the spectrum, apply the trigonometric wavenumber factor
-through the ancilla rotation and transform back under ancilla control; the
-integral starts in (a, b, c) = (1, 0, 0) (the X on a is counted, not
+Both run one spectral circuit on branches that :func:`_run` alone names by
+register, never by flat index: encode normalized samples straight into the
+k axis of the start branch, move to the spectrum, rotate from it to apply
+the trigonometric wavenumber factor and transform back its ``a = 1`` side;
+the integral starts in (a, b, c) = (1, 0, 0) (the X on a is counted, not
 applied) and adds the cumulative-sum block encoding. The post-selected
 branch is read out as squared physical values:
 
@@ -138,21 +138,19 @@ def _run(f: SampledFunction, mode: str, shots: int | None, seed: int) -> Recover
         raise ValueError(f"need 2^n samples with n >= 2, got {f.n_points}")
     integral = mode == MODE_INTEGRAL
     # The integral starts in a = 1 (its X is counted, not applied) and b = c = 0.
-    result = {"a": spectral.SUCCESS_BIT}  # where the rotation leaves the result
-    if integral:
-        start, success = {"a": 1, "b": 0, "c": 0}, {**result, **psmpo.SUCCESS_BLOCK}
-    else:
-        start, success = {"a": 0}, result
+    start = {"a": 1, "b": 0, "c": 0} if integral else {"a": 0}
+    result = {**start, "a": spectral.SUCCESS_BIT}  # where the rotation leaves the result
+    success = {**result, **psmpo.SUCCESS_BLOCK} if integral else result
     layout = RegisterLayout((*((name, 1) for name in start), ("k", n)))
     scale_sq = _squared_scale(f, mode)
     state = amplitude_encode(f.samples, f.l2_norm, layout, start)
     state.gate_count += start["a"]
     # Only the start branch holds amplitude; every other is all zeros.
     spectral.qft(state, control=start)
-    spectral.wavenumber_rotation(state)
+    spectral.wavenumber_rotation(state, start)
     spectral.qft(state, inverse=True, control=result)
     if integral:
-        psmpo.apply_partial_sum(state, control=result)
+        psmpo.apply_partial_sum(state, control={"a": spectral.SUCCESS_BIT})
 
     if shots is None:
         psi_sq = exact_probabilities(state, success)

@@ -224,9 +224,9 @@ def apply_partial_sum(state: Statevector, control: Mapping[str, int]) -> Stateve
 
     ``control`` maps any registers but b, c and k to values, such as
     ``{"a": 1}``. The encoding is :func:`build_block_encoding` for the width
-    of the k register; b and c must be one qubit wide. The b and c registers
-    must still be in |0>: unless every amplitude off the b = c = 0 block is
-    exactly zero, ``ValueError`` is raised and the state is left untouched.
+    of the k register; b and c must be one qubit wide. The branch's b and c
+    must still be in |0>: unless its every amplitude off the b = c = 0 block
+    is exactly zero, ``ValueError`` is raised and the state is left untouched.
     ``U_H`` then sends the controlled branch's k-register coefficients A,
     its only populated block, to ``half(A)``: ``S @ A / eta`` at
     ``SUCCESS_BLOCK`` and ``C_V A`` at (b, c) = (1, 0), leaving zeros at
@@ -242,8 +242,8 @@ def apply_partial_sum(state: Statevector, control: Mapping[str, int]) -> Stateve
         return _branch(state, {**control, "b": b, "c": c}, "k")
 
     x00 = block(0, 0)
-    # Off the b = c = 0 block: b = 1, or b = 0 with c = 1.
-    if _branch(state, {"b": 1}).any() or _branch(state, {"b": 0, "c": 1}).any():
+    # Off the controlled branch's b = c = 0 block: b = 1, or b = 0 with c = 1.
+    if _branch(state, {**control, "b": 1}).any() or block(0, 1).any():
         raise ValueError("registers b/c are not in |0>: amplitude off the b = c = 0 block is non-zero")
     block(0, 1)[...], block(1, 0)[...] = build_block_encoding(layout.width("k")).half(x00)
     x00[...] = 0.0

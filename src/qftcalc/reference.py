@@ -2,7 +2,7 @@
 
 A run executes each layer as one fast kernel; no run imports this module,
 which keeps the paper's circuits and matrices:
-- the gate payloads, for :func:`qftcalc.state.apply_gate`;
+- the gate payloads and :func:`branch_controls`, for ``state.apply_gate``;
 - :func:`qft_gate_sequence`, the gate-level circuit of ``spectral.qft``;
 - :func:`rotation_angles` and :func:`reconstructed_rotation`, the exact
   controlled-Rx cascade of ``spectral.wavenumber_rotation``;
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .psmpo import BLOCK_TOL, BlockEncoding, _factored_weights, _singular_values, spectral_norm
+from .state import RegisterLayout
 
 __all__ = [
     "hadamard",
@@ -31,6 +32,7 @@ __all__ = [
     "rx_gate",
     "swap_gate",
     "qft_gate_sequence",
+    "branch_controls",
     "rotation_angles",
     "reconstructed_rotation",
     "summation_svd",
@@ -87,6 +89,11 @@ def qft_gate_sequence(qubits: tuple[int, ...], inverse: bool):
     if inverse:
         seq = [(payload.conj().T, targets, controls) for payload, targets, controls in reversed(seq)]
     return seq
+
+
+def branch_controls(layout: RegisterLayout, branch: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
+    """One ``(qubit, bit)`` gate control per qubit of each register ``branch`` fixes, with its bit of the value."""
+    return tuple((q, v >> i & 1) for r, v in branch.items() for i, q in enumerate(layout.qubits(r)))
 
 
 def rotation_angles(n: int) -> tuple[Fraction, ...]:

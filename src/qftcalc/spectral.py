@@ -29,21 +29,17 @@ are QFTI's, so each run does one ``rfft`` and one ``irfft`` and no complex
 FFT. ``gate_count`` advances by the circuit's gate count, ``m(m+1)/2 +
 m//2``, whichever FFT runs.
 
-The rotation cascade scales the spectrum element-wise: with the ancilla in
-``|0>`` the ``|1>`` branch picks up ``i sin(2 pi k / N)`` (the derivative);
-with the ancilla in ``|1>`` the ``|1>`` branch keeps ``cos(2 pi k / N)``
-(the integral). The cascade is the same unitary in both circuits; only the
-ancilla branch that holds the spectrum differs. The n controlled rotations
-commute, so they amount to one Rx per value of k, ``[[c, -is], [-is, c]]``
-with real ``c`` and ``s``. Those factors depend only on the k width, so
-:func:`_rotation_factors` builds them once per width and process (1 MiB at
-n=16), checks their unitarity at build and hands out read-only arrays
-indexed by k. Each call takes the start branch from the state: ``a = 1``
-if it holds any amplitude, else ``a = 0``, each scanned at most once. It
-raises when both branches hold amplitude, and otherwise writes ``-i s x``
-into the other branch and ``c x`` over the start branch ``x`` in place,
-with no branch-sized temporary. The factors take their angles in closed
-form, ``-4k/N`` in units of pi, for k <= N/2, and mirror them above: ``c``
+The rotation cascade scales the spectrum element-wise: from ``a = 0`` the
+``a = 1`` branch picks up ``i sin(2 pi k / N)`` (the derivative); from
+``a = 1`` it keeps ``cos(2 pi k / N)`` (the integral). The cascade is the
+same unitary in both circuits, and each call is told the branch ``x`` that
+holds the spectrum. Its n controlled rotations commute, so they amount to
+one Rx per value of k, ``[[c, -is], [-is, c]]`` with real ``c`` and ``s``:
+a call writes ``-i s x`` into the partner of ``x`` and ``c x`` over ``x``
+in place, with no branch-sized temporary. :func:`_rotation_factors` builds
+``c`` and ``s`` once per k width and process (1 MiB at n=16), checks their
+unitarity and hands them out read-only, indexed by k, with their angles in
+closed form, ``-4k/N`` in units of pi, for k <= N/2, mirrored above: ``c``
 is even in k and ``s`` odd, bit for bit, with ``s = 0`` at k = 0 and N/2.
 So the rotation keeps a Hermitian spectrum exactly Hermitian, and the
 controlled inverse QFT after it takes the ``irfft``.
@@ -120,34 +116,30 @@ def _is_hermitian(view: np.ndarray, half: int) -> bool:
     )
 
 
-def wavenumber_rotation(state: Statevector) -> Statevector:
+def wavenumber_rotation(state: Statevector, start: Mapping[str, int]) -> Statevector:
     """Run the controlled-Rx cascade against the one-qubit ``a`` and the ``k`` register.
 
-    The start branch is ancilla ``|1>`` if that holds any amplitude, else
-    ``|0>``; if both hold amplitude, ``ValueError`` is raised and the state
-    is left untouched, as it is when ``a`` is not one qubit wide. Afterwards
-    the amplitude of ``|k>`` on the ``SUCCESS_BIT`` branch carries
-    ``i sin(2 pi k/N)`` (from ``|0>``, the derivative) or ``cos(2 pi k/N)``
-    (from ``|1>``, the integral) times the spectrum component.
+    ``start``, the branch that holds the spectrum, fixes ``a`` and may fix
+    any register but k; only it and its partner, ``start`` with the other
+    ``a`` value, are read or written. A partner that holds any amplitude, a
+    wider ``a`` or a bad ``start`` raise ``ValueError`` (``KeyError`` for a
+    ``start`` without ``a``) and leave the state untouched. Afterwards the
+    ``SUCCESS_BIT`` side carries ``i sin(2 pi k/N)`` (from ``a = 0``, the
+    derivative) or ``cos(2 pi k/N)`` (from ``a = 1``) times the spectrum.
     """
-    layout = state.layout
-    if layout.width("a") != 1:
-        raise ValueError(f"ancilla register 'a' must be one qubit wide, not {layout.width('a')}")
-    zero, one = (_branch(state, {"a": bit}, "k") for bit in (0, 1))
-    # Each branch is scanned at most once; a QFTD run scans only its empty |1> branch.
-    if one.any():
-        if zero.any():
-            raise ValueError("ancilla is not in a basis state: both of its branches hold non-zero amplitude")
-        start, other = one, zero
-    else:
-        start, other = zero, one
-    n = layout.width("k")
+    if state.layout.width("a") != 1:
+        raise ValueError(f"ancilla register 'a' must be one qubit wide, not {state.layout.width('a')}")
+    x = _branch(state, start, "k")
+    partner = _branch(state, {**start, "a": 1 - start["a"]}, "k")
+    if partner.any():
+        raise ValueError("ancilla is not in a basis state: the partner of the start branch holds non-zero amplitude")
+    n = state.layout.width("k")
     c, s = _rotation_factors(n)
-    # other = -i s start, then start = c start, in real arithmetic.
-    np.multiply(s, start.imag, out=other.real)
-    np.multiply(s, start.real, out=other.imag)
-    np.negative(other.imag, out=other.imag)
-    start *= c
+    # partner = -i s x, then x = c x, in real arithmetic.
+    np.multiply(s, x.imag, out=partner.real)
+    np.multiply(s, x.real, out=partner.imag)
+    np.negative(partner.imag, out=partner.imag)
+    x *= c
     state.gate_count += n
     return state
 
@@ -157,9 +149,9 @@ def _rotation_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``c`` and ``s`` of every block ``[[c, -is], [-is, c]]``, indexed by k.
 
     ``c`` and ``s`` are the cosine and sine of half the Rx angle of each
-    k <= N/2, mirrored above N/2 (``c`` even and ``s`` odd). They depend on the k width alone, so they are built once per process for
-    each width, and the unitarity check runs here, on the arrays every later
-    call reads.
+    k <= N/2, mirrored above N/2 (``c`` even and ``s`` odd). They depend on
+    the k width alone, so they are built once per process for each width,
+    and the unitarity check runs here, on the arrays every later call reads.
     """
     phi = _rotation_turns(n) * math.pi
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)

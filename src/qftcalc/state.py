@@ -13,13 +13,13 @@ which is also a stage's control. One private helper, :func:`_branch`,
 makes every such view and checks its names and values, so register order
 matters nowhere on the run path. :func:`amplitude_encode` writes the
 samples into the k axis of one branch of a zeroed state, the QFT and the
-rotation cascade (:mod:`qftcalc.spectral`) act on the k axis of a branch,
-the partial sum (:func:`qftcalc.psmpo.apply_partial_sum`) reads one (b, c)
-block of k and writes two others, and the readout reads one branch, in
-index order. No ``2^n x 2^n`` matrix is built. Only the gate kernel
-:func:`apply_gate`, which no run calls, maps qubits to axes, so the
-oracles' gate replays index the state through code the run path does not
-share.
+rotation cascade (:mod:`qftcalc.spectral`) act on the k axis of the branch
+they are given, the partial sum (:func:`qftcalc.psmpo.apply_partial_sum`)
+reads one (b, c) block of k and writes two others, and the readout reads
+one branch, in index order. No ``2^n x 2^n`` matrix is built. Only the
+gate kernel :func:`apply_gate`, which no run calls, maps qubits to axes,
+so the oracles' gate replays index the state through code the run path
+does not share.
 
 Sampling draws a branch's hit count as a binomial and spreads the hits by
 Poissonization, whose law is exactly multinomial (see

@@ -739,7 +739,7 @@ class TestValidateWiring:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert sum(line.startswith("[PASS] ") for line in result.stdout.splitlines()) == 80
+        assert sum(line.startswith("[PASS] ") for line in result.stdout.splitlines()) == 85
 
     def test_tampered_schedule_fails_invariant(self):
         angles = reference.rotation_angles(3)

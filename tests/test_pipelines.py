@@ -171,7 +171,7 @@ def unfused_exact_run(f, mode):
     if mode == MODE_INTEGRAL:
         apply_gate(state, pauli_x(), (a_qubit,))
     spectral.qft(state)
-    spectral.wavenumber_rotation(state)
+    spectral.wavenumber_rotation(state, {"a": int(mode == MODE_INTEGRAL)})
     spectral.qft(state, inverse=True, control={"a": spectral.SUCCESS_BIT})
     if mode == MODE_DERIVATIVE:
         success, scale_sq = {"a": 1}, (l2 / f.dx) ** 2
@@ -213,8 +213,8 @@ def permuted_run_state(f, mode):
     state = amplitude_encode(f.samples, f.l2_norm, RegisterLayout(registers), start)
     state.gate_count += start["a"]
     spectral.qft(state, control=start)
-    spectral.wavenumber_rotation(state)
-    spectral.qft(state, inverse=True, control={"a": spectral.SUCCESS_BIT})
+    spectral.wavenumber_rotation(state, start)
+    spectral.qft(state, inverse=True, control={**start, "a": spectral.SUCCESS_BIT})
     if mode == MODE_INTEGRAL:
         psmpo.apply_partial_sum(state, control={"a": spectral.SUCCESS_BIT})
     return state, success
@@ -235,6 +235,36 @@ class TestRunPathIsOrderFree:
         assert np.array_equal(series.value_sq, pipelines._squared_scale(f, mode) * kept)
         assert series.success_probability == float(np.sum(psi_sq))
         assert series.gate_count == state.gate_count
+
+    def test_qfti_spectral_stages_touch_only_the_run_branch(self, monkeypatch):
+        # Each spectral stage of a QFTI run meets amplitude in every (b, c) != (0, 0) row of both
+        # a branches, and must hand those rows back bitwise; the run's output stays bitwise its own.
+        f = sample_catalog("harmonics", 5)
+        expected = qfti_run(f, shots=None)
+        rng = np.random.default_rng(3)
+        calls = []
+
+        def guarded(stage):
+            def run(state, *args, **kwargs):
+                rows = state.amplitudes.reshape(state.layout.shape)  # (a, b, c, k)
+                off = np.ones(rows.shape, dtype=bool)
+                off[:, 0, 0] = False
+                rows[off] = rng.normal(size=np.count_nonzero(off)) + 1j * rng.normal(size=np.count_nonzero(off))
+                before = rows[off]
+                stage(state, *args, **kwargs)
+                assert np.array_equal(rows[off], before)
+                rows[off] = 0.0
+                calls.append(stage.__name__)
+                return state
+
+            return run
+
+        for stage in (spectral.qft, spectral.wavenumber_rotation):
+            monkeypatch.setattr(spectral, stage.__name__, guarded(stage))
+        series = qfti_run(f, shots=None)
+        assert calls == ["qft", "wavenumber_rotation", "qft"]
+        assert np.array_equal(series.value_sq, expected.value_sq)
+        assert series.gate_count == expected.gate_count
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     def test_sampled_counts_follow_the_block_law(self, mode):

@@ -77,7 +77,7 @@ def test_norm_preserved_after_each_stage(f, mode):
     state = amplitude_encode(f.samples, f.l2_norm, layout, {name: 0 for name, _ in registers[:-1]})
     stages = [
         lambda: spectral.qft(state),
-        lambda: spectral.wavenumber_rotation(state),
+        lambda: spectral.wavenumber_rotation(state, {"a": int(integral)}),
         lambda: spectral.qft(state, inverse=True, control={"a": spectral.SUCCESS_BIT}),
     ]
     if integral:

@@ -409,6 +409,21 @@ class TestApplyPartialSum:
                 apply_partial_sum(state, control={"a": 1})
             assert np.array_equal(state.amplitudes, amps)
 
+    def test_bc_check_reads_only_the_controlled_branch(self, rng):
+        # (b, c) = (1, 0) amplitude on the a = 0 branch lies outside control={"a": 1}, which the
+        # summation leaves alone: it runs, writes half bitwise and keeps a = 0 bitwise.
+        n_k = 3
+        state, layout = qfti_state(n_k, random_state_vector(n_k, rng))
+        amps = state.amplitudes.reshape(layout.shape)
+        amps[0, 1, 0] = random_state_vector(n_k, rng)
+        before = amps.copy()
+        apply_partial_sum(state, control={"a": 1})
+        s, cv = build_block_encoding(n_k).half(before[1, 0, 0])
+        assert np.array_equal(amps[1, 0, 1], s) and np.array_equal(amps[1, 1, 0], cv)
+        assert not amps[1, 0, 0].any() and not amps[1, 1, 1].any()
+        assert np.array_equal(amps[0], before[0])
+        assert state.gate_count == 1
+
     def test_summation_under_a_zero_control(self, rng):
         # The summation is the same unitary under any control value: {"a": 0} writes half of
         # the a = 0 block and leaves the a = 1 branch bitwise untouched.

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from qftcalc import spectral
 from qftcalc.checks import QFT_INPUT_KINDS, qft_input
 from qftcalc.pipelines import MODE_DERIVATIVE, MODE_INTEGRAL
-from qftcalc.reference import qft_gate_sequence, reconstructed_rotation, rotation_angles, rx_gate
+from qftcalc.reference import branch_controls, qft_gate_sequence, reconstructed_rotation, rotation_angles, rx_gate
 from qftcalc.spectral import SUCCESS_BIT, _rotation_factors, _rotation_turns, qft, wavenumber_rotation
 from qftcalc.state import RegisterLayout, Statevector, apply_gate
 
@@ -138,7 +138,7 @@ def check_against_replay(layout, inverse, control, rng, kind=None):
     amps = random_state_vector(width, rng) if kind is None else qft_input(rng, layout, kind)
     transformed = qft(Statevector(amps.copy(), layout), inverse=inverse, control=control)
     replay = Statevector(amps.copy(), layout)
-    outer = tuple((q, v >> i & 1) for r, v in (control or {}).items() for i, q in enumerate(layout.qubits(r)))
+    outer = branch_controls(layout, control or {})
     for payload, targets, controls in qft_gate_sequence(layout.qubits("k"), inverse):
         apply_gate(replay, payload, targets, controls + outer)
     assert np.max(np.abs(transformed.amplitudes - replay.amplitudes)) <= 1e-13
@@ -302,22 +302,37 @@ class TestAngleSchedule:
             rotation_angles(0)
 
 
-def check_against_cascade(state):
-    """``wavenumber_rotation`` within 1e-13 of a gate-by-gate controlled-Rx replay, with equal gate counts."""
+def check_against_cascade(state, start):
+    """``wavenumber_rotation`` from ``start`` within 1e-13 of a controlled-Rx replay, with equal gate counts.
+
+    The replay controls on every register ``start`` fixes but a; the rows
+    off ``start`` and its partner come back bitwise.
+    """
     layout = state.layout
     k_qubits = layout.qubits("k")
-    cascade = dataclasses.replace(state, amplitudes=state.amplitudes.copy())
-    wavenumber_rotation(state)
+    before = state.amplitudes.copy()
+    cascade = dataclasses.replace(state, amplitudes=before.copy())
+    wavenumber_rotation(state, start)
     (a_qubit,) = layout.qubits("a")
+    rest = {name: value for name, value in start.items() if name != "a"}
+    outer = branch_controls(layout, rest)
     for k_qubit, angle in zip(k_qubits, rotation_angles(len(k_qubits))):
-        apply_gate(cascade, rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1),))
+        apply_gate(cascade, rx_gate(float(angle) * math.pi), (a_qubit,), ((k_qubit, 1), *outer))
     assert np.max(np.abs(state.amplitudes - cascade.amplitudes)) <= 1e-13
     assert state.gate_count == cascade.gate_count == len(k_qubits)
+    off = np.ones(layout.shape, dtype=bool)
+    off[tuple(rest.get(name, slice(None)) for name in layout.names)] = False
+    assert np.array_equal(state.amplitudes.reshape(layout.shape)[off], before.reshape(layout.shape)[off])
 
 
 def start_bit(mode):
     """The ancilla's basis state before the cascade: 0 for the derivative, 1 for the integral."""
     return int(mode == MODE_INTEGRAL)
+
+
+def start_of(mode):
+    """The start branch of ``mode`` on a layout whose other registers the rotation leaves free."""
+    return {"a": start_bit(mode)}
 
 
 def start_branch_state(registers, mode, rng):
@@ -360,7 +375,7 @@ class TestRotationFactors:
         misses = _rotation_factors.cache_info().misses
         assert _rotation_factors(n) is factors
         for mode in (MODE_DERIVATIVE, MODE_INTEGRAL):
-            wavenumber_rotation(start_branch_state((("a", 1), ("k", n)), mode, rng))
+            wavenumber_rotation(start_branch_state((("a", 1), ("k", n)), mode, rng), start_of(mode))
         assert _rotation_factors.cache_info().misses == misses
 
     def test_unitarity_checked_at_build(self, monkeypatch, rng):
@@ -371,7 +386,7 @@ class TestRotationFactors:
         _rotation_factors.cache_clear()
         monkeypatch.setattr(spectral, "UNITARY_TOL", -1.0)
         with pytest.raises(ValueError, match="not unitary"):
-            wavenumber_rotation(state)
+            wavenumber_rotation(state, {"a": 0})
         assert _rotation_factors.cache_info().currsize == 0
         assert np.array_equal(state.amplitudes, before)
 
@@ -382,7 +397,7 @@ class TestWavenumberRotation:
         spectrum = np.zeros(1 << n)
         spectrum[0] = 1.0
         state, layout = ak_state(n, spectrum, ancilla_bit=0)
-        wavenumber_rotation(state)
+        wavenumber_rotation(state, {"a": 0})
         success = state.amplitudes.reshape(layout.shape)[1, 0]
         assert abs(success) <= 1e-15
 
@@ -391,7 +406,7 @@ class TestWavenumberRotation:
         spectrum = np.zeros(1 << n)
         spectrum[0] = 1.0
         state, layout = ak_state(n, spectrum, ancilla_bit=1)
-        wavenumber_rotation(state)
+        wavenumber_rotation(state, {"a": 1})
         success = state.amplitudes.reshape(layout.shape)[1, 0]
         assert_allclose(success, 1.0, atol=1e-15)
 
@@ -402,7 +417,7 @@ class TestWavenumberRotation:
         spectrum = random_state_vector(n, rng)
         state, layout = ak_state(n, spectrum, ancilla_bit=0)
         initial = state.amplitudes.copy()
-        wavenumber_rotation(state)
+        wavenumber_rotation(state, {"a": 0})
 
         cascade = np.eye(2 << n, dtype=complex)
         a_qubit = layout.qubits("a")[0]
@@ -419,29 +434,38 @@ class TestWavenumberRotation:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_fused_matches_gate_cascade(self, mode, n, rng):
         state, _ = ak_state(n, random_state_vector(n, rng), ancilla_bit=start_bit(mode))
-        check_against_cascade(state)
+        check_against_cascade(state, start_of(mode))
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize(
-        "registers",
+        "registers, fixed",
         [
-            (("a", 1), ("k", 4), ("b", 1)),
-            (("a", 1), ("y", 2), ("k", 3), ("x", 2)),
-            (("a", 1), ("b", 1), ("c", 1), ("k", 5)),
+            ((("a", 1), ("k", 4), ("b", 1)), {}),
+            ((("a", 1), ("y", 2), ("k", 3), ("x", 2)), {}),
+            ((("a", 1), ("b", 1), ("c", 1), ("k", 5)), {}),
+            ((("a", 1), ("b", 1), ("c", 1), ("k", 5)), {"b": 0, "c": 0}),
         ],
-        ids=["k-above-b", "k-between-y-x", "qfti-abck"],
+        ids=["k-above-b", "k-between-y-x", "qfti-abck", "qfti-run-branch"],
     )
-    def test_matches_gate_cascade_on_other_layouts(self, registers, mode, rng):
+    def test_matches_gate_cascade_on_other_layouts(self, registers, fixed, mode, rng):
         # Every register other than a carries amplitude, so the update has to
-        # broadcast over the qubits above and below k.
-        check_against_cascade(start_branch_state(registers, mode, rng))
+        # broadcast over the qubits above and below k. On QFTI's run branch the
+        # start also fixes b = c = 0, and both a branches hold amplitude in
+        # every other (b, c) row, which the rotation must leave as it is.
+        state = start_branch_state(registers, mode, rng)
+        start = {**start_of(mode), **fixed}
+        if fixed:
+            other_a = state.amplitudes.reshape(state.layout.shape)[1 - start["a"]]
+            other_a[...] = random_state_vector(state.layout.n_qubits - 1, rng).reshape(other_a.shape)
+            other_a[0, 0] = 0.0
+        check_against_cascade(state, start)
 
     @pytest.mark.parametrize("mode", [MODE_DERIVATIVE, MODE_INTEGRAL])
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_success_branch_law(self, mode, n, rng):
         spectrum = random_state_vector(n, rng)
         state, _ = ak_state(n, spectrum, ancilla_bit=start_bit(mode))
-        wavenumber_rotation(state)
+        wavenumber_rotation(state, start_of(mode))
         success = state.amplitudes[SUCCESS_BIT << n :][: 1 << n]
         k = np.arange(1 << n)
         trig = np.sin if mode == MODE_DERIVATIVE else np.cos
@@ -452,7 +476,7 @@ class TestWavenumberRotation:
     def test_branch_completeness(self, n, rng):
         spectrum = random_state_vector(n, rng)
         state, _ = ak_state(n, spectrum, ancilla_bit=0)
-        wavenumber_rotation(state)
+        wavenumber_rotation(state, {"a": 0})
         probs = np.abs(state.amplitudes) ** 2
         total = probs[: 1 << n] + probs[1 << n :]
         assert np.max(np.abs(total - np.abs(spectrum) ** 2)) <= 1e-12
@@ -470,7 +494,7 @@ class TestWavenumberRotation:
         _rotation_factors(state.layout.width("k"))
         tracemalloc.start()
         try:
-            wavenumber_rotation(state)
+            wavenumber_rotation(state, start_of(mode))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,7 +503,7 @@ class TestWavenumberRotation:
     def test_rejects_superposed_ancilla(self, rng):
         # The check is exact: a uniform superposition and a single 1e-20
         # amplitude on either branch beside a populated other branch are
-        # refused, with the state untouched and no gate counted.
+        # refused from either start, with the state untouched and no gate counted.
         n = 2
         layout = RegisterLayout((("a", 1), ("k", n)))
         cases = [np.full(2 << n, 1.0 / math.sqrt(2 << n))]
@@ -489,30 +513,48 @@ class TestWavenumberRotation:
             stray.reshape(layout.shape)[1 - populated, 3] = 1e-20
             cases.append(stray)
         for amps in cases:
-            state = Statevector(amps.copy(), layout)
-            with pytest.raises(ValueError, match="ancilla"):
-                wavenumber_rotation(state)
-            assert np.array_equal(state.amplitudes, amps)
-            assert state.gate_count == 0
+            for bit in (0, 1):
+                state = Statevector(amps.copy(), layout)
+                with pytest.raises(ValueError, match="ancilla"):
+                    wavenumber_rotation(state, {"a": bit})
+                assert np.array_equal(state.amplitudes, amps)
+                assert state.gate_count == 0
 
-    @pytest.mark.parametrize("populated", [0, 1])
-    def test_scans_each_branch_at_most_once(self, populated, monkeypatch, rng):
-        # A state starting in |0> (QFTD) scans only its empty |1> branch; one
-        # starting in |1> (QFTI) scans its |1> branch, then the empty |0> branch.
-        state, _ = ak_state(3, random_state_vector(3, rng), ancilla_bit=populated)
+    @pytest.mark.parametrize(
+        "start, error",
+        [({"b": 0}, KeyError), ({"a": 0, "k": 0}, ValueError), ({"a": 2}, ValueError)],
+        ids=["without-a", "fixes-k", "a-out-of-range"],
+    )
+    def test_rejects_a_bad_start(self, start, error, rng):
+        state = start_branch_state((("a", 1), ("b", 1), ("k", 3)), MODE_DERIVATIVE, rng)
+        before = state.amplitudes.copy()
+        with pytest.raises(error):
+            wavenumber_rotation(state, start)
+        assert np.array_equal(state.amplitudes, before)
+        assert state.gate_count == 0
+
+    def test_scans_only_the_partner(self, monkeypatch, rng):
+        # Either start, and QFTI's run branch, scans only the start's partner, once.
         scans = []
         real_branch = spectral._branch
 
         class Branch(np.ndarray):
             def any(self, *args, **kwargs):
-                scans.append(self.bit)
+                scans.append(self.fixed)
                 return np.asarray(self).any(*args, **kwargs)
 
         def branch(state, fixed, register=None):
             view = real_branch(state, fixed, register).view(Branch)
-            view.bit = fixed["a"]
+            view.fixed = dict(fixed)
             return view
 
         monkeypatch.setattr(spectral, "_branch", branch)
-        wavenumber_rotation(state)
-        assert scans == ([1] if populated == 0 else [1, 0])
+        for registers, start in (
+            ((("a", 1), ("k", 3)), {"a": 0}),
+            ((("a", 1), ("k", 3)), {"a": 1}),
+            ((("a", 1), ("b", 1), ("c", 1), ("k", 3)), {"a": 1, "b": 0, "c": 0}),
+        ):
+            state = start_branch_state(registers, MODE_INTEGRAL if start["a"] else MODE_DERIVATIVE, rng)
+            scans.clear()
+            wavenumber_rotation(state, start)
+            assert scans == [{**start, "a": 1 - start["a"]}]

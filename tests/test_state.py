@@ -382,12 +382,12 @@ class TestRegisterViews:
 
     def test_rotation_refuses_a_two_qubit_ancilla(self):
         # Amplitude at a = 2 lies in neither the a = 0 nor the a = 1 branch,
-        # so without the width check the rotation would be a silent no-op.
+        # so without the width check a rotation from a = 0 would be a silent no-op.
         layout = RegisterLayout((("a", 2), ("k", 3)))
         amps = np.zeros(32, dtype=complex)
         amps.reshape(layout.shape)[2] = 1 / math.sqrt(8)
         state = Statevector(amps, layout)
-        self.refused(state, lambda: spectral.wavenumber_rotation(state), ValueError)
+        self.refused(state, lambda: spectral.wavenumber_rotation(state, {"a": 0}), ValueError)
 
     @pytest.mark.parametrize("wide", ["b", "c"])
     def test_partial_sum_refuses_a_two_qubit_block_register(self, wide):
